@@ -25,6 +25,7 @@ from .inequalities import (
     catalog_get,
     expr_to_json,
     load_expr,
+    parse_sign,
     specialize,
 )
 from .observables import ObservableSet, build_ks18, build_set
@@ -161,7 +162,9 @@ def _cmd_specialize(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
     with open(args.subs, encoding="utf-8") as fh:
         raw = json.load(fh)
-    subs = {str(k): int(v) for k, v in raw.items()}
+    if not isinstance(raw, dict):
+        raise ValueError("substitution file must hold a JSON object of label: +-1")
+    subs = {str(k): parse_sign(v, f"substitution for {k}") for k, v in raw.items()}
     specialized, dropped = specialize(expr, subs)
     bound = classical_bound(specialized)
     return {

@@ -313,9 +313,17 @@ def expr_to_json(expr: InequalityExpr) -> dict:
     return out
 
 
+def parse_sign(value, what: str) -> int:
+    """A JSON +-1: only the integers 1 and -1, never a float, bool or
+    string, so nothing is silently coerced."""
+    if type(value) is not int or value not in (-1, 1):
+        raise ValueError(f"{what} must be the integer 1 or -1, got {value!r}")
+    return value
+
+
 def expr_from_json(data: Mapping) -> InequalityExpr:
-    """Parse the JSON form; validates signs, factor distinctness, and the
-    set_id/n pairing."""
+    """Parse the JSON form; validates signs (strictly the integers +-1),
+    factor distinctness, and the set_id/n pairing."""
     try:
         id_ = str(data["id"])
         set_id = str(data["set_id"])
@@ -329,7 +337,8 @@ def expr_from_json(data: Mapping) -> InequalityExpr:
     if n is not None:
         n = int(n)
     terms = tuple(
-        Term(int(t["sign"]), tuple(str(f) for f in t["factors"])) for t in raw_terms
+        Term(parse_sign(t["sign"], "term sign"), tuple(str(f) for f in t["factors"]))
+        for t in raw_terms
     )
     expr = InequalityExpr(id=id_, set_id=set_id, terms=terms, bound=bound, n=n)
     universe = set(set_labels(set_id, n))

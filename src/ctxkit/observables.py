@@ -15,19 +15,21 @@ Label convention for the 18-ray set: "Aij" names the ray shared by
 contexts i and j (1-based, in the order of ``KS18_CONTEXTS``).
 
 Rays are stored with exact integer coordinates and normalized only when
-projectors are built, so orthogonality checks are exact.  Builders
-self-validate the structural invariants (orthogonality, incidence,
-involutions, context-wise commutation) and fail hard on violation.
+projectors are built, so orthogonality checks are exact.  The 18-ray
+builder checks orthogonality and incidence; every ``ObservableSet``
+checks its own involutions and context-wise commutation when it is
+constructed, so no set with an unchecked context exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .exceptions import ResourceLimitError, UnknownLabelError
+from .exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -101,13 +103,32 @@ class ObservableSet:
 
     Two observables are jointly measurable exactly when their operators
     commute; the contexts enumerate the maximal groups used by the
-    catalog's inequalities.
+    catalog's inequalities.  Construction checks every operator's shape,
+    that it is an involution, and that each context commutes pairwise.
+    The mapping and the operator arrays are then made read-only, so the
+    checks stay true.
     """
 
     set_id: str
     dim: int
     observables: Mapping[str, np.ndarray] = field(repr=False)
     contexts: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        frozen = MappingProxyType({k: _frozen(v) for k, v in self.observables.items()})
+        object.__setattr__(self, "observables", frozen)
+        for label, op in frozen.items():
+            if op.shape != (self.dim, self.dim):
+                raise ValueError(f"{self.set_id}: {label} has shape {op.shape}")
+            if not is_involution(op, STRUCT_TOL):
+                raise ValueError(f"{self.set_id}: {label} is not a +-1 observable")
+        for ctx in self.contexts:
+            for i, a in enumerate(ctx):
+                for b in ctx[i + 1:]:
+                    if not commutes(self.operator(a), self.operator(b), STRUCT_TOL):
+                        raise IncompatibleContextError(
+                            f"{self.set_id}: context {ctx} contains non-commuting pair ({a}, {b})"
+                        )
 
     def operator(self, label: str) -> np.ndarray:
         try:
@@ -118,21 +139,6 @@ class ObservableSet:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.observables)
-
-
-def _validate_set(obs: ObservableSet) -> None:
-    for label, op in obs.observables.items():
-        if op.shape != (obs.dim, obs.dim):
-            raise RuntimeError(f"{obs.set_id}: {label} has shape {op.shape}")
-        if not is_involution(op, STRUCT_TOL):
-            raise RuntimeError(f"{obs.set_id}: {label} is not a +-1 observable")
-    for ctx in obs.contexts:
-        for i, a in enumerate(ctx):
-            for b in ctx[i + 1:]:
-                if not commutes(obs.observables[a], obs.observables[b], STRUCT_TOL):
-                    raise RuntimeError(
-                        f"{obs.set_id}: context {ctx} contains non-commuting pair ({a}, {b})"
-                    )
 
 
 def _validate_ks18_rayset(rayset: RaySet) -> None:
@@ -163,9 +169,8 @@ def build_ks18() -> tuple[RaySet, ObservableSet]:
     eye = np.eye(4, dtype=complex)
     for label, v in rays.items():
         unit = np.asarray(v, dtype=float) / np.linalg.norm(v)
-        observables[label] = _frozen(2.0 * np.outer(unit, unit).astype(complex) - eye)
+        observables[label] = 2.0 * np.outer(unit, unit).astype(complex) - eye
     obs = ObservableSet(set_id="ks18", dim=4, observables=observables, contexts=KS18_CONTEXTS)
-    _validate_set(obs)
     return rayset, obs
 
 
@@ -194,14 +199,12 @@ def build_peres_mermin() -> ObservableSet:
         ("P15", "P25", "P35"),
         ("P16", "P26", "P36"),
     )
-    obs = ObservableSet(
+    return ObservableSet(
         set_id="peres_mermin",
         dim=4,
-        observables={k: _frozen(v) for k, v in observables.items()},
+        observables=observables,
         contexts=contexts,
     )
-    _validate_set(obs)
-    return obs
 
 
 def star_labels(n: int) -> tuple[str, ...]:
@@ -254,14 +257,12 @@ def build_mermin_star(n: int, max_qubits: int = MERMIN_STAR_MAX_QUBITS) -> Obser
         ("ACAL4", "C1", "C2") + b_tail,
         ("ACAL1", "ACAL2", "ACAL3", "ACAL4"),
     )
-    obs = ObservableSet(
+    return ObservableSet(
         set_id="mermin_star",
         dim=2**n,
-        observables={k: _frozen(v) for k, v in observables.items()},
+        observables=observables,
         contexts=contexts,
     )
-    _validate_set(obs)
-    return obs
 
 
 def build_set(set_id: str, n: int | None = None) -> ObservableSet:

@@ -1,16 +1,22 @@
 """Quantum-side evaluation: expectation values, Bell operators,
 state-independence certificates, extremal values, and Haar sweeps.
 
-The Bell operator of an expression is sum(sign * ordered product of
-factor operators).  For the state-independent inequalities it is a
-multiple c of the identity, which is what ``certify_state_independence``
-checks: constant = Tr(B)/d, residual = max |B - c*1|, certified when the
-residual is within tolerance.
+The Bell operator B of an expression is sum(sign * ordered product of
+factor operators), and it is the one compiled form of the expression:
+the value in a state rho is Re Tr(rho B), the maximal quantum value is
+the top eigenvalue of B (dense ``eigvalsh``), and for the
+state-independent inequalities B is a multiple c of the identity, which
+is what ``certify_state_independence`` checks: constant = Tr(B)/d,
+residual = max |B - c*1|, certified when the residual is within
+tolerance.
+
+Factors that lie inside one declared context of the set were checked to
+commute when the set was built and are not checked again; any other
+group of factors is checked pairwise when it is used.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,22 +25,49 @@ from .exceptions import IncompatibleContextError, NumericError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, commutes, is_hermitian, product_trace
 from .observables import ObservableSet
-from .runtime import substream, worker_count
 from .states import haar_random
 
 MAX_EIG_DIM = 2**13
-POWER_ITERATION_CAP = 100_000
 
 
-def _term_operators(obs: ObservableSet, term: Term) -> list[np.ndarray]:
-    ops = [obs.operator(f) for f in term.factors]
-    for i, a in enumerate(term.factors):
-        for j in range(i + 1, len(term.factors)):
+def compatible_operators(obs: ObservableSet, labels) -> list[np.ndarray]:
+    """Operators of labels that must be jointly measurable, in order.
+
+    Raises IncompatibleContextError when two of them do not commute.
+    Labels inside one of ``obs.contexts`` need no check here, because
+    constructing the set already checked that context.
+    """
+    labels = tuple(labels)
+    ops = [obs.operator(label) for label in labels]
+    if any(set(labels) <= set(ctx) for ctx in obs.contexts):
+        return ops
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
             if not commutes(ops[i], ops[j], STRUCT_TOL):
                 raise IncompatibleContextError(
-                    f"term factors {a} and {term.factors[j]} do not commute"
+                    f"labels {labels[i]} and {labels[j]} cannot be measured jointly"
                 )
     return ops
+
+
+def _product(obs: ObservableSet, labels) -> np.ndarray:
+    prod = np.eye(obs.dim, dtype=complex)
+    for op in compatible_operators(obs, labels):
+        prod = prod @ op
+    return prod
+
+
+def _check_shape(rho, dim: int) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"state has shape {rho.shape}, set dimension is {dim}")
+    return rho
+
+
+def _real_part(value: complex) -> float:
+    if abs(value.imag) > STRUCT_TOL:
+        raise NumericError(f"expectation has imaginary part {value.imag}")
+    return float(value.real)
 
 
 def expectation_term(rho: np.ndarray, obs: ObservableSet, term: Term) -> float:
@@ -43,31 +76,26 @@ def expectation_term(rho: np.ndarray, obs: ObservableSet, term: Term) -> float:
     The factors must pairwise commute (otherwise the average of products
     is ill-defined); an empty factor list gives the constant sign.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (obs.dim, obs.dim):
-        raise ValueError(f"state has shape {rho.shape}, set dimension is {obs.dim}")
-    ops = _term_operators(obs, term)
-    val = product_trace(rho, ops)
-    if abs(val.imag) > STRUCT_TOL:
-        raise NumericError(f"expectation has imaginary part {val.imag}")
-    return term.sign * val.real
+    rho = _check_shape(rho, obs.dim)
+    return term.sign * _real_part(product_trace(rho, compatible_operators(obs, term.factors)))
+
+
+def _value(rho: np.ndarray, bell: np.ndarray) -> float:
+    """Re Tr(rho B) for a state of the Bell operator's dimension."""
+    return _real_part(complex(np.einsum("ij,ji->", rho, bell)))
 
 
 def evaluate_inequality(rho: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
-    """Left-hand-side value of the expression in state rho."""
-    return float(sum(expectation_term(rho, obs, t) for t in expr.terms))
+    """Left-hand-side value of the expression in state rho: Re Tr(rho B)."""
+    rho = _check_shape(rho, obs.dim)
+    return _value(rho, bell_operator(obs, expr))
 
 
 def bell_operator(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
     """sum(sign * ordered product of factor operators), Hermitian."""
     total = np.zeros((obs.dim, obs.dim), dtype=complex)
-    eye = np.eye(obs.dim, dtype=complex)
     for term in expr.terms:
-        ops = _term_operators(obs, term)
-        prod = eye
-        for op in ops:
-            prod = prod @ op
-        total += term.sign * prod
+        total += term.sign * _product(obs, term.factors)
     if not is_hermitian(total, STRUCT_TOL):
         raise NumericError("Bell operator is not Hermitian within tolerance")
     return total
@@ -102,60 +130,19 @@ def context_product(obs: ObservableSet, context) -> int:
     Raises IncompatibleContextError for non-commuting labels and
     ValueError when the product is not proportional to the identity.
     """
-    term = Term(1, tuple(context))
-    ops = _term_operators(obs, term)
-    prod = np.eye(obs.dim, dtype=complex)
-    for op in ops:
-        prod = prod @ op
+    prod = _product(obs, Term(1, tuple(context)).factors)  # Term rejects repeats
     for s in (1, -1):
         if np.max(np.abs(prod - s * np.eye(obs.dim))) <= STRUCT_TOL:
             return s
     raise ValueError(f"product over context {tuple(context)} is not proportional to identity")
 
 
-def _power_iteration(
-    matrix: np.ndarray,
-    start: np.ndarray,
-    tol: float = STRUCT_TOL,
-    max_iter: int = POWER_ITERATION_CAP,
-) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and eigenvector of a Hermitian PSD-shifted matrix.
-
-    The caller must shift so the target eigenvalue is dominant in
-    magnitude; convergence is measured on the Rayleigh quotient.
-    """
-    vec = start / np.linalg.norm(start)
-    value = float(np.real(vec.conj() @ matrix @ vec))
-    for _ in range(max_iter):
-        nxt = matrix @ vec
-        norm = float(np.linalg.norm(nxt))
-        if norm == 0.0:
-            # Only possible when the shifted matrix annihilates vec; the
-            # shift construction makes this unreachable for Hermitian input.
-            raise NumericError("power iteration hit a zero vector")
-        vec = nxt / norm
-        new_value = float(np.real(vec.conj() @ matrix @ vec))
-        if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-            return new_value, vec
-        value = new_value
-    raise NumericError(f"power iteration did not converge in {max_iter} steps")
-
-
-def max_quantum_value(
-    obs: ObservableSet, expr: InequalityExpr, tol: float = STRUCT_TOL
-) -> float:
+def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> float:
     """Largest eigenvalue of the Bell operator (the maximal quantum value
-    of the expression over all states), by shifted power iteration."""
+    of the expression over all states), by dense Hermitian eigensolver."""
     if obs.dim > MAX_EIG_DIM:
         raise ValueError(f"dimension {obs.dim} exceeds the eigenvalue cap {MAX_EIG_DIM}")
-    bell = bell_operator(obs, expr)
-    # Shift by the 1-norm so the top of the spectrum dominates in magnitude.
-    shift = float(np.max(np.abs(bell).sum(axis=0)))
-    shifted = bell + (shift + 1.0) * np.eye(obs.dim)
-    rng = substream(0, 3, index=obs.dim)
-    start = rng.standard_normal(obs.dim) + 1j * rng.standard_normal(obs.dim)
-    value, _ = _power_iteration(shifted, start, tol=tol)
-    return value - (shift + 1.0)
+    return float(np.linalg.eigvalsh(bell_operator(obs, expr))[-1])
 
 
 def haar_sweep(
@@ -164,18 +151,11 @@ def haar_sweep(
     """Expression values over ``count`` seeded Haar-random pure states.
 
     State i comes from substream (seed, lane 0, i), so the result is
-    independent of evaluation order and worker count.
+    independent of evaluation order.  The Bell operator is built once and
+    each state is evaluated against it exactly as ``evaluate_inequality``
+    would.
     """
     if count < 1:
         raise ValueError(f"sweep needs at least one state, got {count}")
-
-    def one(i: int) -> float:
-        return evaluate_inequality(haar_random(obs.dim, seed, index=i), obs, expr)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, range(count)))
-    else:
-        values = [one(i) for i in range(count)]
-    return np.array(values)
+    bell = bell_operator(obs, expr)
+    return np.array([_value(haar_random(obs.dim, seed, index=i), bell) for i in range(count)])

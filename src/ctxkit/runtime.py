@@ -1,8 +1,8 @@
-"""Deterministic randomness and worker-count policy.
+"""Deterministic randomness.
 
 All randomness in the package flows through counter-based Philox
 substreams so results are reproducible bit for bit no matter how work is
-chunked or parallelized.  The substream for (seed, lane, index, subindex)
+chunked or ordered.  The substream for (seed, lane, index, subindex)
 is::
 
     Generator(Philox(key=(seed, lane), counter=(0, subindex, index, 0)))
@@ -13,18 +13,10 @@ Lane assignments (changing them is a breaking change):
 * lane 1: protocol estimation (index = term index, subindex = shot),
 * lane 2: marginal-consistency checks (index = 64-bit digest of the
   measured context's labels, subindex = shot),
-* lane 3: internal deterministic starting vectors (power iteration,
-  product-state search).
-
-Thread counts come from the ``CTXKIT_THREADS`` environment variable:
-unset or ``0`` picks the automatic policy (currently single-threaded,
-which is fastest for the problem sizes in the catalog), any other value
-caps the worker pool at that many threads.
+* lane 3: product-state ascent starting vectors in the calibration.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -35,8 +27,8 @@ def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.ran
     """Independent random stream for one unit of work.
 
     Streams with distinct (seed, lane, index, subindex) never overlap, so
-    units of work can run in any order, or concurrently, without changing
-    the numbers each one draws.
+    units of work can run in any order without changing the numbers each
+    one draws.
     """
     for name, value in (("seed", seed), ("lane", lane), ("index", index), ("subindex", subindex)):
         if not 0 <= int(value) <= _U64_MAX:
@@ -47,16 +39,3 @@ def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.ran
     counter = np.array([0, subindex, index, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
-
-def worker_count() -> int:
-    """Number of worker threads to use, from CTXKIT_THREADS (0 = auto)."""
-    raw = os.environ.get("CTXKIT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CTXKIT_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError(f"CTXKIT_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    return n

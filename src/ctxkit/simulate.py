@@ -14,6 +14,9 @@ ensembles.  Estimation batches shots by walking the branching tree of
 post-measurement states, which reproduces the per-shot sequential draws
 bit for bit (same uniforms, same comparisons) while computing each
 distinct branch state only once.
+
+Every entry point that takes a state certifies it as a density matrix of
+the set's dimension before measuring, and rejects anything else.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import IncompatibleContextError, NumericError
+from .exceptions import NumericError
 from .inequalities import InequalityExpr, Term
-from .linalg import STRUCT_TOL, commutes
+from .linalg import check_density_matrix
 from .observables import ObservableSet
+from .quantum import compatible_operators
 from .runtime import substream
 
 PROTOCOL_LANE = 1
@@ -66,22 +70,12 @@ class MarginalReport:
     z_statistic: float
 
 
-def _compatible_operators(obs: ObservableSet, labels) -> list[np.ndarray]:
-    ops = [obs.operator(label) for label in labels]
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if not commutes(ops[i], ops[j], STRUCT_TOL):
-                raise IncompatibleContextError(
-                    f"labels {labels[i]} and {labels[j]} cannot be measured jointly"
-                )
-    return ops
-
-
 def _check_rho(rho, dim: int) -> np.ndarray:
+    """The state as a certified density matrix of the set's dimension."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, set dimension is {dim}")
-    return rho
+    return check_density_matrix(rho)
 
 
 def sequential_measure(
@@ -93,7 +87,7 @@ def sequential_measure(
     and the final post-measurement state.
     """
     labels = tuple(labels)
-    ops = _compatible_operators(obs, labels)
+    ops = compatible_operators(obs, labels)
     state = _check_rho(rho, obs.dim)
     eye = np.eye(obs.dim, dtype=complex)
     outcomes = []
@@ -182,7 +176,7 @@ def estimate_term(
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
     state = _check_rho(rho, obs.dim)
-    ops = _compatible_operators(obs, term.factors)
+    ops = compatible_operators(obs, term.factors)
     if ops:
         uniforms = _shot_uniforms(seed, PROTOCOL_LANE, term_index, shots, len(ops))
         outcomes = _branch_outcomes(state, ops, uniforms)
@@ -250,7 +244,7 @@ def marginal_consistency(
     for ctx in (first, second):
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
-        ops = _compatible_operators(obs, ctx)
+        ops = compatible_operators(obs, ctx)
         uniforms = _shot_uniforms(seed, MARGINAL_LANE, _context_stream_index(ctx), shots, len(ctx))
         outcomes = _branch_outcomes(state, ops, uniforms)
         col = ctx.index(label)

@@ -11,22 +11,16 @@ in [0, 2^m)) gives label j the value +1 when bit (m-1-j) of k is set and
 -1 otherwise.  Ascending k is then exactly lexicographic order over
 assignment tuples with -1 < +1, and the reported witness is the first
 maximizer in that order.
-
-Blocks may be evaluated by a thread pool (see runtime.worker_count); the
-merge keeps the lowest-index maximizer, so the result is identical for
-any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ResourceLimitError
 from .inequalities import InequalityExpr, absorb_sign_flip
-from .runtime import worker_count
 
 MAX_LABELS = 30
 _BLOCK = 1 << 16
@@ -80,13 +74,10 @@ def classical_bound(expr: InequalityExpr, max_labels: int = MAX_LABELS) -> Bound
         )
 
     total = 1 << m
-    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: _scan_block(b[0], b[1], masks, coeff), blocks))
-    else:
-        results = [_scan_block(lo, hi, masks, coeff) for lo, hi in blocks]
+    results = [
+        _scan_block(lo, min(lo + _BLOCK, total), masks, coeff)
+        for lo in range(0, total, _BLOCK)
+    ]
 
     best, best_k = results[0]
     for value, k in results[1:]:

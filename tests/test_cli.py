@@ -162,6 +162,18 @@ def test_specialize(capsys, tmp_path):
     assert multiset == expected
 
 
+@pytest.mark.parametrize("raw", [
+    {"P16": -1.9}, {"P16": -1.0}, {"P16": True}, {"P16": "1"}, [["P16", -1]],
+])
+def test_specialize_rejects_non_integer_substitution(capsys, tmp_path, raw):
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps(raw))
+    rc, out, err = run_cli(capsys, "specialize", "--inequality", "ineq4", "--subs", str(subs))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_inequality_from_file(capsys, tmp_path):
     path = tmp_path / "chsh.json"
     path.write_text(json.dumps(expr_to_json(catalog_get("chsh8"))))

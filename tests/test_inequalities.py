@@ -188,6 +188,14 @@ def test_json_validation():
         expr_from_json(bad)
 
 
+@pytest.mark.parametrize("sign", [1.7, 1.0, True, "1", None])
+def test_json_sign_must_be_plus_minus_one_integer(sign):
+    data = expr_to_json(catalog_get("chsh8"))
+    data["terms"][0]["sign"] = sign
+    with pytest.raises(ValueError):
+        expr_from_json(data)
+
+
 def test_load_expr(tmp_path):
     expr = catalog_get("kcbs3")
     path = tmp_path / "pentagon.json"

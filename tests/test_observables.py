@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ctxkit.exceptions import ResourceLimitError, UnknownLabelError
+from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
 from ctxkit.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, is_involution, kron_all
 from ctxkit.observables import (
     KS18_CONTEXTS,
     KS18_RAYS,
+    ObservableSet,
     build_mermin_star,
     build_set,
     compatible,
@@ -74,6 +75,16 @@ def test_operators_are_frozen(ks18_obs, pm_obs):
         op = obs.operator(obs.labels[0])
         with pytest.raises(ValueError):
             op[0, 0] = 5.0
+
+
+def test_observable_set_checks_contexts_at_construction(pm_obs):
+    ops = dict(pm_obs.observables)
+    with pytest.raises(IncompatibleContextError):
+        ObservableSet(set_id="bad", dim=4, observables=ops, contexts=(("P14", "P25"),))
+    with pytest.raises(ValueError):
+        ObservableSet(set_id="bad", dim=4, observables={"Z": PAULI_Z}, contexts=())
+    with pytest.raises(TypeError):
+        pm_obs.observables["P14"] = ops["P25"]
 
 
 def test_peres_mermin_layout(pm_obs):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ctxkit.exceptions import IncompatibleContextError, NumericError
+from ctxkit.exceptions import IncompatibleContextError
 from ctxkit.inequalities import InequalityExpr, Term, catalog_get
 from ctxkit.observables import ObservableSet, build_set
 from ctxkit.quantum import (
     MAX_EIG_DIM,
-    _power_iteration,
     bell_operator,
     certify_state_independence,
     context_product,
@@ -107,8 +106,12 @@ def test_max_quantum_value_matches_dense_solver(id_, n):
 
 def test_chsh8_reaches_tsirelson(pm_obs):
     assert max_quantum_value(pm_obs, catalog_get("chsh8")) == pytest.approx(
-        2 * np.sqrt(2), abs=1e-6
+        2 * np.sqrt(2), abs=1e-12
     )
+    # Mermin's maximum 4 for the star family, exact to rounding rather
+    # than to a convergence tolerance.
+    star = catalog_get("mermin11", 7)
+    assert abs(max_quantum_value(build_set(star.set_id, star.n), star) - 4.0) <= 1e-12
 
 
 def test_max_value_dominates_states(ks18_obs):
@@ -124,15 +127,6 @@ def test_max_value_dimension_cap():
     expr = InequalityExpr(id="none", set_id="big", terms=(), bound=None)
     with pytest.raises(ValueError):
         max_quantum_value(hollow, expr)
-
-
-def test_power_iteration_cap():
-    # Two iterations from [1, 1] move the Rayleigh quotient by ~0.3 and
-    # ~0.14, far above tol, so the loop must hit the cap.
-    matrix = np.diag([2.0, 1.0]).astype(complex)
-    start = np.array([1.0, 1.0], dtype=complex)
-    with pytest.raises(NumericError):
-        _power_iteration(matrix, start, tol=1e-15, max_iter=2)
 
 
 def test_haar_sweep_deterministic(ks18_obs):
@@ -151,14 +145,6 @@ def test_haar_sweep_matches_per_state_evaluation(ks18_obs):
     for i in range(4):
         rho = haar_random(4, seed=13, index=i)
         assert values[i] == evaluate_inequality(rho, ks18_obs, expr)
-
-
-def test_haar_sweep_threaded_identical(monkeypatch, ks18_obs):
-    expr = catalog_get("ineq1")
-    serial = haar_sweep(ks18_obs, expr, 16, seed=4)
-    monkeypatch.setenv("CTXKIT_THREADS", "4")
-    threaded = haar_sweep(ks18_obs, expr, 16, seed=4)
-    assert np.array_equal(serial, threaded)
 
 
 def test_state_independent_sweep_is_flat(pm_obs):

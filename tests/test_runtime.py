@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxkit.runtime import substream, worker_count
+from ctxkit.runtime import substream
 
 
 def test_substream_reproducible():
@@ -37,20 +37,3 @@ def test_substream_rejects_out_of_range():
     with pytest.raises(ValueError):
         substream(0, 0, index=-5)
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("CTXKIT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CTXKIT_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("CTXKIT_THREADS", "5")
-    assert worker_count() == 5
-
-
-def test_worker_count_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("CTXKIT_THREADS", "many")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("CTXKIT_THREADS", "-2")
-    with pytest.raises(ValueError):
-        worker_count()

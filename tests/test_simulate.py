@@ -57,6 +57,20 @@ def test_sequential_measure_rejects_wrong_dimension(ks18_obs):
         sequential_measure(np.eye(2) / 2, ks18_obs, ("A12",), substream(0, 1))
 
 
+def test_simulator_rejects_non_states(ks18_obs):
+    # Trace 2: every entry point must refuse it rather than estimate.
+    not_a_state = 2 * np.eye(4) / 4
+    ctx = ks18_obs.contexts[0]
+    with pytest.raises(ValueError):
+        estimate_term(not_a_state, ks18_obs, Term(-1, ctx), 10, seed=0)
+    with pytest.raises(ValueError):
+        run_protocol(not_a_state, ks18_obs, catalog_get("ineq1"), 10, seed=0)
+    with pytest.raises(ValueError):
+        sequential_measure(not_a_state, ks18_obs, ctx, substream(0, 1))
+    with pytest.raises(ValueError):
+        marginal_consistency(not_a_state, ks18_obs, "A12", (ctx, ks18_obs.contexts[1]), 10, seed=0)
+
+
 def test_zero_probability_branch_raises(pm_obs):
     class AlwaysHigh:
         # A real generator never returns 1.0; this forces the sampler

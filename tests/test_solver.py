@@ -111,12 +111,15 @@ def test_label_cap():
         classical_bound(catalog_get("chsh8"), max_labels=3)
 
 
-def test_threaded_scan_is_identical(monkeypatch):
-    expr = catalog_get("ineq1")  # 2^18 assignments, four blocks
-    serial = classical_bound(expr)
-    monkeypatch.setenv("CTXKIT_THREADS", "4")
-    threaded = classical_bound(expr)
-    assert threaded == serial
+def test_witness_is_lex_first_across_blocks():
+    # 17 labels span two scan blocks.  The maximizers are L0 = L1 = -1
+    # (first block) and L0 = L1 = +1 (second block); the witness must be
+    # the first in lexicographic order.
+    labels = [f"L{i:02d}" for i in range(17)]
+    terms = (Term(1, (labels[0], labels[1])),) + tuple(Term(1, (lab,)) for lab in labels[2:])
+    result = classical_bound(InequalityExpr(id="two-blocks", set_id="test", terms=terms, bound=None))
+    assert result.bound == 16
+    assert result.witness == {lab: (-1 if lab in labels[:2] else 1) for lab in labels}
 
 
 def test_evaluate_assignment():
