@@ -321,27 +321,53 @@ def parse_sign(value, what: str) -> int:
     return value
 
 
+def parse_int(value, what: str) -> int:
+    """A JSON integer, never a float, bool or string, so nothing is
+    silently truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def check_keys(data, allowed: tuple[str, ...], what: str) -> None:
+    """``data`` must be a JSON object with no key outside ``allowed``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+
+
+def _term_from_json(data) -> Term:
+    check_keys(data, ("sign", "factors"), "term")
+    factors = data["factors"]
+    if not isinstance(factors, list) or not all(isinstance(f, str) for f in factors):
+        raise ValueError(f"term factors must be a list of label strings, got {factors!r}")
+    return Term(parse_sign(data["sign"], "term sign"), tuple(factors))
+
+
 def expr_from_json(data: Mapping) -> InequalityExpr:
-    """Parse the JSON form; validates signs (strictly the integers +-1),
-    factor distinctness, and the set_id/n pairing."""
+    """Parse the JSON form strictly: no unknown keys, every term an object
+    with a +-1 integer sign and a list of distinct label strings, bound
+    and n JSON integers, and the labels and n checked against the set."""
+    check_keys(data, ("id", "set_id", "bound", "terms", "n"), "inequality JSON")
     try:
         id_ = str(data["id"])
         set_id = str(data["set_id"])
         raw_terms = data["terms"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"inequality JSON missing field: {exc}") from exc
-    bound = data.get("bound")
-    if bound is not None:
-        bound = int(bound)
-    n = data.get("n")
-    if n is not None:
-        n = int(n)
-    terms = tuple(
-        Term(parse_sign(t["sign"], "term sign"), tuple(str(f) for f in t["factors"]))
-        for t in raw_terms
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"inequality terms must be a list, got {raw_terms!r}")
+    bound, n = data.get("bound"), data.get("n")
+    expr = InequalityExpr(
+        id=id_,
+        set_id=set_id,
+        terms=tuple(_term_from_json(t) for t in raw_terms),
+        bound=None if bound is None else parse_int(bound, "bound"),
+        n=None if n is None else parse_int(n, "n"),
     )
-    expr = InequalityExpr(id=id_, set_id=set_id, terms=terms, bound=bound, n=n)
-    universe = set(set_labels(set_id, n))
+    universe = set(set_labels(set_id, expr.n))
     unknown = [f for f in expr.labels if f not in universe]
     if unknown:
         raise UnknownLabelError(unknown[0])

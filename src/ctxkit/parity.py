@@ -1,12 +1,13 @@
 """The two contradiction arguments behind the inequalities.
 
-``ks_colorable`` searches for a 0/1 assignment to rays with exactly one 1
-in every context (the noncontextual coloring the 18-ray set famously does
-not admit).  ``parity_stats`` exposes the counting argument: with every
-label in an even number of contexts, the product of all context outcome
-products is forced to +1 for any fixed +-1 assignment, while quantum
-mechanics gives (-1)^(number of minus-identity contexts); an odd number
-of minus-identity contexts is a contradiction.
+``ks_colorable`` searches every 0/1 assignment to the rays, on the bound
+solver's enumeration kernel, for one with exactly one 1 in every context
+(the noncontextual coloring the 18-ray set famously does not admit).
+``parity_stats`` exposes the counting argument: with every label in an
+even number of contexts, the product of all context outcome products is
+forced to +1 for any fixed +-1 assignment, while quantum mechanics gives
+(-1)^(number of minus-identity contexts); an odd number of
+minus-identity contexts is a contradiction.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .observables import ObservableSet, RaySet
 from .quantum import context_product
+from .solver import decode, label_masks, lex_first_max
 
 
 @dataclass(frozen=True)
@@ -37,84 +39,27 @@ def _check_rayset(rayset: RaySet) -> None:
 def ks_colorable(rayset: RaySet) -> ColorabilityResult:
     """Search for an assignment with exactly one 1 per 4-ray context.
 
-    Backtracking over contexts: pick the 1-ray for each context in turn
-    and propagate the forced zeros.  Exhaustive, so UNSAT verdicts are
-    proofs.
+    Exhaustive scan on the bound solver's kernel: each 0/1 assignment to
+    the sorted rays scores the number of contexts holding exactly one 1,
+    and the set is colorable when the best score counts every context.
+    UNSAT verdicts are therefore proofs, and the witness is the
+    lexicographically first coloring (0 < 1).  Raises ResourceLimitError
+    past the solver's cap of ``MAX_LABELS`` rays.
     """
     _check_rayset(rayset)
-    contexts = rayset.contexts
-    values: dict[str, int] = {}
-
-    def assign(ctx_index: int) -> bool:
-        if ctx_index == len(contexts):
-            return True
-        ctx = contexts[ctx_index]
-        ones = [label for label in ctx if values.get(label) == 1]
-        if len(ones) > 1:
-            return False
-        if len(ones) == 1:
-            # The context's 1 is already fixed; the rest must be 0.
-            touched = []
-            ok = True
-            for label in ctx:
-                if label == ones[0]:
-                    continue
-                if values.get(label) == 1:
-                    ok = False
-                    break
-                if label not in values:
-                    values[label] = 0
-                    touched.append(label)
-            if ok and assign(ctx_index + 1):
-                return True
-            for label in touched:
-                del values[label]
-            return False
-        for pick in ctx:
-            if values.get(pick) == 0:
-                continue
-            touched = []
-            ok = True
-            for label in ctx:
-                want = 1 if label == pick else 0
-                if label in values:
-                    if values[label] != want:
-                        ok = False
-                        break
-                else:
-                    values[label] = want
-                    touched.append(label)
-            if ok and assign(ctx_index + 1):
-                return True
-            for label in touched:
-                del values[label]
-        return False
-
-    if assign(0):
-        witness = dict(values)
-        for label in rayset.rays:
-            witness.setdefault(label, 0)
-        return ColorabilityResult(satisfiable=True, witness=witness)
-    return ColorabilityResult(satisfiable=False, witness=None)
-
-
-def _exhaustive_colorable(rayset: RaySet) -> bool:
-    """Naive check over all 2^R assignments; cross-check oracle for tests."""
-    _check_rayset(rayset)
     labels = sorted(rayset.rays)
-    m = len(labels)
-    if m > 24:
-        raise ValueError(f"{m} rays is too many for the naive check")
-    bit = {label: i for i, label in enumerate(labels)}
-    masks = np.array(
-        [sum(1 << bit[label] for label in ctx) for ctx in rayset.contexts],
-        dtype=np.uint64,
-    )
-    ks = np.arange(1 << m, dtype=np.uint64)
-    ok = np.ones(len(ks), dtype=bool)
-    for mask in masks:
-        ok &= np.bitwise_count(ks & mask) == 1
-    return bool(ok.any())
+    masks = label_masks(labels, rayset.contexts)
+
+    def score(ks: np.ndarray) -> np.ndarray:
+        hits = np.zeros(len(ks), dtype=np.int64)
+        for mask in masks:
+            hits += np.bitwise_count(ks & mask) == 1
+        return hits
+
+    best, k = lex_first_max(len(labels), score)
+    if best == len(rayset.contexts):
+        return ColorabilityResult(satisfiable=True, witness=decode(k, labels, (0, 1)))
+    return ColorabilityResult(satisfiable=False, witness=None)
 
 
 @dataclass(frozen=True)

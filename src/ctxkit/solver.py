@@ -1,21 +1,25 @@
-"""Exact noncontextual bounds by exhaustive +-1 assignment enumeration.
+"""Exact noncontextual bounds by exhaustive assignment enumeration, and
+the one enumeration kernel behind them.
 
 Every distinct label in the expression becomes one +-1 variable; the
 maximum of sum(sign * product of values) over all 2^m assignments is the
-noncontextual bound.  Terms are encoded as bitmasks over the sorted label
-list and whole blocks of assignments are evaluated at once with
-vectorized popcount parity, so m = 18 takes well under a second.
+noncontextual bound.  ``parity.ks_colorable`` runs the same kernel with
+0/1 values and a different score.
 
 Canonical enumeration order: with labels sorted, assignment k (an integer
-in [0, 2^m)) gives label j the value +1 when bit (m-1-j) of k is set and
--1 otherwise.  Ascending k is then exactly lexicographic order over
-assignment tuples with -1 < +1, and the reported witness is the first
-maximizer in that order.
+in [0, 2^m)) gives label j its upper value (+1, or 1 for a coloring) when
+bit (m-1-j) of k is set and its lower value (-1, or 0) otherwise.
+Ascending k is then exactly lexicographic order over assignment tuples,
+and ``lex_first_max`` scans k in blocks of ``_BLOCK``, scoring a whole
+block at once with vectorized popcounts, and reports the first maximizer
+in that order.  ``label_masks`` and ``decode`` are the only places that
+convention is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,30 +37,45 @@ class BoundResult:
     evaluations: int
 
 
-def _encode(expr: InequalityExpr) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-    """Bitmask form: (sorted labels, term masks, folded coefficients, m).
-
-    A term's product at assignment k is (-1)^(|mask| - popcount(k & mask))
-    under the bit convention above, so folding sign * (-1)^|mask| into the
-    coefficient leaves value(k) = sum_t coeff_t * (-1)^popcount(k & mask_t).
-    """
-    labels = list(expr.labels)
+def label_masks(
+    labels: Sequence[str], groups: Iterable[Iterable[str]], max_labels: int = MAX_LABELS
+) -> np.ndarray:
+    """Bitmask of each group of (sorted) labels under the canonical
+    convention.  Raises ResourceLimitError when there are more than
+    ``max_labels`` labels to enumerate."""
     m = len(labels)
+    if m > max_labels:
+        raise ResourceLimitError(
+            f"{m} labels exceeds the enumeration cap of {max_labels} (2^{m} assignments)"
+        )
     bit = {label: m - 1 - j for j, label in enumerate(labels)}
-    masks = np.array(
-        [sum(1 << bit[f] for f in t.factors) for t in expr.terms], dtype=np.uint64
-    )
-    coeff = np.array(
-        [t.sign * (-1 if len(t.factors) & 1 else 1) for t in expr.terms], dtype=np.int64
-    )
-    return labels, masks, coeff, m
+    return np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
 
 
-def _scan_block(lo: int, hi: int, masks: np.ndarray, coeff: np.ndarray) -> tuple[int, int]:
-    ks = np.arange(lo, hi, dtype=np.uint64)
-    parity = (np.bitwise_count(ks[:, None] & masks[None, :]) & 1).astype(np.int64)
-    totals = (1 - 2 * parity) @ coeff
-    return int(totals.max()), lo + int(np.argmax(totals))
+def decode(k: int, labels: Sequence[str], values: tuple[int, int]) -> dict[str, int]:
+    """Assignment k as {label: value}, with values = (lower, upper)."""
+    m = len(labels)
+    return {label: values[(k >> (m - 1 - j)) & 1] for j, label in enumerate(labels)}
+
+
+def _best_in_block(lo: int, hi: int, score: Callable) -> tuple[int, int]:
+    # Reduced to Python ints here, so no block's scores outlive the block.
+    totals = score(np.arange(lo, hi, dtype=np.uint64))
+    i = int(np.argmax(totals))
+    return int(totals[i]), lo + i
+
+
+def lex_first_max(m: int, score: Callable[[np.ndarray], np.ndarray]) -> tuple[int, int]:
+    """Largest integer score over the assignments k in [0, 2^m), and the
+    first k that attains it.  ``score`` maps a uint64 array of ks to
+    their integer scores."""
+    total = 1 << m
+    best, best_k = _best_in_block(0, min(_BLOCK, total), score)
+    for lo in range(_BLOCK, total, _BLOCK):
+        value, k = _best_in_block(lo, min(lo + _BLOCK, total), score)
+        if value > best:
+            best, best_k = value, k
+    return best, best_k
 
 
 def classical_bound(expr: InequalityExpr, max_labels: int = MAX_LABELS) -> BoundResult:
@@ -66,29 +85,25 @@ def classical_bound(expr: InequalityExpr, max_labels: int = MAX_LABELS) -> Bound
     assignment, and the number of assignments evaluated (2^m).  Raises
     ResourceLimitError when the expression has more than ``max_labels``
     distinct labels.
+
+    A term's product at assignment k is (-1)^(|mask| - popcount(k & mask)),
+    so folding sign * (-1)^|mask| into a coefficient leaves
+    value(k) = sum_t coeff_t * (-1)^popcount(k & mask_t).
     """
-    labels, masks, coeff, m = _encode(expr)
-    if m > max_labels:
-        raise ResourceLimitError(
-            f"{m} labels exceeds the enumeration cap of {max_labels} (2^{m} assignments)"
-        )
+    labels = expr.labels
+    masks = label_masks(labels, (t.factors for t in expr.terms), max_labels)
+    coeff = np.array(
+        [t.sign * (-1 if len(t.factors) & 1 else 1) for t in expr.terms], dtype=np.int64
+    )
 
-    total = 1 << m
-    results = [
-        _scan_block(lo, min(lo + _BLOCK, total), masks, coeff)
-        for lo in range(0, total, _BLOCK)
-    ]
+    def score(ks: np.ndarray) -> np.ndarray:
+        parity = (np.bitwise_count(ks[:, None] & masks[None, :]) & 1).astype(np.int64)
+        return (1 - 2 * parity) @ coeff
 
-    best, best_k = results[0]
-    for value, k in results[1:]:
-        if value > best:
-            best, best_k = value, k
-
-    witness = {
-        label: (1 if (best_k >> (m - 1 - j)) & 1 else -1)
-        for j, label in enumerate(labels)
-    }
-    return BoundResult(bound=best, witness=witness, evaluations=total)
+    best, best_k = lex_first_max(len(labels), score)
+    return BoundResult(
+        bound=best, witness=decode(best_k, labels, (-1, 1)), evaluations=1 << len(labels)
+    )
 
 
 def evaluate_assignment(expr: InequalityExpr, assignment: dict[str, int]) -> int:

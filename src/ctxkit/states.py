@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .inequalities import check_keys, parse_int
 from .linalg import as_ket, check_density_matrix, ket_density
 from .runtime import substream
 
@@ -108,25 +109,33 @@ def _named_state(name: str, dim: int | None) -> np.ndarray:
 NAMED_STATES = ("singlet", "y_plus_pair", "paper_kcbs_product", "ghz", "zero_product", "maximally_mixed")
 
 
+_STATE_KEYS = {
+    "named": ("kind", "name"),
+    "ket": ("kind", "dim", "amplitudes"),
+    "dm": ("kind", "dim", "entries"),
+    "haar": ("kind", "dim", "seed"),
+}
+
+
 def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _STATE_KEYS:
+        raise ValueError(f"unknown state kind {kind!r}")
+    check_keys(spec, _STATE_KEYS[kind], f"{kind} state")
     if kind == "named":
         return _named_state(str(spec["name"]), dim)
+    d = parse_int(spec["dim"], "state dim")
+    if kind == "haar":
+        return haar_random(d, parse_int(spec["seed"], "state seed"))
     if kind == "ket":
-        d = int(spec["dim"])
         amps = np.array([complex(re, im) for re, im in spec["amplitudes"]])
         if amps.size != d:
             raise ValueError(f"ket declares dim {d} but has {amps.size} amplitudes")
         return ket_density(amps)
-    if kind == "dm":
-        d = int(spec["dim"])
-        entries = np.array([complex(re, im) for re, im in spec["entries"]])
-        if entries.size != d * d:
-            raise ValueError(f"dm declares dim {d} but has {entries.size} entries")
-        return np.asarray(check_density_matrix(entries.reshape(d, d)))
-    if kind == "haar":
-        return haar_random(int(spec["dim"]), int(spec["seed"]))
-    raise ValueError(f"unknown state kind {kind!r}")
+    entries = np.array([complex(re, im) for re, im in spec["entries"]])
+    if entries.size != d * d:
+        raise ValueError(f"dm declares dim {d} but has {entries.size} entries")
+    return np.asarray(check_density_matrix(entries.reshape(d, d)))
 
 
 def make_state(spec, dim: int | None = None) -> np.ndarray:

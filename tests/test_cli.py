@@ -181,6 +181,21 @@ def test_inequality_from_file(capsys, tmp_path):
     assert report["results"]["classical_bound"] == 2
 
 
+@pytest.mark.parametrize("argv,raw", [
+    (("bound", "--inequality"),
+     {"id": "x", "set_id": "peres_mermin", "terms": [[1, ["P14", "P16"]]]}),
+    (("bound", "--inequality"), {**expr_to_json(catalog_get("chsh8")), "typo_bound": 2}),
+    (("quantum", "--inequality", "kcbs3", "--state"), {"kind": "haar", "dim": 4, "seed": 1.9}),
+])
+def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    rc, out, err = run_cli(capsys, *argv, str(path))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_inequality_file_n_conflict(capsys, tmp_path):
     path = tmp_path / "star.json"
     path.write_text(json.dumps(expr_to_json(catalog_get("mermin11", 3))))

@@ -182,6 +182,8 @@ def test_json_round_trip_with_n():
 def test_json_validation():
     with pytest.raises(ValueError):
         expr_from_json({"id": "x", "terms": []})  # missing set_id
+    with pytest.raises(ValueError):
+        expr_from_json([expr_to_json(catalog_get("chsh8"))])  # not an object
     bad = expr_to_json(catalog_get("chsh8"))
     bad["terms"][0]["factors"] = ["P14", "Q99"]
     with pytest.raises(UnknownLabelError):
@@ -194,6 +196,39 @@ def test_json_sign_must_be_plus_minus_one_integer(sign):
     data["terms"][0]["sign"] = sign
     with pytest.raises(ValueError):
         expr_from_json(data)
+
+
+@pytest.mark.parametrize("term", [
+    [1, ["P14", "P16"]],
+    "P14",
+    {"sign": 1, "factors": "P14"},
+    {"sign": 1, "factors": ["P14", 16]},
+    {"sign": 1, "factors": ["P14", "P16"], "extra": 0},
+])
+def test_json_term_must_be_an_object_with_label_list(term):
+    data = expr_to_json(catalog_get("chsh8"))
+    data["terms"][0] = term
+    with pytest.raises(ValueError):
+        expr_from_json(data)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("bound", 3.5), ("bound", 2.0), ("bound", True), ("bound", "2"),
+    ("n", 5.9), ("n", 5.0), ("n", True), ("n", "5"),
+])
+def test_json_bound_and_n_must_be_integers(field, value):
+    data = expr_to_json(catalog_get("mermin11", 5))
+    data[field] = value
+    with pytest.raises(ValueError):
+        expr_from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"typo_bound": 2}, {"terms": "P14"}, {"terms": {"sign": 1}},
+])
+def test_json_rejects_unknown_keys_and_malformed_terms(data):
+    with pytest.raises(ValueError):
+        expr_from_json({**expr_to_json(catalog_get("chsh8")), **data})
 
 
 def test_load_expr(tmp_path):

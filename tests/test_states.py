@@ -117,6 +117,31 @@ def test_make_state_json_forms():
         make_state({"kind": "wavefunction"})
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "haar", "dim": 4, "seed": 1.9},
+    {"kind": "haar", "dim": 4, "seed": True},
+    {"kind": "haar", "dim": 4, "seed": "1"},
+    {"kind": "haar", "dim": 4.7, "seed": 1},
+    {"kind": "ket", "dim": 2.0, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+    {"kind": "dm", "dim": "1", "entries": [[1.0, 0.0]]},
+])
+def test_state_json_integers_are_strict(spec):
+    with pytest.raises(ValueError, match="JSON integer"):
+        make_state(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "named", "name": "singlet", "dim": 4},
+    {"kind": "ket", "dim": 1, "amplitudes": [[1.0, 0.0]], "entries": []},
+    {"kind": "dm", "dim": 1, "entries": [[1.0, 0.0]], "seed": 0},
+    {"kind": "haar", "dim": 4, "seed": 1, "index": 2},
+    {"kind": ["haar"]},
+])
+def test_state_json_rejects_unknown_keys(spec):
+    with pytest.raises(ValueError):
+        make_state(spec)
+
+
 def test_load_state(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"kind": "named", "name": "y_plus_pair"}))
