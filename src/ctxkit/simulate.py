@@ -16,7 +16,9 @@ bit for bit (same uniforms, same comparisons) while computing each
 distinct branch state only once.
 
 Every entry point that takes a state certifies it as a density matrix of
-the set's dimension before measuring, and rejects anything else.
+the set's dimension before measuring, and rejects anything else.  A
+branch probability further than ``STRUCT_TOL`` outside [0, 1] raises
+NumericError; only rounding error inside that tolerance is clamped.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .exceptions import NumericError
 from .inequalities import InequalityExpr, Term
-from .linalg import check_density_matrix
+from .linalg import STRUCT_TOL, check_density_matrix
 from .observables import ObservableSet
 from .quantum import compatible_operators
 from .runtime import substream
@@ -78,6 +80,15 @@ def _check_rho(rho, dim: int) -> np.ndarray:
     return check_density_matrix(rho)
 
 
+def _plus_probability(state: np.ndarray, plus: np.ndarray) -> float:
+    """Probability of the +1 branch.  Rounding error within STRUCT_TOL
+    of [0, 1] is clamped; anything further out raises NumericError."""
+    p = float(np.real(np.trace(state @ plus)))
+    if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
+        raise NumericError(f"branch probability {p} is outside [0, 1]")
+    return min(max(p, 0.0), 1.0)
+
+
 def sequential_measure(
     rho: np.ndarray, obs: ObservableSet, labels, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -93,8 +104,7 @@ def sequential_measure(
     outcomes = []
     for label, op in zip(labels, ops):
         plus = (eye + op) / 2.0
-        p = float(np.real(np.trace(state @ plus)))
-        p = min(max(p, 0.0), 1.0)
+        p = _plus_probability(state, plus)
         if rng.random() < p:
             outcome, proj, prob = 1, plus, p
         else:
@@ -124,8 +134,7 @@ def _branch_outcomes(rho: np.ndarray, ops: list[np.ndarray], uniforms: np.ndarra
         if level == depth:
             return
         plus = (eye + ops[level]) / 2.0
-        p = float(np.real(np.trace(state @ plus)))
-        p = min(max(p, 0.0), 1.0)
+        p = _plus_probability(state, plus)
         took_plus = uniforms[idx, level] < p
         plus_idx = idx[took_plus]
         minus_idx = idx[~took_plus]

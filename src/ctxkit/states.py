@@ -18,6 +18,7 @@ matter how the sweep is chunked.
 from __future__ import annotations
 
 import json
+import math
 from typing import Mapping
 
 import numpy as np
@@ -117,6 +118,26 @@ _STATE_KEYS = {
 }
 
 
+def _complex_entries(values, what: str) -> np.ndarray:
+    """A JSON list of [re, im] pairs of finite numbers; a bool, string,
+    bare number or pair of any other length is rejected, not coerced."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of [re, im] pairs, got {values!r}")
+    parts = []
+    for pair in values:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) in (int, float) for x in pair)):
+            raise ValueError(f"{what} must be [re, im] pairs of JSON numbers, got {pair!r}")
+        try:
+            re, im = float(pair[0]), float(pair[1])
+        except OverflowError:
+            raise ValueError(f"{what} entry {pair!r} is too large") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValueError(f"{what} entry {pair!r} is not finite")
+        parts.append(complex(re, im))
+    return np.array(parts, dtype=complex)
+
+
 def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _STATE_KEYS:
@@ -128,11 +149,11 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     if kind == "haar":
         return haar_random(d, parse_int(spec["seed"], "state seed"))
     if kind == "ket":
-        amps = np.array([complex(re, im) for re, im in spec["amplitudes"]])
+        amps = _complex_entries(spec["amplitudes"], "ket amplitudes")
         if amps.size != d:
             raise ValueError(f"ket declares dim {d} but has {amps.size} amplitudes")
         return ket_density(amps)
-    entries = np.array([complex(re, im) for re, im in spec["entries"]])
+    entries = _complex_entries(spec["entries"], "dm entries")
     if entries.size != d * d:
         raise ValueError(f"dm declares dim {d} but has {entries.size} entries")
     return np.asarray(check_density_matrix(entries.reshape(d, d)))

@@ -186,6 +186,8 @@ def test_inequality_from_file(capsys, tmp_path):
      {"id": "x", "set_id": "peres_mermin", "terms": [[1, ["P14", "P16"]]]}),
     (("bound", "--inequality"), {**expr_to_json(catalog_get("chsh8")), "typo_bound": 2}),
     (("quantum", "--inequality", "kcbs3", "--state"), {"kind": "haar", "dim": 4, "seed": 1.9}),
+    (("quantum", "--inequality", "chsh8", "--state"),
+     {"kind": "ket", "dim": 2, "amplitudes": [[1, "a"], [0, 0]]}),
 ])
 def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
     path = tmp_path / "input.json"

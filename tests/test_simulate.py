@@ -5,6 +5,7 @@ from ctxkit.exceptions import IncompatibleContextError, NumericError
 from ctxkit.inequalities import Term, catalog_get
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
+    _branch_outcomes,
     estimate_term,
     marginal_consistency,
     report_to_json,
@@ -228,3 +229,20 @@ def test_marginal_validation(ks18_obs):
         marginal_consistency(maximally_mixed(4), ks18_obs, "A45", contexts, 100, seed=0)
     with pytest.raises(ValueError):
         marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 1, seed=0)
+
+
+@pytest.mark.parametrize("scale", [3.0, -3.0])
+def test_branch_probability_out_of_range_raises(scale):
+    # (1 + 3Z)/2 on |0> gives p = 2, and (1 - 3Z)/2 gives p = -1: neither
+    # may be clamped into [0, 1].
+    op = scale * np.diag([1.0, -1.0]).astype(complex)
+    uniforms = np.full((4, 1), 0.5)
+    with pytest.raises(NumericError, match="outside"):
+        _branch_outcomes(zero_product(1), [op], uniforms)
+
+
+def test_branch_probability_rounding_is_clamped():
+    # p = 1 + 1e-12 is rounding error, inside STRUCT_TOL: clamped to 1.
+    op = np.diag([1.0 + 2e-12, -1.0]).astype(complex)
+    outcomes = _branch_outcomes(zero_product(1), [op], np.full((4, 1), 0.5))
+    assert (outcomes == 1).all()

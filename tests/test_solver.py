@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxkit.exceptions import ResourceLimitError
 from ctxkit.inequalities import InequalityExpr, Term, catalog_get
@@ -48,6 +50,7 @@ def test_catalog_bounds(id_, n, bound, evaluations):
 @pytest.mark.parametrize("id_,n", [
     ("kcbs3", None), ("ineq4", None), ("cfrh6", None),
     ("nambu7", None), ("chsh8", None), ("mermin11", 3), ("ineq9", 3),
+    ("mermin11", 5), ("ineq9", 5),
 ])
 def test_against_naive_enumeration(id_, n):
     expr = catalog_get(id_, n)
@@ -120,6 +123,51 @@ def test_witness_is_lex_first_across_blocks():
     result = classical_bound(InequalityExpr(id="two-blocks", set_id="test", terms=terms, bound=None))
     assert result.bound == 16
     assert result.witness == {lab: (-1 if lab in labels[:2] else 1) for lab in labels}
+
+
+def test_merged_witness_past_the_first_block():
+    # 17 labels with 17 distinct term incidences, so nothing merges and
+    # the scan spans two blocks.  L00 = +1 puts every maximizer in the
+    # second block; the triangle L01 L02, L02 L03, L01 L03 is maximal at
+    # all -1 and at all +1, and the witness takes all -1.
+    labels = [f"L{i:02d}" for i in range(17)]
+    triangle = ((labels[1], labels[2]), (labels[2], labels[3]), (labels[1], labels[3]))
+    terms = ((Term(1, (labels[0],)),) + tuple(Term(1, pair) for pair in triangle)
+             + tuple(Term(1, (lab,)) for lab in labels[4:]))
+    expr = InequalityExpr(id="second-block", set_id="test", terms=terms, bound=None)
+    result = classical_bound(expr)
+    assert result.bound == 17
+    assert result.witness == {lab: (-1 if lab in labels[1:4] else 1) for lab in labels}
+    assert result.evaluations == 2**17
+
+
+@st.composite
+def repeated_incidence_exprs(draw):
+    """Expressions whose labels come in groups sharing one term incidence,
+    with the groups' names interleaved in sorted order; a term no group
+    reaches has no factors."""
+    term_count = draw(st.integers(1, 6))
+    incidences = draw(st.lists(
+        st.frozensets(st.integers(0, term_count - 1)), min_size=1, max_size=5))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(incidences),
+                          max_size=len(incidences)))
+    names = iter(draw(st.permutations([f"L{i}" for i in range(sum(sizes))])))
+    placed = [(next(names), inc) for inc, size in zip(incidences, sizes) for _ in range(size)]
+    terms = tuple(
+        Term(draw(st.sampled_from((-1, 1))), tuple(lab for lab, inc in placed if t in inc))
+        for t in range(term_count)
+    )
+    return InequalityExpr(id="merged", set_id="test", terms=terms, bound=None)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(repeated_incidence_exprs())
+def test_merged_labels_match_naive(expr):
+    expected_bound, expected_witness = naive_bound(expr)
+    result = classical_bound(expr)
+    assert result.bound == expected_bound
+    assert result.witness == expected_witness
+    assert result.evaluations == 2 ** len(expr.labels)
 
 
 def test_evaluate_assignment():

@@ -131,6 +131,21 @@ def test_state_json_integers_are_strict(spec):
 
 
 @pytest.mark.parametrize("spec", [
+    {"kind": "ket", "dim": 2, "amplitudes": [[1, "a"], [0, 0]]},
+    {"kind": "ket", "dim": 4, "amplitudes": [1, 0, 0, 0]},
+    {"kind": "dm", "dim": 1, "entries": [1, 0]},
+    {"kind": "ket", "dim": 2, "amplitudes": [[True, 0], [0, 0]]},
+    {"kind": "ket", "dim": 2, "amplitudes": [[1, 0, 0], [0, 0]]},
+    {"kind": "ket", "dim": 2, "amplitudes": {"re": [1, 0], "im": [0, 0]}},
+    {"kind": "ket", "dim": 2, "amplitudes": [[float("nan"), 0], [0, 0]]},
+    {"kind": "ket", "dim": 2, "amplitudes": [[10**400, 0], [0, 0]]},
+])
+def test_state_json_entries_are_number_pairs(spec):
+    with pytest.raises(ValueError, match="ket amplitudes|dm entries"):
+        make_state(spec)
+
+
+@pytest.mark.parametrize("spec", [
     {"kind": "named", "name": "singlet", "dim": 4},
     {"kind": "ket", "dim": 1, "amplitudes": [[1.0, 0.0]], "entries": []},
     {"kind": "dm", "dim": 1, "entries": [[1.0, 0.0]], "seed": 0},
