@@ -33,21 +33,7 @@ from .inequalities import (
     specialize,
     validate_contexts,
 )
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    as_ket,
-    check_density_matrix,
-    commutes,
-    is_hermitian,
-    is_involution,
-    ket_density,
-    kron,
-    kron_all,
-    product_trace,
-)
+from .linalg import as_ket, check_density_matrix, ket_density
 from .observables import (
     ObservableSet,
     RaySet,
@@ -102,7 +88,6 @@ __all__ = [
     "ColorabilityResult",
     "ContextReport",
     "EstimateReport",
-    "IDENTITY_2",
     "IncompatibleContextError",
     "InequalityExpr",
     "MarginalReport",
@@ -110,9 +95,6 @@ __all__ = [
     "NAMED_STATES",
     "NumericError",
     "ObservableSet",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "ParityStats",
     "RaySet",
     "ResourceLimitError",
@@ -132,7 +114,6 @@ __all__ = [
     "certify_state_independence",
     "check_density_matrix",
     "classical_bound",
-    "commutes",
     "compatible",
     "context_product",
     "estimate_term",
@@ -145,12 +126,8 @@ __all__ = [
     "haar_random",
     "haar_sweep",
     "incidence_automorphisms",
-    "is_hermitian",
-    "is_involution",
     "kcbs_calibration",
     "ket_density",
-    "kron",
-    "kron_all",
     "ks_colorable",
     "load_expr",
     "make_state",
@@ -160,7 +137,6 @@ __all__ = [
     "paper_kcbs_product",
     "parity_stats",
     "product_state_ascent",
-    "product_trace",
     "relabel_expr",
     "run_protocol",
     "sequential_measure",

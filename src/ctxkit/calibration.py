@@ -19,7 +19,7 @@ import numpy as np
 
 from .inequalities import InequalityExpr, Term, catalog_get
 from .observables import ObservableSet, RaySet, build_ks18
-from .quantum import bell_operator, evaluate_inequality
+from .quantum import bell_operator
 from .runtime import substream
 from .states import paper_kcbs_product
 
@@ -195,7 +195,10 @@ def kcbs_calibration(
     pentagons: dict[frozenset[frozenset[str]], InequalityExpr] = {}
     for label_map in relabelings:
         mapped = relabel_expr(expr, label_map)
-        paper_values.append(evaluate_inequality(rho, obs, mapped))
+        # The reference state is built here, so like haar_sweep this
+        # evaluates Re Tr(rho B) without re-certifying rho per relabeling.
+        bell = bell_operator(obs, mapped)
+        paper_values.append(float(np.real(np.einsum("ij,ji->", rho, bell))))
         key = frozenset(frozenset(t.factors) for t in mapped.terms)
         pentagons.setdefault(key, mapped)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import UnknownInequalityError, UnknownLabelError
-from .observables import ObservableSet, compatible, set_labels
+from .observables import ObservableSet, noncommuting_pairs, set_labels
 
 CATALOG_IDS = ("ineq1", "kcbs3", "ineq4", "cfrh6", "nambu7", "chsh8", "ineq9", "mermin11")
 
@@ -284,14 +284,8 @@ def validate_contexts(expr: InequalityExpr, obs: ObservableSet) -> ContextReport
     """
     verdicts = []
     for idx, term in enumerate(expr.terms):
-        failing = []
-        for i, a in enumerate(term.factors):
-            for b in term.factors[i + 1:]:
-                if not compatible(obs, a, b):
-                    failing.append((a, b))
-        verdicts.append(
-            TermVerdict(term_index=idx, compatible=not failing, failing_pairs=tuple(failing))
-        )
+        failing = tuple(noncommuting_pairs(obs, term.factors))
+        verdicts.append(TermVerdict(term_index=idx, compatible=not failing, failing_pairs=failing))
     return ContextReport(
         passed=all(v.compatible for v in verdicts), verdicts=tuple(verdicts)
     )

@@ -1,25 +1,22 @@
-"""Dense complex linear algebra for small operator problems.
+"""Exact Pauli expansions of observables, and dense state checks.
 
-Operators are plain square complex numpy arrays, kets are 1-D complex
-vectors, density matrices are square complex matrices with unit trace.
-Structural checks (Hermiticity, commutation, involution, positivity)
-use an absolute tolerance of 1e-9; reality checks use 1e-12.
+An observable is a read-only record array of ``EXPANSION`` terms
+(x, z, c), each c * X^x Z^z with qubit 1 in the masks' top bit, sorted
+by (x, z) with distinct masks and nonzero c: equal operators are equal
+arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
+dyadic coefficients keep the algebra exact.  ``dense`` builds a matrix
+only for dense states and eigensolvers.  Kets are 1-D complex vectors;
+density matrices are checked within 1e-9.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 STRUCT_TOL = 1e-9
-REAL_TOL = 1e-12
 KET_NORM_SLACK = 1e-6
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+EXPANSION = np.dtype([("x", np.uint64), ("z", np.uint64), ("c", np.complex128)])
 
 
 def _as_operator(a, name: str = "operator") -> np.ndarray:
@@ -31,75 +28,110 @@ def _as_operator(a, name: str = "operator") -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("tensor product with a zero-dimension factor")
-    return np.kron(a, b)
-
-
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tensor product of a sequence of matrices, left to right."""
-    if len(factors) == 0:
-        raise ValueError("empty tensor product")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = kron(out, f)
+def _collect(terms) -> np.ndarray:
+    """The expansion of a sum of (x, z, c) terms: equal masks merged,
+    zero coefficients dropped."""
+    acc: dict[tuple[int, int], complex] = {}
+    for x, z, c in terms:
+        acc[x, z] = acc.get((x, z), 0) + c
+    out = np.array([(x, z, c) for (x, z), c in sorted(acc.items()) if c != 0], dtype=EXPANSION)
+    out.flags.writeable = False
     return out
 
 
-def product_trace(rho, factors: Sequence[np.ndarray]) -> complex:
-    """Tr(rho . f1 . f2 ... fk) with factors multiplied left to right.
-
-    An empty factor list gives Tr(rho).
-    """
-    rho = _as_operator(rho, "rho")
-    acc = rho
-    for i, f in enumerate(factors):
-        f = _as_operator(f, f"factor {i}")
-        if f.shape != rho.shape:
-            raise ValueError(
-                f"factor {i} has shape {f.shape}, expected {rho.shape}"
-            )
-        acc = acc @ f
-    return complex(np.trace(acc))
+def pauli(word: str) -> np.ndarray:
+    """The expansion of a Pauli word over "IXYZ", qubit 1 first (Y = iXZ).
+    The empty word is the identity in every dimension."""
+    x = z = ys = 0
+    for ch in word:
+        if ch not in "IXYZ":
+            raise ValueError(f"Pauli word {word!r} has a letter outside IXYZ")
+        x = (x << 1) | (ch in "XY")
+        z = (z << 1) | (ch in "YZ")
+        ys += ch == "Y"
+    return _collect([(x, z, 1j**ys)])
 
 
-def commutes(a, b, tol: float = STRUCT_TOL) -> bool:
-    """Whether two same-dimension operators commute within tol."""
-    a = _as_operator(a, "a")
-    b = _as_operator(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return bool(np.max(np.abs(a @ b - b @ a)) <= tol)
+IDENTITY = pauli("")
 
 
-def is_hermitian(a, tol: float = STRUCT_TOL) -> bool:
-    a = _as_operator(a, "a")
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The expansion of the operator product a b."""
+    return _collect(
+        (xa ^ xb, za ^ zb, -ca * cb if (za & xb).bit_count() & 1 else ca * cb)
+        for xa, za, ca in a.tolist()
+        for xb, zb, cb in b.tolist()
+    )
 
 
-def is_involution(a, tol: float = STRUCT_TOL) -> bool:
-    """Whether a is a Hermitian square root of the identity (a dichotomic
-    observable with outcomes in {-1, +1})."""
-    a = _as_operator(a, "a")
-    if not is_hermitian(a, tol):
-        return False
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a @ a - eye)) <= tol)
+def combine(weighted) -> np.ndarray:
+    """The expansion of sum(w * e) over (weight, expansion) pairs."""
+    return _collect((x, z, w * c) for w, e in weighted for x, z, c in e.tolist())
+
+
+def adjoint(e: np.ndarray) -> np.ndarray:
+    """The expansion of the adjoint: (X^x Z^z)^dagger = (-1)^|x & z| X^x Z^z."""
+    return _collect(
+        (x, z, -c.conjugate() if (x & z).bit_count() & 1 else c.conjugate())
+        for x, z, c in e.tolist()
+    )
+
+
+def _signs(z, j: np.ndarray) -> np.ndarray:
+    """(-1)^|z & j| for every basis index j: the diagonal of Z^z."""
+    return 1.0 - 2.0 * (np.bitwise_count(j & z) & 1)
+
+
+def _entries(e: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per term, the rows j ^ x and values c (-1)^|z & j| of columns j:
+    X^x Z^z maps |j> to (-1)^|z & j| |j ^ x>."""
+    x, z = (e[f].astype(np.int64)[:, None] for f in "xz")
+    return j ^ x, e["c"][:, None] * _signs(z, j)
+
+
+def dense(e: np.ndarray, dim: int) -> np.ndarray:
+    """The read-only dim x dim matrix of an expansion."""
+    j = np.arange(dim)
+    rows, values = _entries(e, j)
+    out = np.zeros((dim, dim), dtype=complex)
+    np.add.at(out, (rows, j), values)
+    out.flags.writeable = False
+    return out
+
+
+def max_entry(e: np.ndarray, dim: int) -> float:
+    """Largest |entry| of ``dense(e, dim)``, without a dim x dim array:
+    terms with equal x-masks fill the same entries, others disjoint ones,
+    so one length-dim vector per distinct x-mask holds every entry."""
+    j = np.arange(dim)
+    xs, group = np.unique(e["x"], return_inverse=True)
+    out = np.zeros((xs.size, dim), dtype=complex)
+    np.add.at(out, (group[:, None], j), _entries(e, j)[1])
+    return float(np.abs(out).max(initial=0.0))
+
+
+def expand(matrix) -> np.ndarray:
+    """The expansion of a 2^n x 2^n matrix M:
+    c(x, z) = Tr((X^x Z^z)^dagger M) / d = sum_j (-1)^|z & j| M[j ^ x, j] / d."""
+    m = _as_operator(matrix, "matrix")
+    j = np.arange(m.shape[0])
+    if j.size & (j.size - 1):
+        raise ValueError(f"dimension {j.size} is not a power of two")
+    coefficients = _signs(j[:, None], j) @ m[j ^ j[:, None], j].T / j.size  # [z, x]
+    return _collect((x, z, c) for (z, x), c in np.ndenumerate(coefficients))
 
 
 def as_ket(amplitudes) -> np.ndarray:
     """Validate and normalize a state vector.
 
-    Norms within 1e-6 of 1 are silently renormalized; anything further off
-    is rejected rather than guessed at.
+    Norms within 1e-6 of 1 are silently renormalized; anything further off,
+    and any non-finite amplitude, is rejected rather than guessed at.
     """
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size == 0:
         raise ValueError("empty state vector")
+    if not np.isfinite(psi).all():
+        raise ValueError("state vector has non-finite amplitudes")
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise ValueError("zero state vector")
@@ -115,10 +147,13 @@ def ket_density(psi) -> np.ndarray:
 
 
 def check_density_matrix(rho, tol: float = STRUCT_TOL) -> np.ndarray:
-    """Certify rho as a density matrix: Hermitian, unit trace, positive
-    semidefinite within tol.  Returns rho as a complex array on success."""
+    """Certify rho as a density matrix: finite, Hermitian, unit trace,
+    positive semidefinite within tol.  Returns rho as a complex array on
+    success."""
     rho = _as_operator(rho, "rho")
-    if not is_hermitian(rho, tol):
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    if np.max(np.abs(rho - rho.conj().T)) > tol:
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol:

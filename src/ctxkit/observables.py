@@ -14,32 +14,25 @@ Three families are built here:
 Label convention for the 18-ray set: "Aij" names the ray shared by
 contexts i and j (1-based, in the order of ``KS18_CONTEXTS``).
 
-Rays are stored with exact integer coordinates and normalized only when
-projectors are built, so orthogonality checks are exact.  The 18-ray
-builder checks orthogonality and incidence; every ``ObservableSet``
-checks its own involutions and context-wise commutation when it is
-constructed, so no set with an unchecked context exists.
+Every observable is stored as its exact Pauli expansion (``linalg``):
+Pauli words for Peres-Mermin and the star, and multiples of 1/8 for the
+integer rays.  The 18-ray builder checks orthogonality and incidence;
+every ``ObservableSet`` checks its own involutions and context-wise
+commutation exactly when it is constructed, so no set with an unchecked
+context exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    STRUCT_TOL,
-    commutes,
-    is_involution,
-    kron_all,
-)
+from .linalg import EXPANSION, IDENTITY, adjoint, combine, dense, expand, multiply, pauli
 
 KS18_RAYS: dict[str, tuple[int, int, int, int]] = {
     "A12": (0, 1, 0, 0),
@@ -77,12 +70,6 @@ KS18_CONTEXTS: tuple[tuple[str, ...], ...] = (
 MERMIN_STAR_MAX_QUBITS = 13
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class RaySet:
     """A family of rays grouped into contexts of mutually orthogonal rays."""
@@ -101,12 +88,13 @@ class RaySet:
 class ObservableSet:
     """A labeled family of +-1-valued observables with listed contexts.
 
-    Two observables are jointly measurable exactly when their operators
-    commute; the contexts enumerate the maximal groups used by the
-    catalog's inequalities.  Construction checks every operator's shape,
-    that it is an involution, and that each context commutes pairwise.
-    The mapping and the operator arrays are then made read-only, so the
-    checks stay true.
+    Each observable is a Pauli expansion on ``dim`` = 2^n dimensions.
+    Two observables are jointly measurable exactly when they commute; the
+    contexts enumerate the maximal groups used by the catalog's
+    inequalities.  Construction checks, exactly, that every expansion
+    fits the dimension, that it is an involution, and that each context
+    commutes pairwise.  The mapping and the expansions are read-only, so
+    the checks stay true.
     """
 
     set_id: str
@@ -115,26 +103,31 @@ class ObservableSet:
     contexts: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        frozen = MappingProxyType({k: _frozen(v) for k, v in self.observables.items()})
+        if self.dim < 1 or self.dim & (self.dim - 1):
+            raise ValueError(f"{self.set_id}: dimension {self.dim} is not a power of two")
+        for label, e in self.observables.items():
+            if getattr(e, "dtype", None) != EXPANSION or np.any((e["x"] | e["z"]) >= self.dim):
+                raise ValueError(f"{self.set_id}: {label} is not an expansion in dim {self.dim}")
+        frozen = MappingProxyType({k: combine([(1, e)]) for k, e in self.observables.items()})
         object.__setattr__(self, "observables", frozen)
-        for label, op in frozen.items():
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(f"{self.set_id}: {label} has shape {op.shape}")
-            if not is_involution(op, STRUCT_TOL):
+        for label, e in frozen.items():
+            if not (np.array_equal(adjoint(e), e) and np.array_equal(multiply(e, e), IDENTITY)):
                 raise ValueError(f"{self.set_id}: {label} is not a +-1 observable")
         for ctx in self.contexts:
-            for i, a in enumerate(ctx):
-                for b in ctx[i + 1:]:
-                    if not commutes(self.operator(a), self.operator(b), STRUCT_TOL):
-                        raise IncompatibleContextError(
-                            f"{self.set_id}: context {ctx} contains non-commuting pair ({a}, {b})"
-                        )
+            if bad := noncommuting_pairs(self, ctx):
+                raise IncompatibleContextError(
+                    f"{self.set_id}: context {ctx} contains non-commuting pairs {bad}"
+                )
 
-    def operator(self, label: str) -> np.ndarray:
+    def expansion(self, label: str) -> np.ndarray:
         try:
             return self.observables[label]
         except KeyError:
             raise UnknownLabelError(label) from None
+
+    def operator(self, label: str) -> np.ndarray:
+        """The observable as a read-only dense matrix."""
+        return dense(self.expansion(label), self.dim)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -161,36 +154,34 @@ def _validate_ks18_rayset(rayset: RaySet) -> None:
 
 def build_ks18() -> tuple[RaySet, ObservableSet]:
     """The embedded 18-ray set and its observables A = 2|v><v| - 1."""
-    rays = {label: _frozen(np.array(v, dtype=np.int64)) for label, v in KS18_RAYS.items()}
+    rays = {label: np.array(v, dtype=np.int64) for label, v in KS18_RAYS.items()}
+    for v in rays.values():
+        v.flags.writeable = False
     rayset = RaySet(rays=rays, contexts=KS18_CONTEXTS)
     _validate_ks18_rayset(rayset)
 
-    observables = {}
-    eye = np.eye(4, dtype=complex)
-    for label, v in rays.items():
-        unit = np.asarray(v, dtype=float) / np.linalg.norm(v)
-        observables[label] = 2.0 * np.outer(unit, unit).astype(complex) - eye
+    observables = {
+        label: expand(2 * np.outer(v, v) / int(v @ v) - np.eye(4)) for label, v in rays.items()
+    }
     obs = ObservableSet(set_id="ks18", dim=4, observables=observables, contexts=KS18_CONTEXTS)
     return rayset, obs
 
 
+PERES_MERMIN_WORDS = {
+    "P14": "ZI",
+    "P15": "IZ",
+    "P16": "ZZ",
+    "P24": "IX",
+    "P25": "XI",
+    "P26": "XX",
+    "P34": "ZX",
+    "P35": "XZ",
+    "P36": "YY",
+}
+
+
 def build_peres_mermin() -> ObservableSet:
     """The nine two-qubit square observables, rows then columns as contexts."""
-    z1 = kron_all([PAULI_Z, IDENTITY_2])
-    z2 = kron_all([IDENTITY_2, PAULI_Z])
-    x1 = kron_all([PAULI_X, IDENTITY_2])
-    x2 = kron_all([IDENTITY_2, PAULI_X])
-    observables = {
-        "P14": z1,
-        "P15": z2,
-        "P16": kron_all([PAULI_Z, PAULI_Z]),
-        "P24": x2,
-        "P25": x1,
-        "P26": kron_all([PAULI_X, PAULI_X]),
-        "P34": kron_all([PAULI_Z, PAULI_X]),
-        "P35": kron_all([PAULI_X, PAULI_Z]),
-        "P36": kron_all([PAULI_Y, PAULI_Y]),
-    }
     contexts = (
         ("P14", "P15", "P16"),
         ("P24", "P25", "P26"),
@@ -202,7 +193,7 @@ def build_peres_mermin() -> ObservableSet:
     return ObservableSet(
         set_id="peres_mermin",
         dim=4,
-        observables=observables,
+        observables={label: pauli(word) for label, word in PERES_MERMIN_WORDS.items()},
         contexts=contexts,
     )
 
@@ -222,31 +213,22 @@ def _check_star_n(n: int) -> None:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
 
 
-def build_mermin_star(n: int, max_qubits: int = MERMIN_STAR_MAX_QUBITS) -> ObservableSet:
+def build_mermin_star(n: int) -> ObservableSet:
     """The 4 + 2n observables of the n-qubit star family (n odd, >= 3).
 
     ACAL1 = Z...Z, ACAL2 = Z X X...X, ACAL3 = X Z X...X,
     ACAL4 = X X Z...Z, B_i = Z on site i, C_i = X on site i.
     """
     _check_star_n(n)
-    if n > max_qubits:
+    if n > MERMIN_STAR_MAX_QUBITS:
         raise ResourceLimitError(
-            f"star family with n={n} exceeds the {max_qubits}-qubit cap "
+            f"star family with n={n} exceeds the {MERMIN_STAR_MAX_QUBITS}-qubit cap "
             f"(dimension 2^{n})"
         )
 
-    def string_op(site_paulis: dict[int, np.ndarray]) -> np.ndarray:
-        return kron_all([site_paulis.get(i, IDENTITY_2) for i in range(1, n + 1)])
-
-    observables: dict[str, np.ndarray] = {
-        "ACAL1": string_op({i: PAULI_Z for i in range(1, n + 1)}),
-        "ACAL2": string_op({1: PAULI_Z} | {i: PAULI_X for i in range(2, n + 1)}),
-        "ACAL3": string_op({2: PAULI_Z} | {i: PAULI_X for i in range(1, n + 1) if i != 2}),
-        "ACAL4": string_op({1: PAULI_X, 2: PAULI_X} | {i: PAULI_Z for i in range(3, n + 1)}),
-    }
-    for i in range(1, n + 1):
-        observables[f"B{i}"] = string_op({i: PAULI_Z})
-        observables[f"C{i}"] = string_op({i: PAULI_X})
+    words = ["Z" * n, "Z" + "X" * (n - 1), "XZ" + "X" * (n - 2), "XX" + "Z" * (n - 2)]
+    words += ["I" * (i - 1) + letter + "I" * (n - i) for letter in "ZX" for i in range(1, n + 1)]
+    observables = {label: pauli(word) for label, word in zip(star_labels(n), words)}
 
     b_tail = tuple(f"B{i}" for i in range(3, n + 1))
     c_tail = tuple(f"C{i}" for i in range(3, n + 1))
@@ -284,7 +266,7 @@ def set_labels(set_id: str, n: int | None = None) -> tuple[str, ...]:
     if set_id == "ks18":
         return tuple(KS18_RAYS)
     if set_id == "peres_mermin":
-        return tuple(f"P{i}{j}" for i in (1, 2, 3) for j in (4, 5, 6))
+        return tuple(PERES_MERMIN_WORDS)
     if set_id == "mermin_star":
         if n is None:
             raise ValueError("mermin_star requires n (odd, >= 3)")
@@ -293,6 +275,12 @@ def set_labels(set_id: str, n: int | None = None) -> tuple[str, ...]:
 
 
 def compatible(obs: ObservableSet, a: str, b: str) -> bool:
-    """Whether two observables of the set are jointly measurable
-    (their operators commute at tolerance 1e-9)."""
-    return commutes(obs.operator(a), obs.operator(b), STRUCT_TOL)
+    """Whether two observables of the set are jointly measurable: their
+    expansions commute exactly."""
+    ea, eb = obs.expansion(a), obs.expansion(b)
+    return np.array_equal(multiply(ea, eb), multiply(eb, ea))
+
+
+def noncommuting_pairs(obs: ObservableSet, labels) -> list[tuple[str, str]]:
+    """Every pair of the labels, in order, that is not jointly measurable."""
+    return [pair for pair in combinations(labels, 2) if not compatible(obs, *pair)]

@@ -1,67 +1,71 @@
 """Quantum-side evaluation: expectation values, Bell operators,
 state-independence certificates, extremal values, and Haar sweeps.
 
-The Bell operator B of an expression is sum(sign * ordered product of
-factor operators), and it is the one compiled form of the expression:
-the value in a state rho is Re Tr(rho B), the maximal quantum value is
-the top eigenvalue of B (dense ``eigvalsh``), and for the
-state-independent inequalities B is a multiple c of the identity, which
-is what ``certify_state_independence`` checks: constant = Tr(B)/d,
-residual = max |B - c*1|, certified when the residual is within
-tolerance.
+The Bell operator B of an expression, sum(sign * ordered product of
+factor observables), is formed exactly as a Pauli expansion; it is the
+one compiled form of the expression.  ``certify_state_independence``
+reads it directly: constant = the identity coefficient, residual =
+max |B - c*1|, certified when the residual is exactly 0.  A dense B is
+built only for a dense state (the value Re Tr(rho B)) or for the
+eigensolver (the maximal quantum value, up to ``MAX_EIG_DIM``).
 
-Factors that lie inside one declared context of the set were checked to
-commute when the set was built and are not checked again; any other
-group of factors is checked pairwise when it is used.
+Factors inside one declared context were checked to commute when the set
+was built; any other group of factors is checked pairwise when used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .exceptions import IncompatibleContextError, NumericError
+from .exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
-from .linalg import STRUCT_TOL, commutes, is_hermitian, product_trace
-from .observables import ObservableSet
+from .linalg import (
+    IDENTITY,
+    STRUCT_TOL,
+    adjoint,
+    check_density_matrix,
+    combine,
+    dense,
+    max_entry,
+    multiply,
+)
+from .observables import ObservableSet, noncommuting_pairs
 from .states import haar_random
 
-MAX_EIG_DIM = 2**13
+MAX_EIG_DIM = 2**11
 
 
-def compatible_operators(obs: ObservableSet, labels) -> list[np.ndarray]:
-    """Operators of labels that must be jointly measurable, in order.
+def check_state(rho, dim: int) -> np.ndarray:
+    """The state as a certified density matrix of dimension ``dim``."""
+    if np.shape(rho) != (dim, dim):
+        raise ValueError(f"state has shape {np.shape(rho)}, set dimension is {dim}")
+    return check_density_matrix(rho)
+
+
+def _compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
+    """Expansions of labels that must be jointly measurable, in order.
 
     Raises IncompatibleContextError when two of them do not commute.
     Labels inside one of ``obs.contexts`` need no check here, because
     constructing the set already checked that context.
     """
-    labels = tuple(labels)
-    ops = [obs.operator(label) for label in labels]
-    if any(set(labels) <= set(ctx) for ctx in obs.contexts):
-        return ops
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if not commutes(ops[i], ops[j], STRUCT_TOL):
-                raise IncompatibleContextError(
-                    f"labels {labels[i]} and {labels[j]} cannot be measured jointly"
-                )
-    return ops
+    expansions = [obs.expansion(label) for label in labels]
+    within_context = any(set(labels) <= set(ctx) for ctx in obs.contexts)
+    if not within_context and (bad := noncommuting_pairs(obs, labels)):
+        raise IncompatibleContextError(f"label pairs {bad} cannot be measured jointly")
+    return expansions
+
+
+def compatible_operators(obs: ObservableSet, labels) -> list[np.ndarray]:
+    """Dense operators of labels that must be jointly measurable, in order."""
+    return [dense(e, obs.dim) for e in _compatible_expansions(obs, tuple(labels))]
 
 
 def _product(obs: ObservableSet, labels) -> np.ndarray:
-    prod = np.eye(obs.dim, dtype=complex)
-    for op in compatible_operators(obs, labels):
-        prod = prod @ op
-    return prod
-
-
-def _check_shape(rho, dim: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state has shape {rho.shape}, set dimension is {dim}")
-    return rho
+    return reduce(multiply, _compatible_expansions(obs, tuple(labels)), IDENTITY)
 
 
 def _real_part(value: complex) -> float:
@@ -76,8 +80,8 @@ def expectation_term(rho: np.ndarray, obs: ObservableSet, term: Term) -> float:
     The factors must pairwise commute (otherwise the average of products
     is ill-defined); an empty factor list gives the constant sign.
     """
-    rho = _check_shape(rho, obs.dim)
-    return term.sign * _real_part(product_trace(rho, compatible_operators(obs, term.factors)))
+    rho = check_state(rho, obs.dim)
+    return term.sign * _value(rho, dense(_product(obs, term.factors), obs.dim))
 
 
 def _value(rho: np.ndarray, bell: np.ndarray) -> float:
@@ -87,18 +91,21 @@ def _value(rho: np.ndarray, bell: np.ndarray) -> float:
 
 def evaluate_inequality(rho: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
     """Left-hand-side value of the expression in state rho: Re Tr(rho B)."""
-    rho = _check_shape(rho, obs.dim)
+    rho = check_state(rho, obs.dim)
     return _value(rho, bell_operator(obs, expr))
 
 
-def bell_operator(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
-    """sum(sign * ordered product of factor operators), Hermitian."""
-    total = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for term in expr.terms:
-        total += term.sign * _product(obs, term.factors)
-    if not is_hermitian(total, STRUCT_TOL):
-        raise NumericError("Bell operator is not Hermitian within tolerance")
+def _bell(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
+    """The Bell operator's expansion, checked Hermitian exactly."""
+    total = combine((term.sign, _product(obs, term.factors)) for term in expr.terms)
+    if not np.array_equal(adjoint(total), total):
+        raise NumericError("Bell operator is not Hermitian")
     return total
+
+
+def bell_operator(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
+    """sum(sign * ordered product of factor operators), read-only dense."""
+    return dense(_bell(obs, expr), obs.dim)
 
 
 @dataclass(frozen=True)
@@ -108,40 +115,42 @@ class Certificate:
     residual: float
 
 
-def certify_state_independence(
-    obs: ObservableSet, expr: InequalityExpr, tol: float = STRUCT_TOL
-) -> Certificate:
+def certify_state_independence(obs: ObservableSet, expr: InequalityExpr) -> Certificate:
     """Whether the Bell operator is a constant multiple of the identity.
 
-    constant = Tr(B)/d; residual = max-magnitude entry of B - constant*1.
-    A certified expression takes the value ``constant`` in every state.
+    constant = identity coefficient; residual = max-magnitude entry of
+    B - constant*1, exact, so a certified expression (residual 0) takes
+    the value ``constant`` in every state.
     """
-    bell = bell_operator(obs, expr)
-    constant = float(np.trace(bell).real) / obs.dim
-    residual = float(np.max(np.abs(bell - constant * np.eye(obs.dim))))
+    bell = _bell(obs, expr)
+    identity = (bell["x"] == 0) & (bell["z"] == 0)
+    constant = float(bell["c"][identity].sum().real)
+    residual = max_entry(bell[~identity], obs.dim)
     return Certificate(
-        is_state_independent=residual <= tol, constant=constant, residual=residual
+        is_state_independent=residual == 0.0, constant=constant, residual=residual
     )
 
 
 def context_product(obs: ObservableSet, context) -> int:
-    """Sign s with product(context operators) = s*1 within 1e-9.
+    """Sign s with product(context operators) = s*1 exactly.
 
     Raises IncompatibleContextError for non-commuting labels and
     ValueError when the product is not proportional to the identity.
     """
     prod = _product(obs, Term(1, tuple(context)).factors)  # Term rejects repeats
     for s in (1, -1):
-        if np.max(np.abs(prod - s * np.eye(obs.dim))) <= STRUCT_TOL:
+        if np.array_equal(prod, combine([(s, IDENTITY)])):
             return s
     raise ValueError(f"product over context {tuple(context)} is not proportional to identity")
 
 
 def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> float:
     """Largest eigenvalue of the Bell operator (the maximal quantum value
-    of the expression over all states), by dense Hermitian eigensolver."""
+    of the expression over all states), by dense Hermitian eigensolver.
+    Raises ResourceLimitError past dimension ``MAX_EIG_DIM`` before
+    building anything dense."""
     if obs.dim > MAX_EIG_DIM:
-        raise ValueError(f"dimension {obs.dim} exceeds the eigenvalue cap {MAX_EIG_DIM}")
+        raise ResourceLimitError(f"dimension {obs.dim} exceeds the eigensolver cap {MAX_EIG_DIM}")
     return float(np.linalg.eigvalsh(bell_operator(obs, expr))[-1])
 
 

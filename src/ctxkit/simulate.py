@@ -16,7 +16,8 @@ bit for bit (same uniforms, same comparisons) while computing each
 distinct branch state only once.
 
 Every entry point that takes a state certifies it as a density matrix of
-the set's dimension before measuring, and rejects anything else.  A
+the set's dimension (``quantum.check_state``) before measuring, and
+rejects anything else; measurements use the observables' dense form.  A
 branch probability further than ``STRUCT_TOL`` outside [0, 1] raises
 NumericError; only rounding error inside that tolerance is clamped.
 """
@@ -30,9 +31,9 @@ import numpy as np
 
 from .exceptions import NumericError
 from .inequalities import InequalityExpr, Term
-from .linalg import STRUCT_TOL, check_density_matrix
+from .linalg import STRUCT_TOL
 from .observables import ObservableSet
-from .quantum import compatible_operators
+from .quantum import check_state, compatible_operators
 from .runtime import substream
 
 PROTOCOL_LANE = 1
@@ -72,14 +73,6 @@ class MarginalReport:
     z_statistic: float
 
 
-def _check_rho(rho, dim: int) -> np.ndarray:
-    """The state as a certified density matrix of the set's dimension."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state has shape {rho.shape}, set dimension is {dim}")
-    return check_density_matrix(rho)
-
-
 def _plus_probability(state: np.ndarray, plus: np.ndarray) -> float:
     """Probability of the +1 branch.  Rounding error within STRUCT_TOL
     of [0, 1] is clamped; anything further out raises NumericError."""
@@ -99,7 +92,7 @@ def sequential_measure(
     """
     labels = tuple(labels)
     ops = compatible_operators(obs, labels)
-    state = _check_rho(rho, obs.dim)
+    state = check_state(rho, obs.dim)
     eye = np.eye(obs.dim, dtype=complex)
     outcomes = []
     for label, op in zip(labels, ops):
@@ -152,6 +145,7 @@ def _branch_outcomes(rho: np.ndarray, ops: list[np.ndarray], uniforms: np.ndarra
             walk(minus @ state @ minus / q, minus_idx, level + 1)
 
     walk(rho, np.arange(shots), 0)
+    del walk  # the recursive closure is a cycle holding ops and eye until a GC pass
     return outcomes
 
 
@@ -184,7 +178,7 @@ def estimate_term(
     """
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
-    state = _check_rho(rho, obs.dim)
+    state = check_state(rho, obs.dim)
     ops = compatible_operators(obs, term.factors)
     if ops:
         uniforms = _shot_uniforms(seed, PROTOCOL_LANE, term_index, shots, len(ops))
@@ -248,7 +242,7 @@ def marginal_consistency(
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
     first, second = (tuple(c) for c in contexts)
-    state = _check_rho(rho, obs.dim)
+    state = check_state(rho, obs.dim)
     freqs = []
     for ctx in (first, second):
         if label not in ctx:

@@ -1,0 +1,67 @@
+"""Dense Kronecker-product builders of the Peres-Mermin and star
+observables: the reference the Pauli expansions are tested against for
+n <= 7 qubits."""
+
+import numpy as np
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+LETTERS = {"I": IDENTITY_2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def kron_all(factors) -> np.ndarray:
+    """Tensor product of a sequence of matrices, left to right."""
+    out = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        out = np.kron(out, f)
+    return out
+
+
+def word_matrix(word: str) -> np.ndarray:
+    return kron_all([LETTERS[ch] for ch in word])
+
+
+def peres_mermin_operators() -> dict[str, np.ndarray]:
+    z1 = kron_all([PAULI_Z, IDENTITY_2])
+    z2 = kron_all([IDENTITY_2, PAULI_Z])
+    x1 = kron_all([PAULI_X, IDENTITY_2])
+    x2 = kron_all([IDENTITY_2, PAULI_X])
+    return {
+        "P14": z1,
+        "P15": z2,
+        "P16": kron_all([PAULI_Z, PAULI_Z]),
+        "P24": x2,
+        "P25": x1,
+        "P26": kron_all([PAULI_X, PAULI_X]),
+        "P34": kron_all([PAULI_Z, PAULI_X]),
+        "P35": kron_all([PAULI_X, PAULI_Z]),
+        "P36": kron_all([PAULI_Y, PAULI_Y]),
+    }
+
+
+def star_operators(n: int) -> dict[str, np.ndarray]:
+    """ACAL1 = Z...Z, ACAL2 = Z X X...X, ACAL3 = X Z X...X,
+    ACAL4 = X X Z...Z, B_i = Z on site i, C_i = X on site i."""
+
+    def string_op(site_paulis: dict[int, np.ndarray]) -> np.ndarray:
+        return kron_all([site_paulis.get(i, IDENTITY_2) for i in range(1, n + 1)])
+
+    ops = {
+        "ACAL1": string_op({i: PAULI_Z for i in range(1, n + 1)}),
+        "ACAL2": string_op({1: PAULI_Z} | {i: PAULI_X for i in range(2, n + 1)}),
+        "ACAL3": string_op({2: PAULI_Z} | {i: PAULI_X for i in range(1, n + 1) if i != 2}),
+        "ACAL4": string_op({1: PAULI_X, 2: PAULI_X} | {i: PAULI_Z for i in range(3, n + 1)}),
+    }
+    for i in range(1, n + 1):
+        ops[f"B{i}"] = string_op({i: PAULI_Z})
+        ops[f"C{i}"] = string_op({i: PAULI_X})
+    return ops
+
+
+def ray_operator(v) -> np.ndarray:
+    """2 v v^T / |v|^2 - 1 for an integer ray v with |v|^2 a power of two,
+    so every entry is exact."""
+    v = np.asarray(v, dtype=np.int64)
+    return 2 * np.outer(v, v) / int(v @ v) - np.eye(len(v))

@@ -69,8 +69,15 @@ def test_certify(capsys):
     assert results["state_independent"] is True
     assert results["classical_bound"] == 7
     assert results["quantum_constant"] == pytest.approx(9.0, abs=1e-12)
-    assert results["residual"] <= 1e-9
+    assert results["residual"] == 0.0
     assert results["gap"] == pytest.approx(2.0, abs=1e-12)
+    # The star certificate builds no dense operator, so the 13-qubit cap
+    # is reachable, and exact.
+    results = run_json(capsys, "certify", "--inequality", "ineq9", "--n", "13")["results"]
+    assert (results["state_independent"], results["quantum_constant"], results["residual"]) == (
+        True, 5.0, 0.0)
+    results = run_json(capsys, "certify", "--inequality", "kcbs3")["results"]
+    assert (results["quantum_constant"], results["residual"], results["gap"]) == (0.0, 4.0, -3.0)
 
 
 def test_maxval_matches_library(capsys):
@@ -229,9 +236,16 @@ def test_exit_code_missing_n(capsys):
 
 
 def test_exit_code_resource_limit(capsys):
-    rc, _, err = run_cli(capsys, "bound", "--inequality", "ineq9", "--n", "15")
-    assert rc == 3
-    assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+    for argv in (
+        ("bound", "--inequality", "ineq9", "--n", "15"),
+        ("certify", "--inequality", "ineq9", "--n", "15"),
+        # Inside the star cap, past the eigensolver's 2^11.
+        ("maxval", "--inequality", "mermin11", "--n", "13"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 3
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ResourceLimitError"
 
 
 def test_exit_code_unknown_state(capsys):

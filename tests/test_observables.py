@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
+from dense_oracle import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    kron_all,
+    peres_mermin_operators,
+    ray_operator,
+    star_operators,
+)
+
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
-from ctxkit.linalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, is_involution, kron_all
+from ctxkit.linalg import combine, expand, pauli
 from ctxkit.observables import (
     KS18_CONTEXTS,
     KS18_RAYS,
@@ -45,14 +56,14 @@ def test_ks18_ray_spot_checks(ks18_rayset):
 def test_ks18_observables_are_involutions(ks18_obs):
     assert ks18_obs.dim == 4
     for label in ks18_obs.labels:
-        assert is_involution(ks18_obs.operator(label))
+        op = ks18_obs.operator(label)
+        assert np.array_equal(op, op.conj().T)
+        assert np.array_equal(op @ op, np.eye(4))
 
 
 def test_ks18_observable_from_ray(ks18_rayset, ks18_obs):
-    v = np.asarray(ks18_rayset.ray("A34"), dtype=float)
-    v = v / np.linalg.norm(v)
-    expected = 2.0 * np.outer(v, v) - np.eye(4)
-    assert np.allclose(ks18_obs.operator("A34"), expected)
+    for label in ks18_obs.labels:
+        assert np.array_equal(ks18_obs.operator(label), ray_operator(ks18_rayset.ray(label)))
 
 
 def test_ks18_context_products_are_minus_identity(ks18_obs):
@@ -60,7 +71,7 @@ def test_ks18_context_products_are_minus_identity(ks18_obs):
         prod = np.eye(4, dtype=complex)
         for label in ctx:
             prod = prod @ ks18_obs.operator(label)
-        assert np.allclose(prod, -np.eye(4))
+        assert np.array_equal(prod, -np.eye(4))
 
 
 def test_unknown_label_raises(ks18_rayset, ks18_obs):
@@ -75,6 +86,8 @@ def test_operators_are_frozen(ks18_obs, pm_obs):
         op = obs.operator(obs.labels[0])
         with pytest.raises(ValueError):
             op[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            obs.expansion(obs.labels[0])["c"] = 5.0
 
 
 def test_observable_set_checks_contexts_at_construction(pm_obs):
@@ -82,9 +95,26 @@ def test_observable_set_checks_contexts_at_construction(pm_obs):
     with pytest.raises(IncompatibleContextError):
         ObservableSet(set_id="bad", dim=4, observables=ops, contexts=(("P14", "P25"),))
     with pytest.raises(ValueError):
+        ObservableSet(set_id="bad", dim=4, observables={"Z": pauli("ZZZ")}, contexts=())
+    with pytest.raises(ValueError):
         ObservableSet(set_id="bad", dim=4, observables={"Z": PAULI_Z}, contexts=())
+    with pytest.raises(ValueError):
+        ObservableSet(set_id="bad", dim=6, observables={}, contexts=())
     with pytest.raises(TypeError):
         pm_obs.observables["P14"] = ops["P25"]
+
+
+def test_observable_set_rejects_non_involutions():
+    # i*X squares to -1 and is not Hermitian; 2*Z is Hermitian but squares
+    # to 4; the upper-triangular matrix is neither.
+    for bad in (
+        combine([(1j, pauli("X"))]),
+        combine([(2, pauli("Z"))]),
+        expand(np.array([[1.0, 1.0], [0.0, 1.0]])),
+    ):
+        with pytest.raises(ValueError, match="not a \\+-1 observable"):
+            ObservableSet(set_id="bad", dim=2, observables={"A": bad}, contexts=())
+    ObservableSet(set_id="good", dim=2, observables={"A": pauli("Y")}, contexts=())
 
 
 def test_peres_mermin_layout(pm_obs):
@@ -92,8 +122,12 @@ def test_peres_mermin_layout(pm_obs):
     assert pm_obs.dim == 4
     assert len(pm_obs.labels) == 9
     assert len(pm_obs.contexts) == 6
-    assert np.allclose(pm_obs.operator("P36"), kron_all([PAULI_Y, PAULI_Y]))
-    assert np.allclose(pm_obs.operator("P24"), kron_all([IDENTITY_2, PAULI_X]))
+    assert np.array_equal(pm_obs.operator("P36"), kron_all([PAULI_Y, PAULI_Y]))
+    assert np.array_equal(pm_obs.operator("P24"), kron_all([IDENTITY_2, PAULI_X]))
+    oracle = peres_mermin_operators()
+    assert set(oracle) == set(pm_obs.labels)
+    for label, op in oracle.items():
+        assert np.array_equal(pm_obs.operator(label), op)
 
 
 def test_peres_mermin_row_and_column_products(pm_obs):
@@ -103,8 +137,8 @@ def test_peres_mermin_row_and_column_products(pm_obs):
         prod = np.eye(4, dtype=complex)
         for label in ctx:
             prod = prod @ pm_obs.operator(label)
-        sign = 1 if np.allclose(prod, np.eye(4)) else -1
-        assert np.allclose(prod, sign * np.eye(4))
+        sign = 1 if np.array_equal(prod, np.eye(4)) else -1
+        assert np.array_equal(prod, sign * np.eye(4))
         signs.append(sign)
     assert signs == [1, 1, 1, 1, 1, -1]
 
@@ -121,10 +155,19 @@ def test_star_labels():
 
 def test_star3_operators(star3_obs):
     assert star3_obs.dim == 8
-    assert np.allclose(star3_obs.operator("ACAL1"), kron_all([PAULI_Z, PAULI_Z, PAULI_Z]))
-    assert np.allclose(star3_obs.operator("ACAL3"), kron_all([PAULI_X, PAULI_Z, PAULI_X]))
-    assert np.allclose(star3_obs.operator("B2"), kron_all([IDENTITY_2, PAULI_Z, IDENTITY_2]))
-    assert np.allclose(star3_obs.operator("C3"), kron_all([IDENTITY_2, IDENTITY_2, PAULI_X]))
+    assert np.array_equal(star3_obs.operator("ACAL1"), kron_all([PAULI_Z, PAULI_Z, PAULI_Z]))
+    assert np.array_equal(star3_obs.operator("ACAL3"), kron_all([PAULI_X, PAULI_Z, PAULI_X]))
+    assert np.array_equal(star3_obs.operator("B2"), kron_all([IDENTITY_2, PAULI_Z, IDENTITY_2]))
+    assert np.array_equal(star3_obs.operator("C3"), kron_all([IDENTITY_2, IDENTITY_2, PAULI_X]))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_star_operators_match_dense_oracle(n):
+    obs = build_mermin_star(n)
+    oracle = star_operators(n)
+    assert set(oracle) == set(obs.labels)
+    for label, op in oracle.items():
+        assert np.array_equal(obs.operator(label), op)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -135,8 +178,8 @@ def test_star_context_products(n, star3_obs, star5_obs):
         prod = np.eye(obs.dim, dtype=complex)
         for label in ctx:
             prod = prod @ obs.operator(label)
-        sign = 1 if np.allclose(prod, np.eye(obs.dim)) else -1
-        assert np.allclose(prod, sign * np.eye(obs.dim))
+        sign = 1 if np.array_equal(prod, np.eye(obs.dim)) else -1
+        assert np.array_equal(prod, sign * np.eye(obs.dim))
         signs.append(sign)
     # Four mixed contexts square to +1; the all-ACAL context gives -1.
     assert signs == [1, 1, 1, 1, -1]
@@ -185,3 +228,13 @@ def test_compatible(pm_obs, ks18_obs):
     assert not compatible(pm_obs, "P14", "P25")
     assert compatible(ks18_obs, "A12", "A16")
     assert not compatible(ks18_obs, "A12", "A34")
+
+
+@pytest.mark.parametrize("family", ["ks18_obs", "pm_obs", "star3_obs", "star5_obs"])
+def test_compatible_agrees_with_dense_commutation(family, request):
+    obs = request.getfixturevalue(family)
+    ops = {label: obs.operator(label) for label in obs.labels}
+    for a in obs.labels:
+        for b in obs.labels:
+            commute = np.array_equal(ops[a] @ ops[b], ops[b] @ ops[a])
+            assert compatible(obs, a, b) == commute, (a, b)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctxkit.exceptions import IncompatibleContextError
+from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import InequalityExpr, Term, catalog_get
 from ctxkit.observables import ObservableSet, build_set
 from ctxkit.quantum import (
@@ -34,6 +34,21 @@ def test_expectation_term_dimension_check(ks18_obs):
         expectation_term(np.eye(2) / 2, ks18_obs, Term(1, ("A12",)))
 
 
+def test_expectation_term_empty_factors_is_sign(pm_obs):
+    assert expectation_term(singlet(), pm_obs, Term(-1, ())) == pytest.approx(-1.0)
+
+
+def test_quantum_entry_points_reject_non_states(pm_obs):
+    # Trace 2 and a negative eigenvalue: the simulator rejects these, and
+    # so must every quantum entry point that takes a state.
+    expr = catalog_get("ineq4")
+    for bad in (2 * np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            evaluate_inequality(bad, pm_obs, expr)
+        with pytest.raises(ValueError):
+            expectation_term(bad, pm_obs, expr.terms[0])
+
+
 def test_evaluate_is_sum_of_terms(ks18_obs):
     expr = catalog_get("kcbs3")
     rho = haar_random(4, seed=5)
@@ -63,22 +78,25 @@ def test_bell_operator_explicit(pm_obs):
 @pytest.mark.parametrize("id_,n,constant", [
     ("ineq1", None, 9.0),
     ("ineq4", None, 6.0),
-    ("ineq9", 3, 5.0),
-    ("ineq9", 5, 5.0),
+    *(("ineq9", n, 5.0) for n in (3, 5, 7, 9, 11, 13)),
 ])
 def test_certificates(id_, n, constant):
+    # Exact: the constant is the identity coefficient and the residual 0.
     expr = catalog_get(id_, n)
     obs = build_set(expr.set_id, expr.n)
     cert = certify_state_independence(obs, expr)
-    assert cert.is_state_independent
-    assert cert.constant == pytest.approx(constant, abs=1e-12)
-    assert cert.residual <= 1e-9
+    assert (cert.is_state_independent, cert.constant, cert.residual) == (True, constant, 0.0)
 
 
 def test_certificate_negative_case(ks18_obs):
     cert = certify_state_independence(ks18_obs, catalog_get("kcbs3"))
     assert not cert.is_state_independent
     assert cert.residual > 0.1
+    # The rays' expansions are exact, so the pentagon's Bell operator is
+    # traceless and its largest entry is 4 exactly.
+    assert (cert.constant, cert.residual) == (0.0, 4.0)
+    bell = bell_operator(ks18_obs, catalog_get("kcbs3"))
+    assert cert.residual == np.abs(bell).max()
 
 
 def test_context_product(pm_obs, ks18_obs, star3_obs):
@@ -91,6 +109,17 @@ def test_context_product(pm_obs, ks18_obs, star3_obs):
         context_product(ks18_obs, ("A12",))  # a single ray is not +-identity
     with pytest.raises(IncompatibleContextError):
         context_product(pm_obs, ("P14", "P25"))
+
+
+def test_all_context_products_are_exact(pm_obs, ks18_obs, star3_obs):
+    # 9 + 6 + 5 contexts, each product exactly +-1 times the identity.
+    for obs in (ks18_obs, pm_obs, star3_obs):
+        for ctx in obs.contexts:
+            s = context_product(obs, ctx)
+            prod = np.eye(obs.dim, dtype=complex)
+            for label in ctx:
+                prod = prod @ obs.operator(label)
+            assert np.array_equal(prod, s * np.eye(obs.dim))
 
 
 @pytest.mark.parametrize("id_,n", [
@@ -125,7 +154,7 @@ def test_max_value_dominates_states(ks18_obs):
 def test_max_value_dimension_cap():
     hollow = ObservableSet(set_id="big", dim=2 * MAX_EIG_DIM, observables={}, contexts=())
     expr = InequalityExpr(id="none", set_id="big", terms=(), bound=None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceLimitError):
         max_quantum_value(hollow, expr)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -246,3 +249,17 @@ def test_branch_probability_rounding_is_clamped():
     op = np.diag([1.0 + 2e-12, -1.0]).astype(complex)
     outcomes = _branch_outcomes(zero_product(1), [op], np.full((4, 1), 0.5))
     assert (outcomes == 1).all()
+
+
+def test_branch_walk_frees_its_operators():
+    # The recursive walk must not leave a reference cycle that keeps each
+    # term's dense operators alive until the next garbage-collection pass.
+    op = np.diag([1.0, -1.0]).astype(complex)
+    ref = weakref.ref(op)
+    gc.disable()
+    try:
+        _branch_outcomes(zero_product(1), [op], np.full((4, 1), 0.5))
+        del op
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -97,6 +97,10 @@ def test_make_state_from_arrays():
         make_state(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         make_state(np.eye(4) / 4, dim=8)
+    with pytest.raises(ValueError, match="non-finite"):
+        make_state(np.array([np.nan, 0, 0, 0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        make_state(np.diag([np.nan, 1.0]))
 
 
 def test_make_state_json_forms():
