@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import UnknownInequalityError, UnknownLabelError
-from .observables import ObservableSet, noncommuting_pairs, set_labels
+from .observables import ObservableSet, noncommuting_pairs, set_labels, star_contexts
 
 CATALOG_IDS = ("ineq1", "kcbs3", "ineq4", "cfrh6", "nambu7", "chsh8", "ineq9", "mermin11")
 
@@ -138,40 +138,22 @@ def _build_chsh8() -> InequalityExpr:
     )
 
 
-def _star_tails(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    b_tail = tuple(f"B{i}" for i in range(3, n + 1))
-    c_tail = tuple(f"C{i}" for i in range(3, n + 1))
-    return b_tail, c_tail
-
-
 def _build_ineq9(n: int) -> InequalityExpr:
-    b_tail, c_tail = _star_tails(n)
     return InequalityExpr(
         id="ineq9",
         set_id="mermin_star",
-        terms=_terms(
-            (1, ("ACAL1", "B1", "B2") + b_tail),
-            (1, ("ACAL2", "B1", "C2") + c_tail),
-            (1, ("ACAL3", "C1", "B2") + c_tail),
-            (1, ("ACAL4", "C1", "C2") + b_tail),
-            (-1, ("ACAL1", "ACAL2", "ACAL3", "ACAL4")),
-        ),
+        terms=_terms(*zip((1, 1, 1, 1, -1), star_contexts(n))),
         bound=3,
         n=n,
     )
 
 
 def _build_mermin11(n: int) -> InequalityExpr:
-    b_tail, c_tail = _star_tails(n)
+    mixed = star_contexts(n)[:4]
     return InequalityExpr(
         id="mermin11",
         set_id="mermin_star",
-        terms=_terms(
-            (1, ("B1", "B2") + b_tail),
-            (1, ("B1", "C2") + c_tail),
-            (1, ("C1", "B2") + c_tail),
-            (-1, ("C1", "C2") + b_tail),
-        ),
+        terms=_terms(*zip((1, 1, 1, -1), (ctx[1:] for ctx in mixed))),
         bound=2,
         n=n,
     )

@@ -4,8 +4,9 @@ An observable is a read-only record array of ``EXPANSION`` terms
 (x, z, c), each c * X^x Z^z with qubit 1 in the masks' top bit, sorted
 by (x, z) with distinct masks and nonzero c: equal operators are equal
 arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
-dyadic coefficients keep the algebra exact.  ``dense`` builds a matrix
-only for dense states and eigensolvers.  Kets are 1-D complex vectors;
+dyadic coefficients keep the algebra exact.  ``apply`` multiplies a
+dense state by an expansion; ``dense`` builds a matrix only for dense
+states and eigensolvers.  Kets are 1-D complex vectors;
 density matrices are checked within 1e-9.
 """
 
@@ -96,6 +97,16 @@ def dense(e: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     np.add.at(out, (rows, j), values)
     out.flags.writeable = False
+    return out
+
+
+def apply(e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``dense(e, len(m)) @ m`` without the matrix: term c X^x Z^z moves
+    row j of m, times c (-1)^|z & j|, to row j ^ x."""
+    rows, values = _entries(e, np.arange(len(m)))
+    out = np.zeros(m.shape, dtype=complex)
+    for r, v in zip(rows, values):
+        out[r] += v[:, None] * m
     return out
 
 

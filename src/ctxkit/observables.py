@@ -208,6 +208,21 @@ def star_labels(n: int) -> tuple[str, ...]:
     )
 
 
+def star_contexts(n: int) -> tuple[tuple[str, ...], ...]:
+    """The star family's five contexts: four mixed ones, each an ACAL
+    observable first, then the all-ACAL context."""
+    _check_star_n(n)
+    b_tail = tuple(f"B{i}" for i in range(3, n + 1))
+    c_tail = tuple(f"C{i}" for i in range(3, n + 1))
+    return (
+        ("ACAL1", "B1", "B2") + b_tail,
+        ("ACAL2", "B1", "C2") + c_tail,
+        ("ACAL3", "C1", "B2") + c_tail,
+        ("ACAL4", "C1", "C2") + b_tail,
+        ("ACAL1", "ACAL2", "ACAL3", "ACAL4"),
+    )
+
+
 def _check_star_n(n: int) -> None:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
@@ -230,20 +245,11 @@ def build_mermin_star(n: int) -> ObservableSet:
     words += ["I" * (i - 1) + letter + "I" * (n - i) for letter in "ZX" for i in range(1, n + 1)]
     observables = {label: pauli(word) for label, word in zip(star_labels(n), words)}
 
-    b_tail = tuple(f"B{i}" for i in range(3, n + 1))
-    c_tail = tuple(f"C{i}" for i in range(3, n + 1))
-    contexts = (
-        ("ACAL1", "B1", "B2") + b_tail,
-        ("ACAL2", "B1", "C2") + c_tail,
-        ("ACAL3", "C1", "B2") + c_tail,
-        ("ACAL4", "C1", "C2") + b_tail,
-        ("ACAL1", "ACAL2", "ACAL3", "ACAL4"),
-    )
     return ObservableSet(
         set_id="mermin_star",
         dim=2**n,
         observables=observables,
-        contexts=contexts,
+        contexts=star_contexts(n),
     )
 
 

@@ -45,7 +45,7 @@ def check_state(rho, dim: int) -> np.ndarray:
     return check_density_matrix(rho)
 
 
-def _compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
+def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
     """Expansions of labels that must be jointly measurable, in order.
 
     Raises IncompatibleContextError when two of them do not commute.
@@ -59,13 +59,8 @@ def _compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[
     return expansions
 
 
-def compatible_operators(obs: ObservableSet, labels) -> list[np.ndarray]:
-    """Dense operators of labels that must be jointly measurable, in order."""
-    return [dense(e, obs.dim) for e in _compatible_expansions(obs, tuple(labels))]
-
-
-def _product(obs: ObservableSet, labels) -> np.ndarray:
-    return reduce(multiply, _compatible_expansions(obs, tuple(labels)), IDENTITY)
+def _product(obs: ObservableSet, labels: tuple[str, ...]) -> np.ndarray:
+    return reduce(multiply, compatible_expansions(obs, labels), IDENTITY)
 
 
 def _real_part(value: complex) -> float:

@@ -17,7 +17,8 @@ distinct branch state only once.
 
 Every entry point that takes a state certifies it as a density matrix of
 the set's dimension (``quantum.check_state``) before measuring, and
-rejects anything else; measurements use the observables' dense form.  A
+rejects anything else.  States stay dense, but measurements act on them
+through the observables' Pauli expansions (``linalg.apply``).  A
 branch probability further than ``STRUCT_TOL`` outside [0, 1] raises
 NumericError; only rounding error inside that tolerance is clamped.
 """
@@ -31,9 +32,9 @@ import numpy as np
 
 from .exceptions import NumericError
 from .inequalities import InequalityExpr, Term
-from .linalg import STRUCT_TOL
+from .linalg import STRUCT_TOL, apply
 from .observables import ObservableSet
-from .quantum import check_state, compatible_operators
+from .quantum import check_state, compatible_expansions
 from .runtime import substream
 
 PROTOCOL_LANE = 1
@@ -73,13 +74,19 @@ class MarginalReport:
     z_statistic: float
 
 
-def _plus_probability(state: np.ndarray, plus: np.ndarray) -> float:
-    """Probability of the +1 branch.  Rounding error within STRUCT_TOL
-    of [0, 1] is clamped; anything further out raises NumericError."""
-    p = float(np.real(np.trace(state @ plus)))
+def _split(state: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Measure A (expansion e) on state: the +1 probability
+    p = (1 + Re Tr(A rho))/2 and both unnormalized post-states
+    (1 +- A) rho (1 +- A)/4 = (rho + A rho A +- (A rho + (A rho)^dagger))/4.
+    Rounding error within STRUCT_TOL of [0, 1] is clamped; anything
+    further out raises NumericError."""
+    a_rho = apply(e, state)
+    p = (1.0 + float(np.trace(a_rho).real)) / 2.0
     if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
         raise NumericError(f"branch probability {p} is outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    even = state + apply(e, a_rho.conj().T)
+    odd = a_rho + a_rho.conj().T
+    return min(max(p, 0.0), 1.0), (even + odd) / 4.0, (even - odd) / 4.0
 
 
 def sequential_measure(
@@ -91,27 +98,27 @@ def sequential_measure(
     and the final post-measurement state.
     """
     labels = tuple(labels)
-    ops = compatible_operators(obs, labels)
+    expansions = compatible_expansions(obs, labels)
     state = check_state(rho, obs.dim)
-    eye = np.eye(obs.dim, dtype=complex)
     outcomes = []
-    for label, op in zip(labels, ops):
-        plus = (eye + op) / 2.0
-        p = _plus_probability(state, plus)
+    for label, e in zip(labels, expansions):
+        p, plus, minus = _split(state, e)
         if rng.random() < p:
-            outcome, proj, prob = 1, plus, p
+            outcome, post, prob = 1, plus, p
         else:
-            outcome, proj, prob = -1, eye - plus, 1.0 - p
+            outcome, post, prob = -1, minus, 1.0 - p
         if prob < _P_FLOOR:
             raise NumericError(
                 f"sampled a measurement branch with probability {prob} for {label}"
             )
-        state = proj @ state @ proj / prob
+        state = post / prob
         outcomes.append((label, outcome))
     return MeasurementRecord(outcomes=tuple(outcomes), post_state=state)
 
 
-def _branch_outcomes(rho: np.ndarray, ops: list[np.ndarray], uniforms: np.ndarray) -> np.ndarray:
+def _branch_outcomes(
+    rho: np.ndarray, expansions: list[np.ndarray], uniforms: np.ndarray
+) -> np.ndarray:
     """Outcomes for a batch of shots sharing the same initial state.
 
     uniforms[s, i] is shot s's draw for measurement i.  Equivalent to
@@ -121,31 +128,24 @@ def _branch_outcomes(rho: np.ndarray, ops: list[np.ndarray], uniforms: np.ndarra
     """
     shots, depth = uniforms.shape
     outcomes = np.empty((shots, depth), dtype=np.int64)
-    eye = np.eye(rho.shape[0], dtype=complex)
 
     def walk(state: np.ndarray, idx: np.ndarray, level: int) -> None:
         if level == depth:
             return
-        plus = (eye + ops[level]) / 2.0
-        p = _plus_probability(state, plus)
+        p, plus, minus = _split(state, expansions[level])
         took_plus = uniforms[idx, level] < p
         plus_idx = idx[took_plus]
         minus_idx = idx[~took_plus]
         outcomes[plus_idx, level] = 1
         outcomes[minus_idx, level] = -1
-        if plus_idx.size:
-            if p < _P_FLOOR:
-                raise NumericError(f"sampled a measurement branch with probability {p}")
-            walk(plus @ state @ plus / p, plus_idx, level + 1)
-        if minus_idx.size:
-            q = 1.0 - p
-            if q < _P_FLOOR:
-                raise NumericError(f"sampled a measurement branch with probability {q}")
-            minus = eye - plus
-            walk(minus @ state @ minus / q, minus_idx, level + 1)
+        for branch_idx, post, prob in ((plus_idx, plus, p), (minus_idx, minus, 1.0 - p)):
+            if branch_idx.size:
+                if prob < _P_FLOOR:
+                    raise NumericError(f"sampled a measurement branch with probability {prob}")
+                walk(post / prob, branch_idx, level + 1)
 
     walk(rho, np.arange(shots), 0)
-    del walk  # the recursive closure is a cycle holding ops and eye until a GC pass
+    del walk  # the recursive closure is a cycle holding the expansions until a GC pass
     return outcomes
 
 
@@ -179,10 +179,10 @@ def estimate_term(
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
     state = check_state(rho, obs.dim)
-    ops = compatible_operators(obs, term.factors)
-    if ops:
-        uniforms = _shot_uniforms(seed, PROTOCOL_LANE, term_index, shots, len(ops))
-        outcomes = _branch_outcomes(state, ops, uniforms)
+    expansions = compatible_expansions(obs, term.factors)
+    if expansions:
+        uniforms = _shot_uniforms(seed, PROTOCOL_LANE, term_index, shots, len(expansions))
+        outcomes = _branch_outcomes(state, expansions, uniforms)
         values = term.sign * outcomes.prod(axis=1).astype(float)
     else:
         values = np.full(shots, float(term.sign))
@@ -247,9 +247,9 @@ def marginal_consistency(
     for ctx in (first, second):
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
-        ops = compatible_operators(obs, ctx)
+        expansions = compatible_expansions(obs, ctx)
         uniforms = _shot_uniforms(seed, MARGINAL_LANE, _context_stream_index(ctx), shots, len(ctx))
-        outcomes = _branch_outcomes(state, ops, uniforms)
+        outcomes = _branch_outcomes(state, expansions, uniforms)
         col = ctx.index(label)
         freqs.append(float(np.mean(outcomes[:, col] == 1)))
     f1, f2 = freqs

@@ -8,6 +8,7 @@ from ctxkit.linalg import (
     EXPANSION,
     IDENTITY,
     adjoint,
+    apply,
     as_ket,
     check_density_matrix,
     combine,
@@ -123,6 +124,30 @@ def test_multiply_matches_dense_product_on_rays(u, v):
     a, b = expand(ray_operator(u)), expand(ray_operator(v))
     assert np.array_equal(dense(a, 4), ray_operator(u))
     assert np.array_equal(dense(multiply(a, b), 4), dense(a, 4) @ dense(b, 4))
+
+
+def _random_matrix(seed: int, dim: int, cols: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(2**n), _word_expansions(n))
+), _SEEDS, st.booleans())
+def test_apply_matches_dense_product_on_words(case, seed, ket):
+    dim, e = case
+    m = _random_matrix(seed, dim, 1 if ket else dim)
+    assert np.abs(apply(e, m) - dense(e, dim) @ m).max() <= 1e-12
+
+
+@given(st.sampled_from(sorted(KS18_RAYS)), _SEEDS)
+def test_apply_matches_dense_product_on_rays(label, seed):
+    e = expand(ray_operator(KS18_RAYS[label]))
+    m = _random_matrix(seed, 4, 4)
+    assert np.abs(apply(e, m) - dense(e, 4) @ m).max() <= 1e-12
 
 
 def test_as_ket_renormalizes_within_slack():

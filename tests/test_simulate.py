@@ -4,8 +4,12 @@ import weakref
 import numpy as np
 import pytest
 
+from dense_oracle import ray_operator, star_operators
+from ctxkit import linalg, quantum
 from ctxkit.exceptions import IncompatibleContextError, NumericError
 from ctxkit.inequalities import Term, catalog_get
+from ctxkit.linalg import expand
+from ctxkit.observables import KS18_RAYS, ObservableSet, build_set, star_contexts
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     _branch_outcomes,
@@ -15,7 +19,14 @@ from ctxkit.simulate import (
     run_protocol,
     sequential_measure,
 )
-from ctxkit.states import haar_random, maximally_mixed, singlet, zero_product
+from ctxkit.states import (
+    ghz,
+    haar_random,
+    make_state,
+    maximally_mixed,
+    singlet,
+    zero_product,
+)
 
 
 def outcome_product(record):
@@ -238,7 +249,7 @@ def test_marginal_validation(ks18_obs):
 def test_branch_probability_out_of_range_raises(scale):
     # (1 + 3Z)/2 on |0> gives p = 2, and (1 - 3Z)/2 gives p = -1: neither
     # may be clamped into [0, 1].
-    op = scale * np.diag([1.0, -1.0]).astype(complex)
+    op = expand(scale * np.diag([1.0, -1.0]))
     uniforms = np.full((4, 1), 0.5)
     with pytest.raises(NumericError, match="outside"):
         _branch_outcomes(zero_product(1), [op], uniforms)
@@ -246,15 +257,15 @@ def test_branch_probability_out_of_range_raises(scale):
 
 def test_branch_probability_rounding_is_clamped():
     # p = 1 + 1e-12 is rounding error, inside STRUCT_TOL: clamped to 1.
-    op = np.diag([1.0 + 2e-12, -1.0]).astype(complex)
+    op = expand(np.diag([1.0 + 2e-12, -1.0]))
     outcomes = _branch_outcomes(zero_product(1), [op], np.full((4, 1), 0.5))
     assert (outcomes == 1).all()
 
 
 def test_branch_walk_frees_its_operators():
     # The recursive walk must not leave a reference cycle that keeps each
-    # term's dense operators alive until the next garbage-collection pass.
-    op = np.diag([1.0, -1.0]).astype(complex)
+    # term's expansions alive until the next garbage-collection pass.
+    op = expand(np.diag([1.0, -1.0]))
     ref = weakref.ref(op)
     gc.disable()
     try:
@@ -263,3 +274,68 @@ def test_branch_walk_frees_its_operators():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("family", ["ks18", 3, 5])
+def test_post_state_matches_dense_projection(family, ks18_obs):
+    # The expansion walk against the dense Lueders rule: measuring a
+    # context's first k labels leaves P rho P / p, P the product of the
+    # outcomes' projectors (1 + s A)/2 and p the probability of those
+    # outcomes.  A full context's post-state barely depends on rho, so
+    # every prefix is checked.
+    if family == "ks18":
+        obs, contexts = ks18_obs, ks18_obs.contexts
+        ops = {label: ray_operator(v) for label, v in KS18_RAYS.items()}
+    else:
+        obs, contexts = build_set("mermin_star", family), star_contexts(family)
+        ops = star_operators(family)
+    eye = np.eye(obs.dim)
+    for index, ctx in enumerate(contexts):
+        rho = haar_random(obs.dim, seed=index)
+        for k in range(1, len(ctx) + 1):
+            record = sequential_measure(rho, obs, ctx[:k], substream(4, 1, index, k))
+            proj = eye
+            for label, outcome in record.outcomes:
+                proj = (eye + outcome * ops[label]) / 2 @ proj
+            unnormalized = proj @ rho @ proj.conj().T
+            expected = unnormalized / np.trace(unnormalized).real
+            assert np.abs(record.post_state - expected).max() <= 1e-12
+
+
+def test_simulator_builds_no_dense_observable(monkeypatch, star5_obs, ks18_obs):
+    def refuse(*args):
+        raise AssertionError("the simulator built a dense observable")
+
+    monkeypatch.setattr(linalg, "dense", refuse)
+    monkeypatch.setattr(quantum, "dense", refuse)
+    monkeypatch.setattr(ObservableSet, "operator", refuse)
+    rho = ghz(5)
+    for index, term in enumerate(catalog_get("ineq9", 5).terms):
+        assert estimate_term(rho, star5_obs, term, 20, seed=1, term_index=index).estimate == 1.0
+    contexts = (ks18_obs.contexts[0], ks18_obs.contexts[1])
+    marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 20, seed=1)
+
+
+# Per-term estimates of run_protocol at 500 shots, seed 11, recorded from
+# the dense-projector simulator: each is k/500, so it compares exactly.
+PINNED_ESTIMATES = {
+    ("ineq1", None, "maximally_mixed"): [1.0] * 9,
+    ("ineq4", None, "singlet"): [1.0] * 6,
+    ("cfrh6", None, "maximally_mixed"): [0.012, -0.108, -0.028, 1.0, 1.0],
+    ("ineq9", 5, "ghz"): [1.0] * 5,
+    ("kcbs3", None, "paper_kcbs_product"): [-0.18, 0.544, 0.268, -0.572, -0.952],
+}
+
+
+@pytest.mark.parametrize("ineq, n, state", sorted(PINNED_ESTIMATES, key=str))
+def test_seeded_estimates_are_pinned(ineq, n, state):
+    expr = catalog_get(ineq, n)
+    obs = build_set(expr.set_id, n)
+    report = run_protocol(make_state(state, dim=obs.dim), obs, expr, 500, seed=11)
+    assert [t.estimate for t in report.terms] == PINNED_ESTIMATES[ineq, n, state]
+
+
+def test_seeded_marginals_are_pinned(ks18_obs):
+    contexts = (ks18_obs.contexts[0], ks18_obs.contexts[1])
+    report = marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 500, seed=11)
+    assert (report.freq_plus_first, report.freq_plus_second) == (0.244, 0.242)
