@@ -23,6 +23,10 @@ from .quantum import bell_operator
 from .runtime import substream
 from .states import paper_kcbs_product
 
+TARGET, SLACK = 3.6, 0.05  # the reference-state value the relabeling sweep looks for
+ASCENT_STARTS = 6  # seeded ascents per distinct pentagon
+ASCENT_SWEEPS, ASCENT_TOL = 200, 1e-12  # each stops early once a sweep gains <= ASCENT_TOL
+
 
 def _context_graph(rayset: RaySet) -> tuple[dict[int, set[int]], dict[frozenset[int], str]]:
     """Contexts as vertices; each ray in exactly two contexts is an edge."""
@@ -125,7 +129,7 @@ def _top_eigvec_2x2(m: np.ndarray, current: np.ndarray) -> np.ndarray:
 
 
 def product_state_ascent(
-    bell: np.ndarray, rng: np.random.Generator, sweeps: int = 200, tol: float = 1e-12
+    bell: np.ndarray, rng: np.random.Generator
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Locally maximize <a x b|B|a x b> over 2x2 product states.
 
@@ -143,7 +147,7 @@ def product_state_ascent(
     value = float(
         np.real(np.einsum("ikjl,i,k,j,l", tensor, a.conj(), b.conj(), a, b))
     )
-    for _ in range(sweeps):
+    for _ in range(ASCENT_SWEEPS):
         cond_a = np.einsum("ikjl,k,l->ij", tensor, b.conj(), b)
         a = _top_eigvec_2x2(cond_a, a)
         cond_b = np.einsum("ikjl,i,j->kl", tensor, a.conj(), a)
@@ -151,7 +155,7 @@ def product_state_ascent(
         new_value = float(
             np.real(np.einsum("ikjl,i,k,j,l", tensor, a.conj(), b.conj(), a, b))
         )
-        if abs(new_value - value) <= tol:
+        if abs(new_value - value) <= ASCENT_TOL:
             value = new_value
             break
         value = new_value
@@ -173,18 +177,13 @@ class CalibrationReport:
     qualitative_violation: bool
 
 
-def kcbs_calibration(
-    target: float = 3.6,
-    slack: float = 0.05,
-    seed: int = 0,
-    starts: int = 6,
-) -> CalibrationReport:
+def kcbs_calibration(seed: int = 0) -> CalibrationReport:
     """Sweep the pentagon inequality over every incidence relabeling.
 
     Two results: the value at the reference product state for each
-    relabeling (compared against ``target`` +- ``slack``), and the best
-    product-state value found by seeded ascent over the distinct pentagon
-    images (compared against the noncontextual bound 3).
+    relabeling (compared against ``TARGET`` +- ``SLACK``), and the best
+    product-state value found by ``ASCENT_STARTS`` seeded ascents on each
+    distinct pentagon image (compared against the noncontextual bound 3).
     """
     rayset, obs = build_ks18()
     expr = catalog_get("kcbs3")
@@ -192,7 +191,7 @@ def kcbs_calibration(
 
     relabelings = incidence_automorphisms(rayset)
     paper_values = []
-    pentagons: dict[frozenset[frozenset[str]], InequalityExpr] = {}
+    pentagons: dict[frozenset[frozenset[str]], tuple[InequalityExpr, np.ndarray]] = {}
     for label_map in relabelings:
         mapped = relabel_expr(expr, label_map)
         # The reference state is built here, so like haar_sweep this
@@ -200,14 +199,13 @@ def kcbs_calibration(
         bell = bell_operator(obs, mapped)
         paper_values.append(float(np.real(np.einsum("ij,ji->", rho, bell))))
         key = frozenset(frozenset(t.factors) for t in mapped.terms)
-        pentagons.setdefault(key, mapped)
+        pentagons.setdefault(key, (mapped, bell))
 
     best_product = -np.inf
     best_expr = expr
     best_state = np.zeros(4, dtype=complex)
-    for pent_idx, mapped in enumerate(pentagons.values()):
-        bell = bell_operator(obs, mapped)
-        for start in range(starts):
+    for pent_idx, (mapped, bell) in enumerate(pentagons.values()):
+        for start in range(ASCENT_STARTS):
             rng = substream(seed, 3, index=pent_idx, subindex=start)
             value, a, b = product_state_ascent(bell, rng)
             if value > best_product:
@@ -221,9 +219,9 @@ def kcbs_calibration(
         pentagon_count=len(pentagons),
         paper_state_values=tuple(paper_values),
         best_paper_value=float(best_paper),
-        target=target,
-        slack=slack,
-        target_matched=any(abs(v - target) <= slack for v in paper_values),
+        target=TARGET,
+        slack=SLACK,
+        target_matched=any(abs(v - TARGET) <= SLACK for v in paper_values),
         best_product_value=float(best_product),
         best_pentagon=tuple(t.factors for t in best_expr.terms),
         best_product_state=best_state,

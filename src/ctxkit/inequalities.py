@@ -162,17 +162,13 @@ def _build_mermin11(n: int) -> InequalityExpr:
 def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
     """Look up a catalog inequality by id.
 
-    ``n`` (odd, >= 3) selects the qubit count for the star-family
+    ``n`` (odd, 3 to 13) selects the qubit count for the star-family
     inequalities ineq9 and mermin11 and is rejected for the fixed-size
     ones.
     """
     if id not in CATALOG_IDS:
         raise UnknownInequalityError(id)
     if id in ("ineq9", "mermin11"):
-        if n is None:
-            raise ValueError(f"{id} requires n (odd, >= 3)")
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"{id} is defined with n (odd) >= 3, got n={n}")
         return _build_ineq9(n) if id == "ineq9" else _build_mermin11(n)
     if n is not None:
         raise ValueError(f"{id} does not take n")

@@ -136,13 +136,14 @@ def as_ket(amplitudes) -> np.ndarray:
     """Validate and normalize a state vector.
 
     Norms within 1e-6 of 1 are silently renormalized; anything further off,
-    and any non-finite amplitude, is rejected rather than guessed at.
+    and any non-finite amplitude or one above 2 in magnitude (no unit
+    vector has one), is rejected rather than guessed at.
     """
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.size == 0:
         raise ValueError("empty state vector")
-    if not np.isfinite(psi).all():
-        raise ValueError("state vector has non-finite amplitudes")
+    if not np.abs(psi).max() <= 2.0:  # also keeps the norm from overflowing
+        raise ValueError("state vector has non-finite amplitudes or one above 2 in magnitude")
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise ValueError("zero state vector")
@@ -157,19 +158,20 @@ def ket_density(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def check_density_matrix(rho, tol: float = STRUCT_TOL) -> np.ndarray:
-    """Certify rho as a density matrix: finite, Hermitian, unit trace,
-    positive semidefinite within tol.  Returns rho as a complex array on
-    success."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Certify rho as a density matrix: entries finite and at most 2 in
+    magnitude (a density matrix's are at most 1), Hermitian, unit trace,
+    positive semidefinite within STRUCT_TOL.  Returns rho as a complex
+    array on success."""
     rho = _as_operator(rho, "rho")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if not np.abs(rho).max() <= 2.0:  # also keeps the checks below from overflowing
+        raise ValueError("density matrix has non-finite entries or one above 2 in magnitude")
+    if np.max(np.abs(rho - rho.conj().T)) > STRUCT_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STRUCT_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
     eigvals = np.linalg.eigvalsh(rho)
-    if float(eigvals.min()) < -tol:
+    if float(eigvals.min()) < -STRUCT_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {eigvals.min()}")
     return rho

@@ -7,7 +7,7 @@ Three families are built here:
   for ray v is 2|v><v| - 1, so each context's product is -1,
 * the two-qubit Peres-Mermin square: nine observables P_ij arranged in
   three rows and three columns, compatible when they share a subindex,
-* the n-qubit star family (n odd, >= 3): four collective observables
+* the n-qubit star family (n odd, 3 to 13): four collective observables
   ACAL1..ACAL4 plus single-site B_i = Z_i and C_i = X_i, grouped into
   four mixed contexts and one all-ACAL context.
 
@@ -223,24 +223,25 @@ def star_contexts(n: int) -> tuple[tuple[str, ...], ...]:
     )
 
 
-def _check_star_n(n: int) -> None:
-    if n < 3 or n % 2 == 0:
+def _check_star_n(n: int | None) -> None:
+    """The one check of a star size: n given, odd and >= 3 (ValueError),
+    and at most MERMIN_STAR_MAX_QUBITS (ResourceLimitError)."""
+    if n is None or n < 3 or n % 2 == 0:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
-
-
-def build_mermin_star(n: int) -> ObservableSet:
-    """The 4 + 2n observables of the n-qubit star family (n odd, >= 3).
-
-    ACAL1 = Z...Z, ACAL2 = Z X X...X, ACAL3 = X Z X...X,
-    ACAL4 = X X Z...Z, B_i = Z on site i, C_i = X on site i.
-    """
-    _check_star_n(n)
     if n > MERMIN_STAR_MAX_QUBITS:
         raise ResourceLimitError(
             f"star family with n={n} exceeds the {MERMIN_STAR_MAX_QUBITS}-qubit cap "
             f"(dimension 2^{n})"
         )
 
+
+def build_mermin_star(n: int) -> ObservableSet:
+    """The 4 + 2n observables of the n-qubit star family (n odd, 3 to 13).
+
+    ACAL1 = Z...Z, ACAL2 = Z X X...X, ACAL3 = X Z X...X,
+    ACAL4 = X X Z...Z, B_i = Z on site i, C_i = X on site i.
+    """
+    _check_star_n(n)
     words = ["Z" * n, "Z" + "X" * (n - 1), "XZ" + "X" * (n - 2), "XX" + "Z" * (n - 2)]
     words += ["I" * (i - 1) + letter + "I" * (n - i) for letter in "ZX" for i in range(1, n + 1)]
     observables = {label: pauli(word) for label, word in zip(star_labels(n), words)}
@@ -255,14 +256,12 @@ def build_mermin_star(n: int) -> ObservableSet:
 
 def build_set(set_id: str, n: int | None = None) -> ObservableSet:
     """Build an observable set by family id ("ks18", "peres_mermin",
-    "mermin_star"); mermin_star requires n."""
+    "mermin_star"); mermin_star requires n (odd, 3 to 13)."""
     if set_id == "ks18":
         return build_ks18()[1]
     if set_id == "peres_mermin":
         return build_peres_mermin()
     if set_id == "mermin_star":
-        if n is None:
-            raise ValueError("mermin_star requires n (odd, >= 3)")
         return build_mermin_star(n)
     raise UnknownLabelError(set_id)
 
@@ -274,8 +273,6 @@ def set_labels(set_id: str, n: int | None = None) -> tuple[str, ...]:
     if set_id == "peres_mermin":
         return tuple(PERES_MERMIN_WORDS)
     if set_id == "mermin_star":
-        if n is None:
-            raise ValueError("mermin_star requires n (odd, >= 3)")
         return star_labels(n)
     raise UnknownLabelError(set_id)
 

@@ -6,8 +6,8 @@ solver's enumeration kernel, for one with exactly one 1 in every context
 ``parity_stats`` exposes the counting argument: with every label in an
 even number of contexts, the product of all context outcome products is
 forced to +1 for any fixed +-1 assignment, while quantum mechanics gives
-(-1)^(number of minus-identity contexts); an odd number of
-minus-identity contexts is a contradiction.
+(-1)^(number of minus-identity contexts), each computed exactly from the
+observables; an odd number of minus-identity contexts is a contradiction.
 """
 
 from __future__ import annotations
@@ -70,31 +70,28 @@ class ParityStats:
     parity_contradiction: bool
 
 
-def parity_stats(family: ObservableSet | RaySet) -> ParityStats:
+def parity_stats(obs: ObservableSet) -> ParityStats:
     """Context count, per-label occurrence counts, and the parity verdict.
 
     parity_contradiction is true when the number of minus-identity
     context products is odd while every label occurs in an even number of
     contexts: no +-1 assignment can then reproduce the quantum products.
-    For a RaySet each context is a complete basis, so its product sign
-    is -1 by construction.
+    A RaySet is rejected with TypeError: it holds no observables, so its
+    context signs could only be assumed.
     """
-    if isinstance(family, RaySet):
-        contexts = family.contexts
-        signs = [-1] * len(contexts)
-    else:
-        contexts = family.contexts
-        signs = [context_product(family, ctx) for ctx in contexts]
+    if not isinstance(obs, ObservableSet):
+        raise TypeError(f"parity_stats needs an ObservableSet, got {type(obs).__name__}")
+    signs = [context_product(obs, ctx) for ctx in obs.contexts]
 
     occurrences: dict[str, int] = {}
-    for ctx in contexts:
+    for ctx in obs.contexts:
         for label in ctx:
             occurrences[label] = occurrences.get(label, 0) + 1
 
     minus = sum(1 for s in signs if s == -1)
     all_even = all(c % 2 == 0 for c in occurrences.values())
     return ParityStats(
-        context_count=len(contexts),
+        context_count=len(obs.contexts),
         occurrences=occurrences,
         minus_identity_contexts=minus,
         parity_contradiction=(minus % 2 == 1) and all_even,

@@ -21,6 +21,7 @@ rejects anything else.  States stay dense, but measurements act on them
 through the observables' Pauli expansions (``linalg.apply``).  A
 branch probability further than ``STRUCT_TOL`` outside [0, 1] raises
 NumericError; only rounding error inside that tolerance is clamped.
+More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NumericError
+from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply
 from .observables import ObservableSet
@@ -40,6 +41,7 @@ from .runtime import substream
 PROTOCOL_LANE = 1
 MARGINAL_LANE = 2
 _P_FLOOR = 1e-12
+MAX_SHOTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,13 @@ def _branch_outcomes(
     return outcomes
 
 
+def _check_shots(shots: int) -> None:
+    if shots < 2:
+        raise ValueError(f"need at least 2 shots, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ResourceLimitError(f"{shots} shots exceeds the cap of {MAX_SHOTS}")
+
+
 def _shot_uniforms(seed: int, lane: int, index: int, shots: int, depth: int) -> np.ndarray:
     u = np.empty((shots, depth), dtype=float)
     for s in range(shots):
@@ -176,8 +185,7 @@ def estimate_term(
     standard error is the sample standard deviation over shots divided by
     sqrt(shots).
     """
-    if shots < 2:
-        raise ValueError(f"need at least 2 shots, got {shots}")
+    _check_shots(shots)
     state = check_state(rho, obs.dim)
     expansions = compatible_expansions(obs, term.factors)
     if expansions:
@@ -239,8 +247,7 @@ def marginal_consistency(
     two-proportion z statistic; quantum mechanics predicts equal
     marginals, so |z| stays at noise level.
     """
-    if shots < 2:
-        raise ValueError(f"need at least 2 shots, got {shots}")
+    _check_shots(shots)
     first, second = (tuple(c) for c in contexts)
     state = check_state(rho, obs.dim)
     freqs = []

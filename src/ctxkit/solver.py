@@ -50,21 +50,19 @@ class BoundResult:
     evaluations: int
 
 
-def _check_cap(m: int, max_labels: int) -> None:
-    if m > max_labels:
+def _check_cap(m: int) -> None:
+    if m > MAX_LABELS:
         raise ResourceLimitError(
-            f"{m} labels exceeds the enumeration cap of {max_labels} (2^{m} assignments)"
+            f"{m} labels exceeds the enumeration cap of {MAX_LABELS} (2^{m} assignments)"
         )
 
 
-def label_masks(
-    labels: Sequence[str], groups: Iterable[Iterable[str]], max_labels: int = MAX_LABELS
-) -> np.ndarray:
+def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
     """Bitmask of each group of (sorted) labels under the canonical
     convention.  Raises ResourceLimitError when there are more than
-    ``max_labels`` labels to enumerate."""
+    ``MAX_LABELS`` labels to enumerate."""
     m = len(labels)
-    _check_cap(m, max_labels)
+    _check_cap(m)
     bit = {label: m - 1 - j for j, label in enumerate(labels)}
     return np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
 
@@ -95,12 +93,12 @@ def lex_first_max(m: int, score: Callable[[np.ndarray], np.ndarray]) -> tuple[in
     return best, best_k
 
 
-def classical_bound(expr: InequalityExpr, max_labels: int = MAX_LABELS) -> BoundResult:
+def classical_bound(expr: InequalityExpr) -> BoundResult:
     """Exact maximum of the expression over all +-1 label assignments.
 
     Returns the bound, the lexicographically smallest maximizing
     assignment, and the number of assignments covered (2^m).  Raises
-    ResourceLimitError when the expression has more than ``max_labels``
+    ResourceLimitError when the expression has more than ``MAX_LABELS``
     distinct labels.  The scan runs over the merged variables described
     in the module docstring.
 
@@ -110,7 +108,7 @@ def classical_bound(expr: InequalityExpr, max_labels: int = MAX_LABELS) -> Bound
     value(k) = sum_t coeff_t * (-1)^popcount(k & mask_t).
     """
     labels = expr.labels
-    _check_cap(len(labels), max_labels)
+    _check_cap(len(labels))
     incidence: dict[str, list[int]] = {label: [] for label in labels}
     for t, term in enumerate(expr.terms):
         for f in term.factors:
@@ -118,9 +116,7 @@ def classical_bound(expr: InequalityExpr, max_labels: int = MAX_LABELS) -> Bound
     last = {tuple(ts): label for label, ts in incidence.items()}
     merged = sorted(last.values())
     kept = set(merged)
-    masks = label_masks(
-        merged, ([f for f in t.factors if f in kept] for t in expr.terms), max_labels
-    )
+    masks = label_masks(merged, ([f for f in t.factors if f in kept] for t in expr.terms))
     coeff = np.array(
         [t.sign * (-1 if len(t.factors) & 1 else 1) for t in expr.terms], dtype=np.int64
     )

@@ -146,6 +146,8 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     if kind == "named":
         return _named_state(str(spec["name"]), dim)
     d = parse_int(spec["dim"], "state dim")
+    if dim is not None and d != dim:
+        raise ValueError(f"{kind} state declares dim {d}, set needs {dim}")
     if kind == "haar":
         return haar_random(d, parse_int(spec["seed"], "state seed"))
     if kind == "ket":
@@ -185,5 +187,9 @@ def make_state(spec, dim: int | None = None) -> np.ndarray:
 
 
 def load_state(path: str, dim: int | None = None) -> np.ndarray:
+    """A state file: one JSON object in the form ``make_state`` takes."""
     with open(path, encoding="utf-8") as fh:
-        return make_state(json.load(fh), dim)
+        spec = json.load(fh)
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"state file must hold a JSON object, got {type(spec).__name__}")
+    return make_state(spec, dim)

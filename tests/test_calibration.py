@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ctxkit import calibration
 from ctxkit.calibration import (
     incidence_automorphisms,
     kcbs_calibration,
@@ -166,3 +167,18 @@ def test_paper_state_value_at_reference_labeling(ks18_obs):
     value = evaluate_inequality(paper_kcbs_product(), ks18_obs, catalog_get("kcbs3"))
     report = kcbs_calibration()
     assert any(v == pytest.approx(value, abs=1e-12) for v in report.paper_state_values)
+
+
+def test_each_relabeling_builds_one_bell_operator(monkeypatch):
+    # 72 relabelings, one operator each; the 36 distinct pentagons reuse
+    # the first operator built for them.
+    calls = []
+
+    def counted(obs, expr):
+        calls.append(expr)
+        return bell_operator(obs, expr)
+
+    monkeypatch.setattr(calibration, "bell_operator", counted)
+    report = kcbs_calibration()
+    assert (report.automorphism_count, report.pentagon_count) == (72, 36)
+    assert len(calls) == 72

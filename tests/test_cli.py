@@ -195,6 +195,12 @@ def test_inequality_from_file(capsys, tmp_path):
     (("quantum", "--inequality", "kcbs3", "--state"), {"kind": "haar", "dim": 4, "seed": 1.9}),
     (("quantum", "--inequality", "chsh8", "--state"),
      {"kind": "ket", "dim": 2, "amplitudes": [[1, "a"], [0, 0]]}),
+    # The declared dim is compared with the set's before the state is built.
+    (("quantum", "--inequality", "chsh8", "--state"), {"kind": "haar", "dim": 10**6, "seed": 1}),
+    # A state file holds one JSON object, never a bare array or string.
+    (("quantum", "--inequality", "chsh8", "--state"), [{}]),
+    (("quantum", "--inequality", "chsh8", "--state"), [True, False, False, False]),
+    (("quantum", "--inequality", "chsh8", "--state"), "singlet"),
 ])
 def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
     path = tmp_path / "input.json"
@@ -239,6 +245,11 @@ def test_exit_code_resource_limit(capsys):
     for argv in (
         ("bound", "--inequality", "ineq9", "--n", "15"),
         ("certify", "--inequality", "ineq9", "--n", "15"),
+        # The star cap holds before any label is built, for every command.
+        ("bound", "--inequality", "mermin11", "--n", "15"),
+        ("bound", "--inequality", "ineq9", "--n", str(10**6 + 1)),
+        ("simulate", "--inequality", "ineq1", "--state", "maximally_mixed",
+         "--shots", str(10**12), "--seed", "1"),
         # Inside the star cap, past the eigensolver's 2^11.
         ("maxval", "--inequality", "mermin11", "--n", "13"),
     ):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctxkit.exceptions import UnknownInequalityError, UnknownLabelError
+from ctxkit.exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
 from ctxkit.inequalities import (
     CATALOG_IDS,
     InequalityExpr,
@@ -98,6 +98,24 @@ def test_catalog_n_handling():
         catalog_get("mermin11", 1)
     with pytest.raises(ValueError):
         catalog_get("kcbs3", 3)  # fixed-size ids reject n
+
+
+def test_star_size_is_checked_before_any_label_is_built():
+    # One check covers the catalog, expression JSON and substitution: an
+    # even n reads the same everywhere, and n past the 13-qubit cap is a
+    # resource limit however the expression arrives.
+    for bad in (lambda n: catalog_get("ineq9", n),
+                lambda n: expr_from_json({"id": "x", "set_id": "mermin_star", "terms": [], "n": n})):
+        with pytest.raises(ValueError, match="star family is defined with n"):
+            bad(4)
+        for n in (15, 10**6 + 1):
+            with pytest.raises(ResourceLimitError, match="13-qubit cap"):
+                bad(n)
+    with pytest.raises(ResourceLimitError):
+        catalog_get("mermin11", 15)
+    past_cap = InequalityExpr(id="x", set_id="mermin_star", terms=(), bound=None, n=15)
+    with pytest.raises(ResourceLimitError):
+        specialize(past_cap, {})
 
 
 def test_labels_sorted():

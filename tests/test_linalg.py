@@ -170,6 +170,17 @@ def test_as_ket_rejects_non_finite():
             as_ket(np.array([bad, 0, 0, 0]))
 
 
+def test_state_checks_reject_large_entries_without_overflow():
+    # 1e308 squared overflows a norm; with warnings as errors, an
+    # overflow here would fail the test instead of raising ValueError.
+    with pytest.raises(ValueError, match="above 2"):
+        as_ket(np.array([1e308, 0, 0, 0]))
+    rho = np.zeros((2, 2), dtype=complex)
+    rho[0, 1], rho[1, 0] = 1e308, -1e308
+    with pytest.raises(ValueError, match="above 2"):
+        check_density_matrix(rho)
+
+
 def test_ket_density_is_projector():
     psi = np.array([1.0, 1.0j]) / np.sqrt(2)
     rho = ket_density(psi)

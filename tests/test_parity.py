@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ctxkit.exceptions import ResourceLimitError
-from ctxkit.observables import RaySet
+from ctxkit.linalg import combine, pauli
+from ctxkit.observables import ObservableSet, RaySet
 from ctxkit.parity import ks_colorable, parity_stats
 from ctxkit.solver import classical_bound
 from ctxkit.inequalities import catalog_get
@@ -128,13 +129,19 @@ def test_ray_cap():
         ks_colorable(toy_rayset(contexts))
 
 
-def test_parity_stats_ks18(ks18_obs, ks18_rayset):
-    for family in (ks18_obs, ks18_rayset):
-        stats = parity_stats(family)
-        assert stats.context_count == 9
-        assert set(stats.occurrences.values()) == {2}
-        assert stats.minus_identity_contexts == 9
-        assert stats.parity_contradiction
+def test_parity_stats_ks18(ks18_obs):
+    stats = parity_stats(ks18_obs)
+    assert stats.context_count == 9
+    assert set(stats.occurrences.values()) == {2}
+    assert stats.minus_identity_contexts == 9
+    assert stats.parity_contradiction
+
+
+def test_parity_stats_rejects_a_rayset(ks18_rayset):
+    # A RaySet holds no observables, so its context signs could only be
+    # assumed; four copies of one ray would then count as minus-identity.
+    with pytest.raises(TypeError):
+        parity_stats(ks18_rayset)
 
 
 def test_parity_stats_peres_mermin(pm_obs):
@@ -156,8 +163,13 @@ def test_parity_stats_star(star3_obs, star5_obs):
 
 def test_parity_no_contradiction_with_odd_occurrence():
     # A label in an odd number of contexts breaks the counting argument
-    # even when the minus count is odd.
-    rayset = toy_rayset([("a", "b", "c", "d")])
-    stats = parity_stats(rayset)
+    # even when the minus count is odd: Z (-Z) = -1, each label once.
+    obs = ObservableSet(
+        set_id="toy", dim=2,
+        observables={"a": pauli("Z"), "b": combine([(-1, pauli("Z"))])},
+        contexts=(("a", "b"),),
+    )
+    stats = parity_stats(obs)
+    assert stats.occurrences == {"a": 1, "b": 1}
     assert stats.minus_identity_contexts == 1
     assert not stats.parity_contradiction

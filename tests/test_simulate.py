@@ -6,12 +6,13 @@ import pytest
 
 from dense_oracle import ray_operator, star_operators
 from ctxkit import linalg, quantum
-from ctxkit.exceptions import IncompatibleContextError, NumericError
+from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from ctxkit.inequalities import Term, catalog_get
 from ctxkit.linalg import expand
 from ctxkit.observables import KS18_RAYS, ObservableSet, build_set, star_contexts
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
+    MAX_SHOTS,
     _branch_outcomes,
     estimate_term,
     marginal_consistency,
@@ -137,6 +138,18 @@ def test_estimate_term_constant_term(pm_obs):
 def test_estimate_term_needs_two_shots(pm_obs):
     with pytest.raises(ValueError):
         estimate_term(singlet(), pm_obs, Term(1, ("P14",)), 1, seed=0)
+
+
+def test_shot_cap_comes_before_any_draw(pm_obs, ks18_obs):
+    # Constant terms too: their values would otherwise be one array of
+    # ``shots`` floats.
+    for shots in (MAX_SHOTS + 1, 10**12):
+        for term in (Term(1, ("P14",)), Term(-1, ())):
+            with pytest.raises(ResourceLimitError):
+                estimate_term(singlet(), pm_obs, term, shots, seed=0)
+        with pytest.raises(ResourceLimitError):
+            marginal_consistency(maximally_mixed(4), ks18_obs, "A12", ks18_obs.contexts[:2],
+                                 shots, seed=0)
 
 
 def test_singlet_z_outcomes_anticorrelated(pm_obs):

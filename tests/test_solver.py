@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ctxkit.exceptions import ResourceLimitError
 from ctxkit.inequalities import InequalityExpr, Term, catalog_get
+from ctxkit import solver
 from ctxkit.solver import bound_sign_flip_check, classical_bound, evaluate_assignment
 
 
@@ -107,11 +108,12 @@ def test_constant_term_expression():
     assert result.witness == {"L0": -1}
 
 
-def test_label_cap():
+def test_label_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
-        classical_bound(catalog_get("ineq9", 15))  # 34 labels
+        classical_bound(catalog_get("ineq9", 15))  # past the star cap (34 labels)
+    monkeypatch.setattr(solver, "MAX_LABELS", 3)
     with pytest.raises(ResourceLimitError):
-        classical_bound(catalog_get("chsh8"), max_labels=3)
+        classical_bound(catalog_get("chsh8"))
 
 
 def test_witness_is_lex_first_across_blocks():

@@ -161,6 +161,16 @@ def test_state_json_rejects_unknown_keys(spec):
         make_state(spec)
 
 
+def test_declared_dim_is_checked_before_building():
+    for spec in (
+        {"kind": "haar", "dim": 10**6, "seed": 1},
+        {"kind": "ket", "dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+        {"kind": "dm", "dim": 10**9, "entries": [[1.0, 0.0]]},
+    ):
+        with pytest.raises(ValueError, match="declares dim"):
+            make_state(spec, dim=4)
+
+
 def test_load_state(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"kind": "named", "name": "y_plus_pair"}))
