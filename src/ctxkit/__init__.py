@@ -22,7 +22,6 @@ from .exceptions import (
 )
 from .inequalities import (
     CATALOG_IDS,
-    ContextReport,
     InequalityExpr,
     Term,
     absorb_sign_flip,
@@ -31,7 +30,6 @@ from .inequalities import (
     expr_to_json,
     load_expr,
     specialize,
-    validate_contexts,
 )
 from .linalg import as_ket, check_density_matrix, ket_density
 from .observables import (
@@ -86,7 +84,6 @@ __all__ = [
     "CalibrationReport",
     "Certificate",
     "ColorabilityResult",
-    "ContextReport",
     "EstimateReport",
     "IncompatibleContextError",
     "InequalityExpr",
@@ -143,7 +140,6 @@ __all__ = [
     "singlet",
     "specialize",
     "substream",
-    "validate_contexts",
     "y_plus_pair",
     "zero_product",
 ]

@@ -2,11 +2,20 @@
 
 An expression is a sum of terms, each a sign in {-1, +1} times a product
 of distinct labels; its ``bound`` is the recorded noncontextual bound
-(None when unknown, e.g. after substitution).  The catalog holds the
-eight inequalities the package is built around, stored in printed term
-order; the state-dependent ones are special cases of the
-state-independent ones under +-1 substitutions, which ``specialize``
-performs.
+(None when unknown, e.g. after substitution).
+
+The catalog holds the eight inequalities the package is built around,
+defined the way Cabello (arXiv:0808.2456) derives them, by two tables:
+
+* ``_CONTEXT_SUMS``: the state-independent ones (ineq1, ineq4, ineq9),
+  each a signed sum over the contexts of one family, in the family's
+  context order;
+* ``_SPECIAL_CASES``: the state-dependent ones (kcbs3, cfrh6, nambu7,
+  chsh8, mermin11), each its parent under a +-1 substitution, as
+  ``specialize`` performs it, with terms, factor order and signs kept.
+
+Term compatibility is not checked here: the quantum side checks every
+term it measures (``quantum.compatible_expansions``).
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import UnknownInequalityError, UnknownLabelError
-from .observables import ObservableSet, noncommuting_pairs, set_labels, star_contexts
+from .observables import KS18_RAYS, set_contexts, set_labels
 
 CATALOG_IDS = ("ineq1", "kcbs3", "ineq4", "cfrh6", "nambu7", "chsh8", "ineq9", "mermin11")
 
@@ -47,140 +56,46 @@ class InequalityExpr:
         return tuple(sorted({f for t in self.terms for f in t.factors}))
 
 
-def _terms(*signed_factor_lists) -> tuple[Term, ...]:
-    return tuple(Term(sign, tuple(factors)) for sign, factors in signed_factor_lists)
+# id -> (family, one sign per family context, noncontextual bound): the
+# state-independent inequalities, each a signed sum of its family's
+# context products.
+_CONTEXT_SUMS: dict[str, tuple[str, tuple[int, ...], int]] = {
+    "ineq1": ("ks18", (-1,) * 9, 7),
+    "ineq4": ("peres_mermin", (1, 1, 1, 1, 1, -1), 4),
+    "ineq9": ("mermin_star", (1, 1, 1, 1, -1), 3),
+}
 
+_PENTAGON = ("A12", "A18", "A23", "A34", "A48")
 
-def _build_ineq1() -> InequalityExpr:
-    from .observables import KS18_CONTEXTS
-
-    return InequalityExpr(
-        id="ineq1",
-        set_id="ks18",
-        terms=tuple(Term(-1, ctx) for ctx in KS18_CONTEXTS),
-        bound=7,
-    )
-
-
-def _build_kcbs3() -> InequalityExpr:
-    return InequalityExpr(
-        id="kcbs3",
-        set_id="ks18",
-        terms=_terms(
-            (-1, ("A12", "A18")),
-            (-1, ("A12", "A23")),
-            (-1, ("A23", "A34")),
-            (-1, ("A34", "A48")),
-            (-1, ("A18", "A48")),
-        ),
-        bound=3,
-    )
-
-
-def _build_ineq4() -> InequalityExpr:
-    return InequalityExpr(
-        id="ineq4",
-        set_id="peres_mermin",
-        terms=_terms(
-            (1, ("P14", "P15", "P16")),
-            (1, ("P24", "P25", "P26")),
-            (1, ("P34", "P35", "P36")),
-            (1, ("P14", "P24", "P34")),
-            (1, ("P15", "P25", "P35")),
-            (-1, ("P16", "P26", "P36")),
-        ),
-        bound=4,
-    )
-
-
-def _build_cfrh6() -> InequalityExpr:
-    return InequalityExpr(
-        id="cfrh6",
-        set_id="peres_mermin",
-        terms=_terms(
-            (-1, ("P14", "P15")),
-            (-1, ("P24", "P25")),
-            (-1, ("P34", "P35")),
-            (1, ("P14", "P24", "P34")),
-            (1, ("P15", "P25", "P35")),
-        ),
-        bound=3,
-    )
-
-
-def _build_nambu7() -> InequalityExpr:
-    return InequalityExpr(
-        id="nambu7",
-        set_id="peres_mermin",
-        terms=_terms(
-            (1, ("P14", "P15", "P16")),
-            (1, ("P24", "P25", "P26")),
-            (1, ("P34", "P35")),
-            (1, ("P14", "P24", "P34")),
-            (1, ("P15", "P25", "P35")),
-            (-1, ("P16", "P26")),
-        ),
-        bound=4,
-    )
-
-
-def _build_chsh8() -> InequalityExpr:
-    return InequalityExpr(
-        id="chsh8",
-        set_id="peres_mermin",
-        terms=_terms(
-            (1, ("P14", "P16")),
-            (1, ("P24", "P26")),
-            (1, ("P14", "P24")),
-            (-1, ("P16", "P26")),
-        ),
-        bound=2,
-    )
-
-
-def _build_ineq9(n: int) -> InequalityExpr:
-    return InequalityExpr(
-        id="ineq9",
-        set_id="mermin_star",
-        terms=_terms(*zip((1, 1, 1, 1, -1), star_contexts(n))),
-        bound=3,
-        n=n,
-    )
-
-
-def _build_mermin11(n: int) -> InequalityExpr:
-    mixed = star_contexts(n)[:4]
-    return InequalityExpr(
-        id="mermin11",
-        set_id="mermin_star",
-        terms=_terms(*zip((1, 1, 1, -1), (ctx[1:] for ctx in mixed))),
-        bound=2,
-        n=n,
-    )
+# id -> (parent id, +-1 substitution, noncontextual bound): the
+# state-dependent inequalities.  The bound is recorded, not derived: a
+# substitution keeps the parent's bound valid but not tight (kcbs3 would
+# get 7 + 4 = 11, its exact bound is 3).
+_SPECIAL_CASES: dict[str, tuple[str, dict[str, int], int]] = {
+    "kcbs3": ("ineq1", {label: 1 for label in KS18_RAYS if label not in _PENTAGON}, 3),
+    "cfrh6": ("ineq4", {"P16": -1, "P26": -1, "P36": -1}, 3),
+    "nambu7": ("ineq4", {"P36": 1}, 4),
+    "chsh8": ("ineq4", {"P15": 1, "P25": 1, "P34": 1, "P35": 1, "P36": 1}, 2),
+    "mermin11": ("ineq9", {"ACAL1": 1, "ACAL2": 1, "ACAL3": 1, "ACAL4": -1}, 2),
+}
 
 
 def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
     """Look up a catalog inequality by id.
 
     ``n`` (odd, 3 to 13) selects the qubit count for the star-family
-    inequalities ineq9 and mermin11 and is rejected for the fixed-size
-    ones.
+    inequalities ineq9 and mermin11; the family lookups reject it for the
+    fixed-size ones.
     """
-    if id not in CATALOG_IDS:
-        raise UnknownInequalityError(id)
-    if id in ("ineq9", "mermin11"):
-        return _build_ineq9(n) if id == "ineq9" else _build_mermin11(n)
-    if n is not None:
-        raise ValueError(f"{id} does not take n")
-    builder = {
-        "ineq1": _build_ineq1,
-        "kcbs3": _build_kcbs3,
-        "ineq4": _build_ineq4,
-        "cfrh6": _build_cfrh6,
-        "nambu7": _build_nambu7,
-        "chsh8": _build_chsh8,
-    }[id]
-    return builder()
+    if id in _CONTEXT_SUMS:
+        set_id, signs, bound = _CONTEXT_SUMS[id]
+        contexts = set_contexts(set_id, n)
+        terms = tuple(Term(sign, ctx) for sign, ctx in zip(signs, contexts, strict=True))
+        return InequalityExpr(id=id, set_id=set_id, terms=terms, bound=bound, n=n)
+    if id in _SPECIAL_CASES:
+        parent, subs, bound = _SPECIAL_CASES[id]
+        return replace(specialize(catalog_get(parent, n), subs)[0], id=id, bound=bound)
+    raise UnknownInequalityError(id)
 
 
 def specialize(
@@ -241,34 +156,6 @@ def absorb_sign_flip(expr: InequalityExpr, label: str) -> InequalityExpr:
     )
 
 
-@dataclass(frozen=True)
-class TermVerdict:
-    term_index: int
-    compatible: bool
-    failing_pairs: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
-class ContextReport:
-    passed: bool
-    verdicts: tuple[TermVerdict, ...]
-
-
-def validate_contexts(expr: InequalityExpr, obs: ObservableSet) -> ContextReport:
-    """Check that within every term all factor pairs commute.
-
-    Failures are report entries, not exceptions; only unresolvable labels
-    raise.
-    """
-    verdicts = []
-    for idx, term in enumerate(expr.terms):
-        failing = tuple(noncommuting_pairs(obs, term.factors))
-        verdicts.append(TermVerdict(term_index=idx, compatible=not failing, failing_pairs=failing))
-    return ContextReport(
-        passed=all(v.compatible for v in verdicts), verdicts=tuple(verdicts)
-    )
-
-
 def expr_to_json(expr: InequalityExpr) -> dict:
     """JSON-able dict form: {"id","set_id","bound","terms":[...]} plus
     "n" for the star family."""
@@ -319,16 +206,18 @@ def _term_from_json(data) -> Term:
 
 
 def expr_from_json(data: Mapping) -> InequalityExpr:
-    """Parse the JSON form strictly: no unknown keys, every term an object
-    with a +-1 integer sign and a list of distinct label strings, bound
-    and n JSON integers, and the labels and n checked against the set."""
+    """Parse the JSON form strictly: no unknown keys, id and set_id JSON
+    strings, every term an object with a +-1 integer sign and a list of
+    distinct label strings, bound and n JSON integers, and the labels and
+    n checked against the set (only the star family takes n)."""
     check_keys(data, ("id", "set_id", "bound", "terms", "n"), "inequality JSON")
     try:
-        id_ = str(data["id"])
-        set_id = str(data["set_id"])
-        raw_terms = data["terms"]
+        id_, set_id, raw_terms = data["id"], data["set_id"], data["terms"]
     except KeyError as exc:
         raise ValueError(f"inequality JSON missing field: {exc}") from exc
+    for what, value in (("id", id_), ("set_id", set_id)):
+        if not isinstance(value, str):
+            raise ValueError(f"inequality {what} must be a JSON string, got {value!r}")
     if not isinstance(raw_terms, list):
         raise ValueError(f"inequality terms must be a list, got {raw_terms!r}")
     bound, n = data.get("bound"), data.get("n")

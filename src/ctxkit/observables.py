@@ -67,6 +67,15 @@ KS18_CONTEXTS: tuple[tuple[str, ...], ...] = (
     ("A29", "A39", "A59", "A69"),
 )
 
+PERES_MERMIN_CONTEXTS: tuple[tuple[str, ...], ...] = (
+    ("P14", "P15", "P16"),
+    ("P24", "P25", "P26"),
+    ("P34", "P35", "P36"),
+    ("P14", "P24", "P34"),
+    ("P15", "P25", "P35"),
+    ("P16", "P26", "P36"),
+)
+
 MERMIN_STAR_MAX_QUBITS = 13
 
 
@@ -182,19 +191,11 @@ PERES_MERMIN_WORDS = {
 
 def build_peres_mermin() -> ObservableSet:
     """The nine two-qubit square observables, rows then columns as contexts."""
-    contexts = (
-        ("P14", "P15", "P16"),
-        ("P24", "P25", "P26"),
-        ("P34", "P35", "P36"),
-        ("P14", "P24", "P34"),
-        ("P15", "P25", "P35"),
-        ("P16", "P26", "P36"),
-    )
     return ObservableSet(
         set_id="peres_mermin",
         dim=4,
         observables={label: pauli(word) for label, word in PERES_MERMIN_WORDS.items()},
-        contexts=contexts,
+        contexts=PERES_MERMIN_CONTEXTS,
     )
 
 
@@ -254,27 +255,40 @@ def build_mermin_star(n: int) -> ObservableSet:
     )
 
 
+def _is_star(set_id: str, n: int | None) -> bool:
+    """Whether ``set_id`` names the star family.  The one check of a family
+    id and its n: an unknown id raises UnknownLabelError, and only the star
+    family takes n (ValueError otherwise); the star checks its own n."""
+    if set_id == "mermin_star":
+        return True
+    if set_id not in ("ks18", "peres_mermin"):
+        raise UnknownLabelError(set_id)
+    if n is not None:
+        raise ValueError(f"{set_id} does not take n")
+    return False
+
+
 def build_set(set_id: str, n: int | None = None) -> ObservableSet:
     """Build an observable set by family id ("ks18", "peres_mermin",
     "mermin_star"); mermin_star requires n (odd, 3 to 13)."""
-    if set_id == "ks18":
-        return build_ks18()[1]
-    if set_id == "peres_mermin":
-        return build_peres_mermin()
-    if set_id == "mermin_star":
+    if _is_star(set_id, n):
         return build_mermin_star(n)
-    raise UnknownLabelError(set_id)
+    return build_ks18()[1] if set_id == "ks18" else build_peres_mermin()
 
 
 def set_labels(set_id: str, n: int | None = None) -> tuple[str, ...]:
     """Label universe of a family without building any operators."""
-    if set_id == "ks18":
-        return tuple(KS18_RAYS)
-    if set_id == "peres_mermin":
-        return tuple(PERES_MERMIN_WORDS)
-    if set_id == "mermin_star":
+    if _is_star(set_id, n):
         return star_labels(n)
-    raise UnknownLabelError(set_id)
+    return tuple(KS18_RAYS if set_id == "ks18" else PERES_MERMIN_WORDS)
+
+
+def set_contexts(set_id: str, n: int | None = None) -> tuple[tuple[str, ...], ...]:
+    """Contexts of a family, in their fixed order, without building any
+    operators."""
+    if _is_star(set_id, n):
+        return star_contexts(n)
+    return KS18_CONTEXTS if set_id == "ks18" else PERES_MERMIN_CONTEXTS
 
 
 def compatible(obs: ObservableSet, a: str, b: str) -> bool:

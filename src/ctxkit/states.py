@@ -165,16 +165,20 @@ def make_state(spec, dim: int | None = None) -> np.ndarray:
     """Resolve a state specification to a density matrix.
 
     ``spec`` may be a named-state string, a dict in the JSON form
-    ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array (1-D vectors
-    become rank-one density matrices, 2-D matrices are validated as
-    density matrices).  When ``dim`` is given the result must match it.
+    ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array of numbers,
+    never bools or objects (1-D vectors become rank-one density matrices,
+    2-D matrices are validated as density matrices).  When ``dim`` is
+    given the result must match it.
     """
     if isinstance(spec, str):
         rho = _named_state(spec, dim)
     elif isinstance(spec, Mapping):
         rho = _state_from_mapping(spec, dim)
     else:
-        arr = np.asarray(spec, dtype=complex)
+        arr = np.asarray(spec)
+        if arr.dtype.kind not in "iufc":
+            raise ValueError(f"state array must hold numbers, got dtype {arr.dtype}")
+        arr = arr.astype(complex)
         if arr.ndim == 1:
             rho = ket_density(as_ket(arr))
         elif arr.ndim == 2:

@@ -1,9 +1,18 @@
 """Shared fixtures.  The observable families are immutable, so each is
-built once per session."""
+built once per session.
+
+Every hypothesis property runs under one profile: no per-example
+deadline, so a slow runner cannot fail a property as DeadlineExceeded or
+Flaky, and no example database, so a run writes nothing to the checkout.
+"""
 
 import pytest
+from hypothesis import settings
 
 from ctxkit.observables import build_ks18, build_mermin_star, build_peres_mermin
+
+settings.register_profile("ctxkit", deadline=None, database=None)
+settings.load_profile("ctxkit")
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,9 @@ def test_inequality_from_file(capsys, tmp_path):
     (("quantum", "--inequality", "chsh8", "--state"), [{}]),
     (("quantum", "--inequality", "chsh8", "--state"), [True, False, False, False]),
     (("quantum", "--inequality", "chsh8", "--state"), "singlet"),
+    # id is a JSON string, and only the star family takes n.
+    (("bound", "--inequality"), {**expr_to_json(catalog_get("chsh8")), "id": 5}),
+    (("bound", "--inequality"), {**expr_to_json(catalog_get("chsh8")), "n": 3}),
 ])
 def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
     path = tmp_path / "input.json"

@@ -109,24 +109,34 @@ state_objects = st.sampled_from(sorted(state_keys)).flatmap(
 )
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(expressions)
+@example({"id": 5, "set_id": "peres_mermin", "terms": []})
+@example({"id": "x", "set_id": "peres_mermin", "terms": [], "n": 3})
+@example({"id": "x", "set_id": "ks18", "terms": [], "n": 5})
 def test_expr_from_json_accepts_or_rejects_cleanly(data):
     try:
         expr = expr_from_json(data)
     except BOUNDARY_ERRORS:
         return
     assert isinstance(expr, InequalityExpr)
+    # Nothing is coerced: id and set_id come back as given, and only the
+    # star family carries an n.
+    assert (expr.id, expr.set_id) == (data["id"], data["set_id"])
+    assert (expr.n is None) == (expr.set_id != "mermin_star")
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(state_objects | st.sampled_from(NAMED_STATES) | st.text(max_size=8))
 @example(HUGE_HAAR)
 @example(HUGE_KET)
 @example(HUGE_DM)
+@example([{}])
+@example([True, False, False, False])
 def test_make_state_accepts_or_rejects_cleanly(spec):
-    # Library callers may also pass numpy arrays; JSON reaches make_state
-    # only as an object (``load_state``) or a named-state string.
+    # JSON reaches make_state only as an object (``load_state``) or a
+    # named-state string; library callers may also pass arrays, which
+    # must hold numbers.
     try:
         rho = make_state(spec, dim=4)
     except BOUNDARY_ERRORS:
@@ -147,8 +157,7 @@ def _run(capsys, argv) -> None:
         assert list(json.loads(err)) == ["error"]
 
 
-@settings(max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(expressions, st.sampled_from(["bound", "certify", "quantum", "maxval"]))
 @example({"id": "x", "set_id": "mermin_star", "n": 10**6 + 1, "terms": []}, "bound")
 def test_cli_on_generated_expression_files(capsys, tmp_path, data, command):
@@ -158,8 +167,7 @@ def test_cli_on_generated_expression_files(capsys, tmp_path, data, command):
     _run(capsys, [command, "--inequality", str(path)] + extra)
 
 
-@settings(max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(state_objects | json_values, st.sampled_from(["quantum", "simulate"]))
 @example(HUGE_HAAR, "quantum")
 @example(HUGE_KET, "quantum")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,15 @@ from ctxkit.inequalities import (
     expr_to_json,
     load_expr,
     specialize,
-    validate_contexts,
 )
 from ctxkit.observables import KS18_CONTEXTS
+from ctxkit.solver import classical_bound
+
+# expr_to_json of every catalog entry, star family at n = 3 and 5, keyed
+# "id" or "id@n".  Term order fixes each term's substream index and
+# factor order fixes measurement order, so both are pinned exactly.
+GOLDEN = json.loads((Path(__file__).parent / "catalog_golden.json").read_text())
+STAR_IDS = ("ineq9", "mermin11")
 
 
 def multiset(expr):
@@ -28,6 +35,20 @@ def test_term_validation():
     with pytest.raises(ValueError):
         Term(1, ("P14", "P14"))
     Term(1, ())  # constant terms are allowed
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_catalog_matches_golden(key):
+    id_, _, n = key.partition("@")
+    got = expr_to_json(catalog_get(id_, int(n) if n else None))
+    assert json.dumps(got) == json.dumps(GOLDEN[key])
+
+
+@pytest.mark.parametrize("id_,n", [(i, None) for i in CATALOG_IDS if i not in STAR_IDS]
+                         + [(i, n) for i in STAR_IDS for n in range(3, 14, 2)])
+def test_recorded_bound_is_exact(id_, n):
+    expr = catalog_get(id_, n)
+    assert expr.bound == classical_bound(expr).bound
 
 
 def test_catalog_ids_and_recorded_bounds():
@@ -160,28 +181,6 @@ def test_absorb_sign_flip():
         absorb_sign_flip(expr, "P35")
 
 
-def test_validate_contexts_passes_for_catalog(ks18_obs, pm_obs, star3_obs):
-    families = {"ks18": ks18_obs, "peres_mermin": pm_obs, "mermin_star": star3_obs}
-    for id_ in CATALOG_IDS:
-        n = 3 if id_ in ("ineq9", "mermin11") else None
-        expr = catalog_get(id_, n)
-        report = validate_contexts(expr, families[expr.set_id])
-        assert report.passed
-        assert all(v.compatible and not v.failing_pairs for v in report.verdicts)
-
-
-def test_validate_contexts_flags_incompatible_pair(ks18_obs):
-    expr = InequalityExpr(
-        id="bad", set_id="ks18",
-        terms=(Term(1, ("A12", "A16")), Term(1, ("A12", "A34"))),
-        bound=None,
-    )
-    report = validate_contexts(expr, ks18_obs)
-    assert not report.passed
-    assert report.verdicts[0].compatible
-    assert report.verdicts[1].failing_pairs == (("A12", "A34"),)
-
-
 def test_json_round_trip():
     expr = catalog_get("chsh8")
     data = expr_to_json(expr)
@@ -206,6 +205,13 @@ def test_json_validation():
     bad["terms"][0]["factors"] = ["P14", "Q99"]
     with pytest.raises(UnknownLabelError):
         expr_from_json(bad)
+    # id and set_id are JSON strings, never coerced; only the star family
+    # takes n.
+    chsh = expr_to_json(catalog_get("chsh8"))
+    for data in ({**chsh, "id": 5}, {**chsh, "set_id": ["peres_mermin"]},
+                 {**chsh, "n": 3}, {**expr_to_json(catalog_get("kcbs3")), "n": 5}):
+        with pytest.raises(ValueError):
+            expr_from_json(data)
 
 
 @pytest.mark.parametrize("sign", [1.7, 1.0, True, "1", None])

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
-from ctxkit.inequalities import InequalityExpr, Term, catalog_get
+from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
 from ctxkit.observables import ObservableSet, build_set
 from ctxkit.quantum import (
     MAX_EIG_DIM,
     bell_operator,
     certify_state_independence,
+    compatible_expansions,
     context_product,
     evaluate_inequality,
     expectation_term,
@@ -27,6 +28,22 @@ def test_expectation_term_matches_trace(pm_obs):
 def test_expectation_term_rejects_incompatible(pm_obs):
     with pytest.raises(IncompatibleContextError):
         expectation_term(singlet(), pm_obs, Term(1, ("P14", "P25")))
+
+
+def test_compatible_expansions_passes_for_catalog_terms(ks18_obs, pm_obs, star3_obs):
+    families = {"ks18": ks18_obs, "peres_mermin": pm_obs, "mermin_star": star3_obs}
+    for id_ in CATALOG_IDS:
+        expr = catalog_get(id_, 3 if id_ in ("ineq9", "mermin11") else None)
+        obs = families[expr.set_id]
+        for term in expr.terms:
+            assert len(compatible_expansions(obs, term.factors)) == len(term.factors)
+
+
+def test_compatible_expansions_names_incompatible_pair(ks18_obs):
+    assert len(compatible_expansions(ks18_obs, ("A12", "A16"))) == 2
+    with pytest.raises(IncompatibleContextError) as info:
+        compatible_expansions(ks18_obs, ("A12", "A34"))
+    assert "[('A12', 'A34')]" in str(info.value)
 
 
 def test_expectation_term_dimension_check(ks18_obs):

@@ -162,7 +162,7 @@ def repeated_incidence_exprs(draw):
     return InequalityExpr(id="merged", set_id="test", terms=terms, bound=None)
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(repeated_incidence_exprs())
 def test_merged_labels_match_naive(expr):
     expected_bound, expected_witness = naive_bound(expr)

@@ -103,6 +103,14 @@ def test_make_state_from_arrays():
         make_state(np.diag([np.nan, 1.0]))
 
 
+@pytest.mark.parametrize("spec", [[True, False, False, False], [{}], ["1", "0", "0", "0"], None])
+def test_make_state_arrays_must_be_numeric(spec):
+    # A bool array is not read as the ket (1, 0, 0, 0), and an object
+    # array is a ValueError, not a TypeError from numpy.
+    with pytest.raises(ValueError, match="must hold numbers"):
+        make_state(spec, dim=4)
+
+
 def test_make_state_json_forms():
     rho = make_state({"kind": "named", "name": "singlet"}, dim=4)
     assert np.allclose(rho, singlet())
