@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .inequalities import InequalityExpr, Term, catalog_get
-from .observables import ObservableSet, RaySet, build_ks18
+from .observables import RaySet, build_ks18
 from .quantum import bell_operator
 from .runtime import substream
 from .states import paper_kcbs_product

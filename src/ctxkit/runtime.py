@@ -14,9 +14,17 @@ Lane assignments (changing them is a breaking change):
 * lane 2: marginal-consistency checks (index = 64-bit digest of the
   measured context's labels, subindex = shot),
 * lane 3: product-state ascent starting vectors in the calibration.
+
+Each Philox gets its key directly, through a seed sequence whose state is
+that key, so building a stream draws no OS entropy (``Philox(key=...)``
+would seed a ``SeedSequence`` from the OS and then discard it).  The
+adapter class is made on the first ``substream`` call, so ``numpy.random``
+loads only then and a process that never draws does not import it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -37,5 +45,30 @@ def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.ran
     # numpy and mangles coordinates above 2**53.
     key = np.array([seed, lane], dtype=np.uint64)
     counter = np.array([0, subindex, index, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(_key_seed(key), counter=counter))
+
+
+@functools.cache
+def _key_seed_class() -> type:
+    # Imported here, not at module level: see the module docstring.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        """A seed sequence whose whole state is a ready Philox key."""
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key
+
+        def __reduce__(self):
+            # Pickle cannot name a local class; rebuild through the module.
+            return _key_seed, (self.key,)
+
+    return KeySeed
+
+
+def _key_seed(key: np.ndarray):
+    return _key_seed_class()(key)
 

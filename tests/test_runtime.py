@@ -1,5 +1,12 @@
+import pickle
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ctxkit.runtime import substream
 
@@ -37,3 +44,67 @@ def test_substream_rejects_out_of_range():
     with pytest.raises(ValueError):
         substream(0, 0, index=-5)
 
+
+U64 = st.integers(0, 2**64 - 1)
+
+
+def spec_stream(seed, lane, index, subindex):
+    key = np.array([seed, lane], dtype=np.uint64)
+    counter = np.array([0, subindex, index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def assert_matches_spec(coords, depth):
+    got, want = substream(*coords), spec_stream(*coords)
+    assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+    assert np.array_equal(got.random(depth), want.random(depth))
+    copy = pickle.loads(pickle.dumps(substream(*coords)))
+    assert np.array_equal(copy.random(depth), spec_stream(*coords).random(depth))
+
+
+@given(coords=st.tuples(U64, U64, U64, U64), depth=st.integers(1, 16))
+def test_substream_is_the_documented_philox_stream(coords, depth):
+    assert_matches_spec(coords, depth)
+
+
+@pytest.mark.parametrize("depth", range(1, 17))
+def test_substream_spec_at_u64_max(depth):
+    assert_matches_spec((2**64 - 1,) * 4, depth)
+
+
+# Draws of substream(*coords).random(4), frozen.
+FROZEN_DRAWS = {
+    (0, 0, 0, 0): [
+        0.011546754286331562, 0.24154919656271812, 0.11142585551493822, 0.5644146216071337,
+    ],
+    (7, 1, 3, 9): [
+        0.9031241621608868, 0.7068834932266113, 0.1782632200564226, 0.40686228926557777,
+    ],
+    (2**64 - 1, 3, 2**64 - 1, 2**64 - 1): [
+        0.37575006508403563, 0.25136960690112164, 0.6679247000087603, 0.07580038346410123,
+    ],
+}
+
+
+@pytest.mark.parametrize("coords", FROZEN_DRAWS)
+def test_substream_draws_are_frozen(coords):
+    assert substream(*coords).random(4).tolist() == FROZEN_DRAWS[coords]
+
+
+def test_substream_draws_no_os_entropy(monkeypatch):
+    substream(1, 1)  # numpy.random seeds its own legacy state once, on import
+
+    def no_entropy(n):
+        raise AssertionError("substream drew OS entropy")
+
+    # secrets.randbits, which an unseeded SeedSequence calls, reads the OS
+    # through random.SystemRandom, which reads random._urandom.
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    assert substream(2**64 - 1, 1, 5, 7).random(3).shape == (3,)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    probe = "import sys, ctxkit.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

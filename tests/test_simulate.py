@@ -1,5 +1,8 @@
+import dataclasses
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,3 +355,28 @@ def test_seeded_marginals_are_pinned(ks18_obs):
     contexts = (ks18_obs.contexts[0], ks18_obs.contexts[1])
     report = marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 500, seed=11)
     assert (report.freq_plus_first, report.freq_plus_second) == (0.244, 0.242)
+
+
+# Full seeded outputs, pinned exactly: the report_to_json of run_protocol
+# at 200 shots and seed 1 per "run_protocol/id[@n]/state", the marginal
+# check of A12 between 18-ray contexts 1 and 2 (200 shots, seed 1), and
+# ineq1's haar_sweep over 20 states (seed 1).
+GOLDEN = json.loads((Path(__file__).parent / "simulate_golden.json").read_text())
+
+
+@pytest.mark.parametrize("key", [k for k in GOLDEN if k.startswith("run_protocol/")])
+def test_protocol_report_matches_golden(key):
+    _, ineq, state = key.split("/")
+    id_, _, n = ineq.partition("@")
+    expr = catalog_get(id_, int(n) if n else None)
+    obs = build_set(expr.set_id, expr.n)
+    report = run_protocol(make_state(state, dim=obs.dim), obs, expr, 200, seed=1)
+    assert report_to_json(report, state) == GOLDEN[key]
+
+
+def test_marginal_and_sweep_match_golden(ks18_obs):
+    contexts = ks18_obs.contexts[:2]
+    report = marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 200, seed=1)
+    assert dataclasses.asdict(report) == GOLDEN["marginal_consistency/A12"]
+    sweep = quantum.haar_sweep(ks18_obs, catalog_get("ineq1"), 20, seed=1)
+    assert sweep.tolist() == GOLDEN["haar_sweep/ineq1"]
