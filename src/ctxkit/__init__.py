@@ -31,7 +31,7 @@ from .inequalities import (
     load_expr,
     specialize,
 )
-from .linalg import as_ket, check_density_matrix, ket_density
+from .linalg import as_ket, check_density_matrix
 from .observables import (
     ObservableSet,
     RaySet,
@@ -48,7 +48,6 @@ from .quantum import (
     certify_state_independence,
     context_product,
     evaluate_inequality,
-    expectation_term,
     haar_sweep,
     max_quantum_value,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "estimate_term",
     "evaluate_assignment",
     "evaluate_inequality",
-    "expectation_term",
     "expr_from_json",
     "expr_to_json",
     "ghz",
@@ -124,7 +122,6 @@ __all__ = [
     "haar_sweep",
     "incidence_automorphisms",
     "kcbs_calibration",
-    "ket_density",
     "ks_colorable",
     "load_expr",
     "make_state",

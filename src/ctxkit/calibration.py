@@ -187,17 +187,17 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
     """
     rayset, obs = build_ks18()
     expr = catalog_get("kcbs3")
-    rho = paper_kcbs_product()
+    psi = paper_kcbs_product()
 
     relabelings = incidence_automorphisms(rayset)
     paper_values = []
     pentagons: dict[frozenset[frozenset[str]], tuple[InequalityExpr, np.ndarray]] = {}
     for label_map in relabelings:
         mapped = relabel_expr(expr, label_map)
-        # The reference state is built here, so like haar_sweep this
-        # evaluates Re Tr(rho B) without re-certifying rho per relabeling.
+        # The reference ket is built here, so this evaluates <psi|B|psi>
+        # on the dense B the ascent needs, without re-certifying psi.
         bell = bell_operator(obs, mapped)
-        paper_values.append(float(np.real(np.einsum("ij,ji->", rho, bell))))
+        paper_values.append(float(np.vdot(psi, bell @ psi).real))
         key = frozenset(frozenset(t.factors) for t in mapped.terms)
         pentagons.setdefault(key, (mapped, bell))
 

@@ -5,7 +5,7 @@ Every subcommand prints one JSON report to standard output:
 "timing_s" when --timing is given (off by default so seeded reports are
 byte-identical across runs).  Errors print {"error": {"type", "message"}}
 to standard error.  Exit codes: 0 success, 2 invalid input or unknown
-name, 3 resource limit exceeded, 1 numeric failure.
+name, 3 resource limit exceeded (a cap or a MemoryError), 1 numeric failure.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def _cmd_bound(args) -> dict:
 def _cmd_quantum(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
     obs = _set_for(expr)
-    rho = _resolve_state(args.state, obs)
-    return {"value": evaluate_inequality(rho, obs, expr)}
+    state = _resolve_state(args.state, obs)
+    return {"value": evaluate_inequality(state, obs, expr)}
 
 
 def _cmd_certify(args) -> dict:
@@ -125,8 +125,8 @@ def _cmd_colorability(args) -> dict:
 def _cmd_simulate(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
     obs = _set_for(expr)
-    rho = _resolve_state(args.state, obs)
-    report = run_protocol(rho, obs, expr, args.shots, args.seed)
+    state = _resolve_state(args.state, obs)
+    report = run_protocol(state, obs, expr, args.shots, args.seed)
     if args.csv:
         _write_csv(
             args.csv,
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         results = args.handler(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         _print_error(exc)
         return 3
     except NumericError as exc:

@@ -1,21 +1,27 @@
-"""Exact Pauli expansions of observables, and dense state checks.
+"""Exact Pauli expansions of observables, and state certification.
 
 An observable is a read-only record array of ``EXPANSION`` terms
 (x, z, c), each c * X^x Z^z with qubit 1 in the masks' top bit, sorted
 by (x, z) with distinct masks and nonzero c: equal operators are equal
 arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
 dyadic coefficients keep the algebra exact.  ``apply`` multiplies a
-dense state by an expansion; ``dense`` builds a matrix only for dense
-states and eigensolvers.  Kets are 1-D complex vectors;
-density matrices are checked within 1e-9.
+state's factor by an expansion; ``dense`` builds a matrix only for the
+eigensolver and the 4x4 calibration.
+
+A state is a ket (1-D complex vector) or a density matrix, checked
+within 1e-9.  ``factor`` certifies either as its d x r factor K with
+rho = K K^dagger.  No d x d array is built past ``MAX_DENSE_DIM``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import ResourceLimitError
+
 STRUCT_TOL = 1e-9
 KET_NORM_SLACK = 1e-6
+MAX_DENSE_DIM = 2**11
 
 EXPANSION = np.dtype([("x", np.uint64), ("z", np.uint64), ("c", np.complex128)])
 
@@ -90,8 +96,15 @@ def _entries(e: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j ^ x, e["c"][:, None] * _signs(z, j)
 
 
+def check_dense(dim: int, what: str) -> None:
+    """The one cap on d x d arrays, checked before one is built."""
+    if dim > MAX_DENSE_DIM:
+        raise ResourceLimitError(f"{what} of dimension {dim} exceeds the dense cap {MAX_DENSE_DIM}")
+
+
 def dense(e: np.ndarray, dim: int) -> np.ndarray:
     """The read-only dim x dim matrix of an expansion."""
+    check_dense(dim, "dense operator")
     j = np.arange(dim)
     rows, values = _entries(e, j)
     out = np.zeros((dim, dim), dtype=complex)
@@ -101,8 +114,8 @@ def dense(e: np.ndarray, dim: int) -> np.ndarray:
 
 
 def apply(e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``dense(e, len(m)) @ m`` without the matrix: term c X^x Z^z moves
-    row j of m, times c (-1)^|z & j|, to row j ^ x."""
+    """``dense(e, len(m)) @ m`` for a 2-D m, without the matrix: term
+    c X^x Z^z moves row j of m, times c (-1)^|z & j|, to row j ^ x."""
     rows, values = _entries(e, np.arange(len(m)))
     out = np.zeros(m.shape, dtype=complex)
     for r, v in zip(rows, values):
@@ -152,18 +165,28 @@ def as_ket(amplitudes) -> np.ndarray:
     return psi / norm
 
 
-def ket_density(psi) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| from a (near-)normalized ket."""
-    psi = as_ket(psi)
-    return np.outer(psi, psi.conj())
-
-
 def check_density_matrix(rho) -> np.ndarray:
-    """Certify rho as a density matrix: entries finite and at most 2 in
-    magnitude (a density matrix's are at most 1), Hermitian, unit trace,
-    positive semidefinite within STRUCT_TOL.  Returns rho as a complex
-    array on success."""
+    """Certify rho as a density matrix (``factor``); returns it as complex."""
     rho = _as_operator(rho, "rho")
+    factor(rho, rho.shape[0])
+    return rho
+
+
+def factor(state, dim: int) -> np.ndarray:
+    """The certified state of dimension ``dim`` as its factor K, rho = K K^dagger.
+
+    A 1-D state is a ket (``as_ket``), K = psi[:, None].  A 2-D state is
+    a density matrix: entries finite and at most 2 in magnitude (a
+    density matrix's are at most 1), Hermitian, unit trace and positive
+    semidefinite within STRUCT_TOL; K is V sqrt(lambda) from the one
+    ``eigh`` that checks the last, with rounding below 0 taken as 0.
+    """
+    if np.shape(state) == (dim,):
+        return as_ket(state)[:, None]
+    if np.shape(state) != (dim, dim):
+        raise ValueError(f"state has shape {np.shape(state)}, set dimension is {dim}")
+    check_dense(dim, "density matrix")
+    rho = _as_operator(state, "rho")
     if not np.abs(rho).max() <= 2.0:  # also keeps the checks below from overflowing
         raise ValueError("density matrix has non-finite entries or one above 2 in magnitude")
     if np.max(np.abs(rho - rho.conj().T)) > STRUCT_TOL:
@@ -171,7 +194,7 @@ def check_density_matrix(rho) -> np.ndarray:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > STRUCT_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
-    eigvals = np.linalg.eigvalsh(rho)
-    if float(eigvals.min()) < -STRUCT_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {eigvals.min()}")
-    return rho
+    eigvals, vecs = np.linalg.eigh(rho)
+    if float(eigvals[0]) < -STRUCT_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {eigvals[0]}")
+    return vecs * np.sqrt(np.maximum(eigvals, 0.0))

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
-from .linalg import EXPANSION, IDENTITY, adjoint, combine, dense, expand, multiply, pauli
+from .linalg import EXPANSION, IDENTITY, adjoint, combine, expand, multiply, pauli
 
 KS18_RAYS: dict[str, tuple[int, int, int, int]] = {
     "A12": (0, 1, 0, 0),
@@ -86,12 +86,6 @@ class RaySet:
     rays: Mapping[str, np.ndarray]
     contexts: tuple[tuple[str, ...], ...]
 
-    def ray(self, label: str) -> np.ndarray:
-        try:
-            return self.rays[label]
-        except KeyError:
-            raise UnknownLabelError(label) from None
-
 
 @dataclass(frozen=True)
 class ObservableSet:
@@ -133,10 +127,6 @@ class ObservableSet:
             return self.observables[label]
         except KeyError:
             raise UnknownLabelError(label) from None
-
-    def operator(self, label: str) -> np.ndarray:
-        """The observable as a read-only dense matrix."""
-        return dense(self.expansion(label), self.dim)
 
     @property
     def labels(self) -> tuple[str, ...]:

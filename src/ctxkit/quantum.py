@@ -5,9 +5,10 @@ The Bell operator B of an expression, sum(sign * ordered product of
 factor observables), is formed exactly as a Pauli expansion; it is the
 one compiled form of the expression.  ``certify_state_independence``
 reads it directly: constant = the identity coefficient, residual =
-max |B - c*1|, certified when the residual is exactly 0.  A dense B is
-built only for a dense state (the value Re Tr(rho B)) or for the
-eigensolver (the maximal quantum value, up to ``MAX_EIG_DIM``).
+max |B - c*1|, certified when the residual is exactly 0.  A state's
+value is Re vdot(K, B K) on its factor K (``linalg.factor``), with no
+dense B; a dense B is built only for the eigensolver (the maximal
+quantum value, up to ``linalg.MAX_DENSE_DIM``) and the calibration.
 
 Factors inside one declared context were checked to commute when the set
 was built; any other group of factors is checked pairwise when used.
@@ -26,23 +27,17 @@ from .linalg import (
     IDENTITY,
     STRUCT_TOL,
     adjoint,
-    check_density_matrix,
+    apply,
     combine,
     dense,
+    factor,
     max_entry,
     multiply,
 )
 from .observables import ObservableSet, noncommuting_pairs
 from .states import haar_random
 
-MAX_EIG_DIM = 2**11
-
-
-def check_state(rho, dim: int) -> np.ndarray:
-    """The state as a certified density matrix of dimension ``dim``."""
-    if np.shape(rho) != (dim, dim):
-        raise ValueError(f"state has shape {np.shape(rho)}, set dimension is {dim}")
-    return check_density_matrix(rho)
+MAX_STATES = 10**6
 
 
 def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
@@ -63,31 +58,17 @@ def _product(obs: ObservableSet, labels: tuple[str, ...]) -> np.ndarray:
     return reduce(multiply, compatible_expansions(obs, labels), IDENTITY)
 
 
-def _real_part(value: complex) -> float:
+def _value(k: np.ndarray, bell: np.ndarray) -> float:
+    """<B> in the state K K^dagger: Re Tr(K^dagger B K) = Re vdot(K, B K)."""
+    value = complex(np.vdot(k, apply(bell, k)))
     if abs(value.imag) > STRUCT_TOL:
         raise NumericError(f"expectation has imaginary part {value.imag}")
     return float(value.real)
 
 
-def expectation_term(rho: np.ndarray, obs: ObservableSet, term: Term) -> float:
-    """sign * <product of the term's factors> in state rho.
-
-    The factors must pairwise commute (otherwise the average of products
-    is ill-defined); an empty factor list gives the constant sign.
-    """
-    rho = check_state(rho, obs.dim)
-    return term.sign * _value(rho, dense(_product(obs, term.factors), obs.dim))
-
-
-def _value(rho: np.ndarray, bell: np.ndarray) -> float:
-    """Re Tr(rho B) for a state of the Bell operator's dimension."""
-    return _real_part(complex(np.einsum("ij,ji->", rho, bell)))
-
-
-def evaluate_inequality(rho: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
-    """Left-hand-side value of the expression in state rho: Re Tr(rho B)."""
-    rho = check_state(rho, obs.dim)
-    return _value(rho, bell_operator(obs, expr))
+def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
+    """Left-hand-side value of the expression in a ket or density matrix."""
+    return _value(factor(state, obs.dim), _bell(obs, expr))
 
 
 def _bell(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
@@ -142,10 +123,8 @@ def context_product(obs: ObservableSet, context) -> int:
 def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> float:
     """Largest eigenvalue of the Bell operator (the maximal quantum value
     of the expression over all states), by dense Hermitian eigensolver.
-    Raises ResourceLimitError past dimension ``MAX_EIG_DIM`` before
-    building anything dense."""
-    if obs.dim > MAX_EIG_DIM:
-        raise ResourceLimitError(f"dimension {obs.dim} exceeds the eigensolver cap {MAX_EIG_DIM}")
+    ``dense`` raises ResourceLimitError past ``linalg.MAX_DENSE_DIM``
+    before building anything."""
     return float(np.linalg.eigvalsh(bell_operator(obs, expr))[-1])
 
 
@@ -155,11 +134,15 @@ def haar_sweep(
     """Expression values over ``count`` seeded Haar-random pure states.
 
     State i comes from substream (seed, lane 0, i), so the result is
-    independent of evaluation order.  The Bell operator is built once and
+    independent of evaluation order.  The Bell expansion is built once and
     each state is evaluated against it exactly as ``evaluate_inequality``
-    would.
+    would, one ket at a time.  More than ``MAX_STATES`` states raise
+    ResourceLimitError before any draw.
     """
     if count < 1:
         raise ValueError(f"sweep needs at least one state, got {count}")
-    bell = bell_operator(obs, expr)
-    return np.array([_value(haar_random(obs.dim, seed, index=i), bell) for i in range(count)])
+    if count > MAX_STATES:
+        raise ResourceLimitError(f"{count} states exceeds the cap of {MAX_STATES}")
+    bell = _bell(obs, expr)
+    kets = (factor(haar_random(obs.dim, seed, index=i), obs.dim) for i in range(count))
+    return np.array([_value(k, bell) for k in kets])

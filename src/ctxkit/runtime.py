@@ -25,6 +25,7 @@ loads only then and a process that never draws does not import it.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -39,7 +40,10 @@ def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.ran
     one draws.
     """
     for name, value in (("seed", seed), ("lane", lane), ("index", index), ("subindex", subindex)):
-        if not 0 <= int(value) <= _U64_MAX:
+        # Plain ints skip the type checks (one call per shot); floats and bools are refused.
+        if type(value) is not int and (isinstance(value, bool) or not hasattr(value, "__index__")):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= operator.index(value) <= _U64_MAX:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
     # Explicit uint64 arrays: a plain int list goes through float64 inside
     # numpy and mangles coordinates above 2**53.

@@ -2,8 +2,10 @@
 
 Each shot prepares the state, measures the term's observables one after
 another (projection postulate: rho -> P rho P / p with P = (1 +- A)/2),
-and records the product of the outcomes.  Outcome sampling compares one
-uniform draw per measurement against the +1 branch probability.
+and records the product of the outcomes.  Each step maps the state's
+factor K, rho = K K^dagger, to P K / sqrt(p), for kets and density
+matrices alike.  Outcome sampling compares one uniform draw per
+measurement against the +1 branch probability.
 
 Randomness is organized so results do not depend on evaluation order:
 shot ``s`` of term ``t`` consumes exactly the draws of substream
@@ -15,12 +17,12 @@ post-measurement states, which reproduces the per-shot sequential draws
 bit for bit (same uniforms, same comparisons) while computing each
 distinct branch state only once.
 
-Every entry point that takes a state certifies it as a density matrix of
-the set's dimension (``quantum.check_state``) before measuring, and
-rejects anything else.  States stay dense, but measurements act on them
-through the observables' Pauli expansions (``linalg.apply``).  A
-branch probability further than ``STRUCT_TOL`` outside [0, 1] raises
-NumericError; only rounding error inside that tolerance is clamped.
+Every entry point that takes a state certifies it as a ket or density
+matrix of the set's dimension (``linalg.factor``) before measuring, and
+rejects anything else.  Measurements act on K through the observables'
+Pauli expansions (``linalg.apply``).  A branch probability further than
+``STRUCT_TOL`` outside [0, 1] raises NumericError; only rounding error
+inside that tolerance is clamped.
 More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw.
 """
 
@@ -33,9 +35,9 @@ import numpy as np
 
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
-from .linalg import STRUCT_TOL, apply
+from .linalg import STRUCT_TOL, apply, factor
 from .observables import ObservableSet
-from .quantum import check_state, compatible_expansions
+from .quantum import compatible_expansions
 from .runtime import substream
 
 PROTOCOL_LANE = 1
@@ -76,35 +78,33 @@ class MarginalReport:
     z_statistic: float
 
 
-def _split(state: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Measure A (expansion e) on state: the +1 probability
-    p = (1 + Re Tr(A rho))/2 and both unnormalized post-states
-    (1 +- A) rho (1 +- A)/4 = (rho + A rho A +- (A rho + (A rho)^dagger))/4.
-    Rounding error within STRUCT_TOL of [0, 1] is clamped; anything
-    further out raises NumericError."""
-    a_rho = apply(e, state)
-    p = (1.0 + float(np.trace(a_rho).real)) / 2.0
+def _split(k: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Measure A (expansion e) on the state K K^dagger: the +1 probability
+    p = (1 + Re Tr(K^dagger A K))/2 and both unnormalized post-factors
+    (1 +- A) K / 2.  Rounding error within STRUCT_TOL of [0, 1] is
+    clamped; anything further out raises NumericError."""
+    a = apply(e, k)
+    p = (1.0 + float(np.vdot(k, a).real)) / 2.0
     if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
         raise NumericError(f"branch probability {p} is outside [0, 1]")
-    even = state + apply(e, a_rho.conj().T)
-    odd = a_rho + a_rho.conj().T
-    return min(max(p, 0.0), 1.0), (even + odd) / 4.0, (even - odd) / 4.0
+    return min(max(p, 0.0), 1.0), (k + a) / 2.0, (k - a) / 2.0
 
 
 def sequential_measure(
-    rho: np.ndarray, obs: ObservableSet, labels, rng: np.random.Generator
+    state: np.ndarray, obs: ObservableSet, labels, rng: np.random.Generator
 ) -> MeasurementRecord:
     """One experimental run: measure the labels in order on one copy.
 
     The labels must be jointly measurable.  Returns the ordered outcomes
-    and the final post-measurement state.
+    and the final post-measurement state, in the input's form: a ket for
+    a ket, a density matrix for a density matrix.
     """
     labels = tuple(labels)
     expansions = compatible_expansions(obs, labels)
-    state = check_state(rho, obs.dim)
+    k = factor(state, obs.dim)
     outcomes = []
     for label, e in zip(labels, expansions):
-        p, plus, minus = _split(state, e)
+        p, plus, minus = _split(k, e)
         if rng.random() < p:
             outcome, post, prob = 1, plus, p
         else:
@@ -113,15 +113,16 @@ def sequential_measure(
             raise NumericError(
                 f"sampled a measurement branch with probability {prob} for {label}"
             )
-        state = post / prob
+        k = post / np.sqrt(prob)
         outcomes.append((label, outcome))
-    return MeasurementRecord(outcomes=tuple(outcomes), post_state=state)
+    post_state = k[:, 0] if np.ndim(state) == 1 else k @ k.conj().T
+    return MeasurementRecord(outcomes=tuple(outcomes), post_state=post_state)
 
 
 def _branch_outcomes(
-    rho: np.ndarray, expansions: list[np.ndarray], uniforms: np.ndarray
+    k: np.ndarray, expansions: list[np.ndarray], uniforms: np.ndarray
 ) -> np.ndarray:
-    """Outcomes for a batch of shots sharing the same initial state.
+    """Outcomes for a batch of shots sharing the initial state K K^dagger.
 
     uniforms[s, i] is shot s's draw for measurement i.  Equivalent to
     running sequential_measure per shot with those draws: shots that have
@@ -131,10 +132,10 @@ def _branch_outcomes(
     shots, depth = uniforms.shape
     outcomes = np.empty((shots, depth), dtype=np.int64)
 
-    def walk(state: np.ndarray, idx: np.ndarray, level: int) -> None:
+    def walk(k: np.ndarray, idx: np.ndarray, level: int) -> None:
         if level == depth:
             return
-        p, plus, minus = _split(state, expansions[level])
+        p, plus, minus = _split(k, expansions[level])
         took_plus = uniforms[idx, level] < p
         plus_idx = idx[took_plus]
         minus_idx = idx[~took_plus]
@@ -144,9 +145,9 @@ def _branch_outcomes(
             if branch_idx.size:
                 if prob < _P_FLOOR:
                     raise NumericError(f"sampled a measurement branch with probability {prob}")
-                walk(post / prob, branch_idx, level + 1)
+                walk(post / np.sqrt(prob), branch_idx, level + 1)
 
-    walk(rho, np.arange(shots), 0)
+    walk(k, np.arange(shots), 0)
     del walk  # the recursive closure is a cycle holding the expansions until a GC pass
     return outcomes
 
@@ -172,7 +173,7 @@ def _context_stream_index(labels: tuple[str, ...]) -> int:
 
 
 def estimate_term(
-    rho: np.ndarray,
+    state: np.ndarray,
     obs: ObservableSet,
     term: Term,
     shots: int,
@@ -186,11 +187,11 @@ def estimate_term(
     sqrt(shots).
     """
     _check_shots(shots)
-    state = check_state(rho, obs.dim)
+    k = factor(state, obs.dim)
     expansions = compatible_expansions(obs, term.factors)
     if expansions:
         uniforms = _shot_uniforms(seed, PROTOCOL_LANE, term_index, shots, len(expansions))
-        outcomes = _branch_outcomes(state, expansions, uniforms)
+        outcomes = _branch_outcomes(k, expansions, uniforms)
         values = term.sign * outcomes.prod(axis=1).astype(float)
     else:
         values = np.full(shots, float(term.sign))
@@ -200,7 +201,7 @@ def estimate_term(
 
 
 def run_protocol(
-    rho: np.ndarray,
+    state: np.ndarray,
     obs: ObservableSet,
     expr: InequalityExpr,
     shots_per_term: int,
@@ -214,7 +215,7 @@ def run_protocol(
     (independent subensembles).
     """
     estimates = [
-        estimate_term(rho, obs, term, shots_per_term, seed, term_index=t)
+        estimate_term(state, obs, term, shots_per_term, seed, term_index=t)
         for t, term in enumerate(expr.terms)
     ]
     lhs = float(sum(e.estimate for e in estimates))
@@ -230,7 +231,7 @@ def run_protocol(
 
 
 def marginal_consistency(
-    rho: np.ndarray,
+    state: np.ndarray,
     obs: ObservableSet,
     label: str,
     contexts,
@@ -249,14 +250,14 @@ def marginal_consistency(
     """
     _check_shots(shots)
     first, second = (tuple(c) for c in contexts)
-    state = check_state(rho, obs.dim)
+    k = factor(state, obs.dim)
     freqs = []
     for ctx in (first, second):
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
         expansions = compatible_expansions(obs, ctx)
         uniforms = _shot_uniforms(seed, MARGINAL_LANE, _context_stream_index(ctx), shots, len(ctx))
-        outcomes = _branch_outcomes(state, expansions, uniforms)
+        outcomes = _branch_outcomes(k, expansions, uniforms)
         col = ctx.index(label)
         freqs.append(float(np.mean(outcomes[:, col] == 1)))
     f1, f2 = freqs

@@ -1,7 +1,9 @@
 """Quantum state construction: named states, raw vectors and matrices,
 seeded Haar-random states, and the JSON state form used by the CLI.
 
-All constructors return density matrices.  Named states:
+Pure states are 1-D unit kets, never expanded to a density matrix;
+mixed states are dense density matrices, certified and capped at
+``linalg.MAX_DENSE_DIM`` before they are built.  Named states:
 
 * ``singlet``: (|01> - |10>)/sqrt(2), dimension 4,
 * ``y_plus_pair``: the +1 eigenstate of Y on each of two qubits,
@@ -24,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .inequalities import check_keys, parse_int
-from .linalg import as_ket, check_density_matrix, ket_density
+from .linalg import as_ket, check_dense, check_density_matrix
 from .runtime import substream
 
 
@@ -32,7 +34,7 @@ def singlet() -> np.ndarray:
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1 / np.sqrt(2)
     psi[2] = -1 / np.sqrt(2)
-    return ket_density(psi)
+    return as_ket(psi)
 
 
 def ghz(n: int) -> np.ndarray:
@@ -40,34 +42,36 @@ def ghz(n: int) -> np.ndarray:
         raise ValueError(f"ghz needs at least one qubit, got n={n}")
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
-    return ket_density(psi)
+    return as_ket(psi)
 
 
 def y_plus_pair() -> np.ndarray:
     y_plus = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
-    return ket_density(np.kron(y_plus, y_plus))
+    return as_ket(np.kron(y_plus, y_plus))
 
 
 def zero_product(n: int = 2) -> np.ndarray:
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    return ket_density(psi)
+    return as_ket(psi)
 
 
 def paper_kcbs_product() -> np.ndarray:
     a = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
     b = np.array([np.cos(0.7), -np.sin(0.7)], dtype=complex)
-    return ket_density(np.kron(a, b))
+    return as_ket(np.kron(a, b))
 
 
 def maximally_mixed(d: int) -> np.ndarray:
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    check_dense(d, "maximally mixed state")
     return np.eye(d, dtype=complex) / d
 
 
 def haar_random(d: int, seed: int, index: int = 0) -> np.ndarray:
-    """Haar-distributed pure state: normalized complex-Gaussian vector.
+    """Haar-distributed pure state: normalized complex-Gaussian vector,
+    a ket by construction, which consumers certify like any other.
 
     ``index`` selects the position within a sweep; (d, seed, index)
     determines the state exactly.
@@ -76,7 +80,7 @@ def haar_random(d: int, seed: int, index: int = 0) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {d}")
     rng = substream(seed, 0, index)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return ket_density(psi / np.linalg.norm(psi))
+    return psi / np.linalg.norm(psi)
 
 
 def _qubits_for(dim: int, name: str) -> int:
@@ -93,10 +97,7 @@ def _named_state(name: str, dim: int | None) -> np.ndarray:
         "paper_kcbs_product": paper_kcbs_product,
     }
     if name in fixed:
-        rho = fixed[name]()
-        if dim is not None and rho.shape[0] != dim:
-            raise ValueError(f"state {name!r} has dimension {rho.shape[0]}, set needs {dim}")
-        return rho
+        return fixed[name]()  # make_state checks its dimension
     if name in ("ghz", "zero_product", "maximally_mixed"):
         if dim is None:
             raise ValueError(f"state {name!r} needs a target dimension")
@@ -154,40 +155,40 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
         amps = _complex_entries(spec["amplitudes"], "ket amplitudes")
         if amps.size != d:
             raise ValueError(f"ket declares dim {d} but has {amps.size} amplitudes")
-        return ket_density(amps)
+        return as_ket(amps)
+    check_dense(d, "dm state")
     entries = _complex_entries(spec["entries"], "dm entries")
     if entries.size != d * d:
         raise ValueError(f"dm declares dim {d} but has {entries.size} entries")
-    return np.asarray(check_density_matrix(entries.reshape(d, d)))
+    return check_density_matrix(entries.reshape(d, d))
 
 
 def make_state(spec, dim: int | None = None) -> np.ndarray:
-    """Resolve a state specification to a density matrix.
+    """Resolve a state specification to a validated 1-D ket or a
+    certified density matrix.
 
     ``spec`` may be a named-state string, a dict in the JSON form
     ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array of numbers,
-    never bools or objects (1-D vectors become rank-one density matrices,
-    2-D matrices are validated as density matrices).  When ``dim`` is
-    given the result must match it.
+    never bools or objects (1-D vectors are kets, 2-D matrices density
+    matrices).  When ``dim`` is given the result must match it.
     """
     if isinstance(spec, str):
-        rho = _named_state(spec, dim)
+        state = _named_state(spec, dim)
     elif isinstance(spec, Mapping):
-        rho = _state_from_mapping(spec, dim)
+        state = _state_from_mapping(spec, dim)
     else:
         arr = np.asarray(spec)
         if arr.dtype.kind not in "iufc":
             raise ValueError(f"state array must hold numbers, got dtype {arr.dtype}")
-        arr = arr.astype(complex)
         if arr.ndim == 1:
-            rho = ket_density(as_ket(arr))
+            state = as_ket(arr)
         elif arr.ndim == 2:
-            rho = np.asarray(check_density_matrix(arr))
+            state = check_density_matrix(arr)
         else:
             raise ValueError(f"state array must be 1-D or 2-D, got shape {arr.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise ValueError(f"state has dimension {rho.shape[0]}, set needs {dim}")
-    return rho
+    if dim is not None and state.shape[0] != dim:
+        raise ValueError(f"state has dimension {state.shape[0]}, set needs {dim}")
+    return state
 
 
 def load_state(path: str, dim: int | None = None) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Dense Kronecker-product builders of the Peres-Mermin and star
-observables: the reference the Pauli expansions are tested against for
-n <= 7 qubits."""
+"""Dense references the library is tested against: Kronecker-product
+builders of the Peres-Mermin and star observables for n <= 7 qubits, an
+observable's dense matrix, a ket's density matrix, and a term's
+expectation as a trace."""
 
 import numpy as np
+
+from ctxkit.linalg import as_ket, check_density_matrix, dense
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,3 +68,24 @@ def ray_operator(v) -> np.ndarray:
     so every entry is exact."""
     v = np.asarray(v, dtype=np.int64)
     return 2 * np.outer(v, v) / int(v @ v) - np.eye(len(v))
+
+
+def operator(obs, label: str) -> np.ndarray:
+    """An observable of the set as a read-only dense matrix."""
+    return dense(obs.expansion(label), obs.dim)
+
+
+def ket_density(psi) -> np.ndarray:
+    """Rank-one density matrix |psi><psi| from a (near-)normalized ket."""
+    psi = as_ket(psi)
+    return np.outer(psi, psi.conj())
+
+
+def expectation_term(state, obs, term) -> float:
+    """sign * Re Tr(rho * product of the term's factor operators), for a
+    ket or density matrix of the set's dimension."""
+    rho = ket_density(state) if np.ndim(state) == 1 else check_density_matrix(state)
+    prod = np.eye(obs.dim, dtype=complex)
+    for label in term.factors:
+        prod = prod @ operator(obs, label)
+    return term.sign * float(np.trace(rho @ prod).real)

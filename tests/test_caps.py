@@ -1,0 +1,67 @@
+"""Cap matrix: each row is one CLI process under a 1 GiB address-space
+limit and a wall budget.  Rows inside the caps run at the star's largest
+size, n = 13, and must exit 0; rows just past a cap must exit 3 at once,
+before anything large is built."""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+import pytest
+
+import ctxkit
+
+GIB = 1 << 30
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
+STAR13 = ("--inequality", "ineq9", "--n", "13")
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (GIB, GIB))
+
+
+def run_capped(argv, budget_s: float):
+    """Run ``ctxkit argv`` in a child limited to 1 GiB; returns (exit code,
+    parsed stdout or None, stderr, seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    # BLAS reserves address space per thread and so per core; one thread
+    # keeps the limit about ctxkit's own arrays on any machine.
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxkit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=budget_s + 30,
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - started
+    assert elapsed < budget_s, f"{argv} took {elapsed:.2f} s, budget {budget_s} s"
+    return proc.returncode, json.loads(proc.stdout) if proc.stdout else None, proc.stderr, elapsed
+
+
+@pytest.mark.parametrize("argv, budget_s, key, want", [
+    (("quantum", *STAR13, "--state", "ghz"), 10, "value", 5.0),
+    (("sweep", *STAR13, "--states", "2", "--seed", "1"), 10, "mean", 5.0),
+    (("simulate", *STAR13, "--state", "ghz", "--shots", "200", "--seed", "1"), 30,
+     "lhs_estimate", 5.0),
+], ids=["quantum", "sweep", "simulate"])
+def test_largest_star_runs_within_a_gib(argv, budget_s, key, want):
+    rc, report, err, _ = run_capped(argv, budget_s)
+    assert rc == 0, err
+    assert abs(report["results"][key] - want) <= 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("quantum", *STAR13, "--state", "maximally_mixed"),
+    ("simulate", *STAR13, "--state", "DM_FILE", "--shots", "2", "--seed", "1"),
+    ("sweep", "--inequality", "ineq1", "--states", "1000001", "--seed", "1"),
+], ids=["maximally_mixed", "dm_file", "sweep_states"])
+def test_past_a_cap_exits_3_at_once(argv, tmp_path):
+    dm_file = tmp_path / "dm.json"
+    dm_file.write_text(json.dumps({"kind": "dm", "dim": 8192, "entries": [[1.0, 0.0]]}))
+    argv = [str(dm_file) if a == "DM_FILE" else a for a in argv]
+    rc, report, err, _ = run_capped(argv, 1.0)
+    assert (rc, report) == (3, None)
+    assert json.loads(err)["error"]["type"] == "ResourceLimitError"

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ctxkit import cli
 from ctxkit.cli import main
 from ctxkit.inequalities import catalog_get, expr_to_json
 from ctxkit.observables import build_ks18
@@ -255,11 +256,26 @@ def test_exit_code_resource_limit(capsys):
          "--shots", str(10**12), "--seed", "1"),
         # Inside the star cap, past the eigensolver's 2^11.
         ("maxval", "--inequality", "mermin11", "--n", "13"),
+        # Past the dense-state cap, and past the sweep's state cap.
+        ("quantum", "--inequality", "ineq9", "--n", "13", "--state", "maximally_mixed"),
+        ("sweep", "--inequality", "ineq1", "--states", str(10**12), "--seed", "1"),
     ):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 3
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
+def test_memory_error_is_a_resource_limit(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_quantum", exhausted)
+    rc, out, err = run_cli(capsys, "quantum", "--inequality", "cfrh6", "--state", "singlet")
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {
+        "error": {"type": "MemoryError", "message": "Unable to allocate 1.00 GiB for an array"}
+    }
 
 
 def test_exit_code_unknown_state(capsys):

@@ -138,11 +138,11 @@ def test_make_state_accepts_or_rejects_cleanly(spec):
     # named-state string; library callers may also pass arrays, which
     # must hold numbers.
     try:
-        rho = make_state(spec, dim=4)
+        state = make_state(spec, dim=4)
     except BOUNDARY_ERRORS:
         return
-    assert rho.shape == (4, 4)
-    assert np.isfinite(rho).all()
+    assert state.shape in ((4,), (4, 4))  # a ket or a density matrix
+    assert np.isfinite(state).all()
 
 
 def _run(capsys, argv) -> None:

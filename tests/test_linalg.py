@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_oracle import LETTERS, PAULI_X, PAULI_Y, PAULI_Z, ray_operator, word_matrix
+from ctxkit.exceptions import ResourceLimitError
 from ctxkit.linalg import (
     EXPANSION,
+    MAX_DENSE_DIM,
     IDENTITY,
     adjoint,
     apply,
@@ -14,7 +16,7 @@ from ctxkit.linalg import (
     combine,
     dense,
     expand,
-    ket_density,
+    factor,
     max_entry,
     multiply,
     pauli,
@@ -182,10 +184,43 @@ def test_state_checks_reject_large_entries_without_overflow():
 
 
 def test_ket_density_is_projector():
+    # A ket's factor is the ket itself as one column, so K K^dagger is
+    # the rank-one projector.
     psi = np.array([1.0, 1.0j]) / np.sqrt(2)
-    rho = ket_density(psi)
+    k = factor(psi, 2)
+    assert k.shape == (2, 1)
+    assert np.array_equal(k[:, 0], as_ket(psi))
+    rho = k @ k.conj().T
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.allclose(rho @ rho, rho)
+
+
+def test_factor_of_density_matrix():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    k = factor(rho, 4)
+    assert np.abs(k @ k.conj().T - rho).max() <= 1e-14
+    with pytest.raises(ValueError, match="shape"):
+        factor(rho, 8)
+    with pytest.raises(ValueError, match="shape"):
+        factor(np.array([1.0, 0.0]), 4)
+
+
+def test_dense_cap_comes_before_any_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense array past the cap")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        dense(pauli("Z"), 2 * MAX_DENSE_DIM)
+    # A read-only view of one zero, in the shape of a density matrix past
+    # the cap.
+    hollow = np.broadcast_to(np.complex128(0), (2 * MAX_DENSE_DIM,) * 2)
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        factor(hollow, 2 * MAX_DENSE_DIM)
 
 
 def test_check_density_matrix_accepts_mixed():

@@ -1,33 +1,42 @@
 import numpy as np
 import pytest
 
+from dense_oracle import expectation_term, ket_density, operator
+from ctxkit import quantum
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
+from ctxkit.linalg import MAX_DENSE_DIM
 from ctxkit.observables import ObservableSet, build_set
 from ctxkit.quantum import (
-    MAX_EIG_DIM,
+    MAX_STATES,
     bell_operator,
     certify_state_independence,
     compatible_expansions,
     context_product,
     evaluate_inequality,
-    expectation_term,
     haar_sweep,
     max_quantum_value,
 )
 from ctxkit.states import haar_random, maximally_mixed, singlet, y_plus_pair, zero_product
 
 
+def one_term(obs, term):
+    """A term's expectation is the value of the one-term expression."""
+    return InequalityExpr(id="term", set_id=obs.set_id, terms=(term,), bound=None)
+
+
 def test_expectation_term_matches_trace(pm_obs):
-    rho = singlet()
+    rho = ket_density(singlet())
     term = Term(-1, ("P14", "P15"))
-    manual = -np.trace(rho @ pm_obs.operator("P14") @ pm_obs.operator("P15"))
-    assert expectation_term(rho, pm_obs, term) == pytest.approx(manual.real)
+    manual = -np.trace(rho @ operator(pm_obs, "P14") @ operator(pm_obs, "P15"))
+    for state in (singlet(), rho):
+        value = evaluate_inequality(state, pm_obs, one_term(pm_obs, term))
+        assert value == pytest.approx(manual.real)
 
 
 def test_expectation_term_rejects_incompatible(pm_obs):
     with pytest.raises(IncompatibleContextError):
-        expectation_term(singlet(), pm_obs, Term(1, ("P14", "P25")))
+        evaluate_inequality(singlet(), pm_obs, one_term(pm_obs, Term(1, ("P14", "P25"))))
 
 
 def test_compatible_expansions_passes_for_catalog_terms(ks18_obs, pm_obs, star3_obs):
@@ -47,23 +56,25 @@ def test_compatible_expansions_names_incompatible_pair(ks18_obs):
 
 
 def test_expectation_term_dimension_check(ks18_obs):
-    with pytest.raises(ValueError):
-        expectation_term(np.eye(2) / 2, ks18_obs, Term(1, ("A12",)))
+    for wrong in (np.eye(2) / 2, np.array([1.0, 0.0]), singlet()[:, None]):
+        with pytest.raises(ValueError):
+            evaluate_inequality(wrong, ks18_obs, one_term(ks18_obs, Term(1, ("A12",))))
 
 
 def test_expectation_term_empty_factors_is_sign(pm_obs):
-    assert expectation_term(singlet(), pm_obs, Term(-1, ())) == pytest.approx(-1.0)
+    value = evaluate_inequality(singlet(), pm_obs, one_term(pm_obs, Term(-1, ())))
+    assert value == pytest.approx(-1.0)
 
 
 def test_quantum_entry_points_reject_non_states(pm_obs):
     # Trace 2 and a negative eigenvalue: the simulator rejects these, and
     # so must every quantum entry point that takes a state.
     expr = catalog_get("ineq4")
-    for bad in (2 * np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0])):
+    for bad in (2 * np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0]), np.array([0.9, 0, 0, 0])):
         with pytest.raises(ValueError):
             evaluate_inequality(bad, pm_obs, expr)
         with pytest.raises(ValueError):
-            expectation_term(bad, pm_obs, expr.terms[0])
+            evaluate_inequality(bad, pm_obs, one_term(pm_obs, expr.terms[0]))
 
 
 def test_evaluate_is_sum_of_terms(ks18_obs):
@@ -82,7 +93,7 @@ def test_named_state_values(pm_obs, ks18_obs):
 
 def test_bell_operator_explicit(pm_obs):
     expr = catalog_get("chsh8")
-    ops = {lab: pm_obs.operator(lab) for lab in expr.labels}
+    ops = {lab: operator(pm_obs, lab) for lab in expr.labels}
     expected = (
         ops["P14"] @ ops["P16"]
         + ops["P24"] @ ops["P26"]
@@ -135,7 +146,7 @@ def test_all_context_products_are_exact(pm_obs, ks18_obs, star3_obs):
             s = context_product(obs, ctx)
             prod = np.eye(obs.dim, dtype=complex)
             for label in ctx:
-                prod = prod @ obs.operator(label)
+                prod = prod @ operator(obs, label)
             assert np.array_equal(prod, s * np.eye(obs.dim))
 
 
@@ -169,7 +180,7 @@ def test_max_value_dominates_states(ks18_obs):
 
 
 def test_max_value_dimension_cap():
-    hollow = ObservableSet(set_id="big", dim=2 * MAX_EIG_DIM, observables={}, contexts=())
+    hollow = ObservableSet(set_id="big", dim=2 * MAX_DENSE_DIM, observables={}, contexts=())
     expr = InequalityExpr(id="none", set_id="big", terms=(), bound=None)
     with pytest.raises(ResourceLimitError):
         max_quantum_value(hollow, expr)
@@ -183,6 +194,16 @@ def test_haar_sweep_deterministic(ks18_obs):
     assert a.std() > 0.01  # a state-dependent expression actually varies
     with pytest.raises(ValueError):
         haar_sweep(ks18_obs, expr, 0, seed=9)
+
+
+def test_state_cap_comes_before_any_draw(monkeypatch, ks18_obs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep drew a state past the cap")
+
+    monkeypatch.setattr(quantum, "haar_random", refuse)
+    for count in (MAX_STATES + 1, 10**12):
+        with pytest.raises(ResourceLimitError):
+            haar_sweep(ks18_obs, catalog_get("kcbs3"), count, seed=9)
 
 
 def test_haar_sweep_matches_per_state_evaluation(ks18_obs):

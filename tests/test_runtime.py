@@ -45,6 +45,27 @@ def test_substream_rejects_out_of_range():
         substream(0, 0, index=-5)
 
 
+@pytest.mark.parametrize("coordinates", [
+    {"seed": 1.9, "lane": 1},
+    {"seed": True, "lane": 1},
+    {"seed": 1, "lane": 1, "index": 2.0},
+    {"seed": 1, "lane": np.float64(1.0)},
+    {"seed": 1, "lane": 1, "subindex": "3"},
+])
+def test_substream_rejects_non_integers(coordinates):
+    # A float is not truncated (1.9 would be seed 1) and a bool is not 0/1.
+    with pytest.raises(ValueError, match="must be an integer"):
+        substream(**coordinates)
+
+
+def test_substream_accepts_numpy_integers():
+    top = 2**64 - 1
+    assert np.array_equal(
+        substream(np.uint64(top), np.int64(1), index=np.uint8(2)).random(8),
+        substream(top, 1, index=2).random(8),
+    )
+
+
 U64 = st.integers(0, 2**64 - 1)
 
 

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_oracle import ray_operator, star_operators
+from dense_oracle import ket_density, ray_operator, star_operators
 from ctxkit import linalg, quantum
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from ctxkit.inequalities import Term, catalog_get
 from ctxkit.linalg import expand
-from ctxkit.observables import KS18_RAYS, ObservableSet, build_set, star_contexts
+from ctxkit.observables import KS18_RAYS, build_set, star_contexts
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     MAX_SHOTS,
@@ -268,13 +268,13 @@ def test_branch_probability_out_of_range_raises(scale):
     op = expand(scale * np.diag([1.0, -1.0]))
     uniforms = np.full((4, 1), 0.5)
     with pytest.raises(NumericError, match="outside"):
-        _branch_outcomes(zero_product(1), [op], uniforms)
+        _branch_outcomes(zero_product(1)[:, None], [op], uniforms)
 
 
 def test_branch_probability_rounding_is_clamped():
     # p = 1 + 1e-12 is rounding error, inside STRUCT_TOL: clamped to 1.
     op = expand(np.diag([1.0 + 2e-12, -1.0]))
-    outcomes = _branch_outcomes(zero_product(1), [op], np.full((4, 1), 0.5))
+    outcomes = _branch_outcomes(zero_product(1)[:, None], [op], np.full((4, 1), 0.5))
     assert (outcomes == 1).all()
 
 
@@ -285,7 +285,7 @@ def test_branch_walk_frees_its_operators():
     ref = weakref.ref(op)
     gc.disable()
     try:
-        _branch_outcomes(zero_product(1), [op], np.full((4, 1), 0.5))
+        _branch_outcomes(zero_product(1)[:, None], [op], np.full((4, 1), 0.5))
         del op
         assert ref() is None
     finally:
@@ -298,7 +298,8 @@ def test_post_state_matches_dense_projection(family, ks18_obs):
     # context's first k labels leaves P rho P / p, P the product of the
     # outcomes' projectors (1 + s A)/2 and p the probability of those
     # outcomes.  A full context's post-state barely depends on rho, so
-    # every prefix is checked.
+    # every prefix is checked, for the state as a ket (the post-state is
+    # then a ket) and as a density matrix.
     if family == "ks18":
         obs, contexts = ks18_obs, ks18_obs.contexts
         ops = {label: ray_operator(v) for label, v in KS18_RAYS.items()}
@@ -307,15 +308,20 @@ def test_post_state_matches_dense_projection(family, ks18_obs):
         ops = star_operators(family)
     eye = np.eye(obs.dim)
     for index, ctx in enumerate(contexts):
-        rho = haar_random(obs.dim, seed=index)
+        psi = haar_random(obs.dim, seed=index)
+        rho = ket_density(psi)
         for k in range(1, len(ctx) + 1):
-            record = sequential_measure(rho, obs, ctx[:k], substream(4, 1, index, k))
+            record = sequential_measure(psi, obs, ctx[:k], substream(4, 1, index, k))
+            dm_record = sequential_measure(rho, obs, ctx[:k], substream(4, 1, index, k))
+            assert dm_record.outcomes == record.outcomes
             proj = eye
             for label, outcome in record.outcomes:
                 proj = (eye + outcome * ops[label]) / 2 @ proj
             unnormalized = proj @ rho @ proj.conj().T
             expected = unnormalized / np.trace(unnormalized).real
-            assert np.abs(record.post_state - expected).max() <= 1e-12
+            assert record.post_state.shape == (obs.dim,)
+            assert np.abs(ket_density(record.post_state) - expected).max() <= 1e-12
+            assert np.abs(dm_record.post_state - expected).max() <= 1e-12
 
 
 def test_simulator_builds_no_dense_observable(monkeypatch, star5_obs, ks18_obs):
@@ -324,12 +330,18 @@ def test_simulator_builds_no_dense_observable(monkeypatch, star5_obs, ks18_obs):
 
     monkeypatch.setattr(linalg, "dense", refuse)
     monkeypatch.setattr(quantum, "dense", refuse)
-    monkeypatch.setattr(ObservableSet, "operator", refuse)
     rho = ghz(5)
     for index, term in enumerate(catalog_get("ineq9", 5).terms):
         assert estimate_term(rho, star5_obs, term, 20, seed=1, term_index=index).estimate == 1.0
     contexts = (ks18_obs.contexts[0], ks18_obs.contexts[1])
     marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 20, seed=1)
+    # Evaluation and sweeps read the Bell expansion too.
+    ineq9 = catalog_get("ineq9", 5)
+    assert quantum.evaluate_inequality(rho, star5_obs, ineq9) == pytest.approx(5.0)
+    assert quantum.evaluate_inequality(maximally_mixed(4), ks18_obs, catalog_get("kcbs3")) == (
+        pytest.approx(0.0, abs=1e-12)
+    )
+    assert np.abs(quantum.haar_sweep(star5_obs, ineq9, 3, seed=1) - 5.0).max() <= 1e-12
 
 
 # Per-term estimates of run_protocol at 500 shots, seed 11, recorded from

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ctxkit.linalg import check_density_matrix
+from ctxkit.exceptions import ResourceLimitError
+from ctxkit.linalg import MAX_DENSE_DIM, check_density_matrix
 from ctxkit.states import (
     NAMED_STATES,
     ghz,
@@ -19,41 +20,42 @@ from ctxkit.states import (
 
 
 def test_named_constructors_return_density_matrices():
-    for rho in (singlet(), y_plus_pair(), zero_product(2), paper_kcbs_product(),
-                ghz(3), maximally_mixed(5), haar_random(4, seed=1)):
-        check_density_matrix(rho)
+    # Pure states are validated kets; the mixed one is a density matrix.
+    for psi in (singlet(), y_plus_pair(), zero_product(2), paper_kcbs_product(),
+                ghz(3), haar_random(4, seed=1)):
+        assert psi.ndim == 1
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+    check_density_matrix(maximally_mixed(5))
 
 
 def test_singlet_entries():
-    rho = singlet()
     psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
-    assert np.allclose(rho, np.outer(psi, psi))
+    assert np.allclose(singlet(), psi)
 
 
 def test_ghz_entries():
-    rho = ghz(3)
-    assert rho[0, 0] == pytest.approx(0.5)
-    assert rho[7, 7] == pytest.approx(0.5)
-    assert rho[0, 7] == pytest.approx(0.5)
-    assert np.trace(rho) == pytest.approx(1.0)
+    psi = ghz(3)
+    assert psi.shape == (8,)
+    assert psi[0] == pytest.approx(np.sqrt(0.5))
+    assert psi[7] == pytest.approx(np.sqrt(0.5))
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ghz(0)
 
 
 def test_y_plus_pair_is_y_eigenstate():
-    rho = y_plus_pair()
+    psi = y_plus_pair()
     y = np.array([[0, -1j], [1j, 0]])
     y1 = np.kron(y, np.eye(2))
     y2 = np.kron(np.eye(2), y)
-    assert np.trace(rho @ y1) == pytest.approx(1.0)
-    assert np.trace(rho @ y2) == pytest.approx(1.0)
+    assert np.vdot(psi, y1 @ psi) == pytest.approx(1.0)
+    assert np.vdot(psi, y2 @ psi) == pytest.approx(1.0)
 
 
 def test_paper_kcbs_product_structure():
     a = np.array([np.cos(0.3), np.sin(0.3)])
     b = np.array([np.cos(0.7), -np.sin(0.7)])
-    psi = np.kron(a, b)
-    assert np.allclose(paper_kcbs_product(), np.outer(psi, psi))
+    assert np.allclose(paper_kcbs_product(), np.kron(a, b))
 
 
 def test_haar_random_seeded():
@@ -65,15 +67,15 @@ def test_haar_random_seeded():
 
 
 def test_haar_random_is_pure():
-    rho = haar_random(8, seed=0)
-    assert np.trace(rho) == pytest.approx(1.0)
-    assert np.allclose(rho @ rho, rho)
+    psi = haar_random(8, seed=0)
+    assert psi.shape == (8,)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
 
 
 def test_make_state_named_with_dim():
-    assert make_state("singlet", dim=4).shape == (4, 4)
+    assert make_state("singlet", dim=4).shape == (4,)
     assert make_state("maximally_mixed", dim=18).shape == (18, 18)
-    assert make_state("ghz", dim=8)[0, 7] == pytest.approx(0.5)
+    assert make_state("ghz", dim=8)[7] == pytest.approx(np.sqrt(0.5))
     with pytest.raises(ValueError):
         make_state("singlet", dim=8)
     with pytest.raises(ValueError):
@@ -115,7 +117,7 @@ def test_make_state_json_forms():
     rho = make_state({"kind": "named", "name": "singlet"}, dim=4)
     assert np.allclose(rho, singlet())
     ket_spec = {"kind": "ket", "dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
-    assert np.allclose(make_state(ket_spec), [[1, 0], [0, 0]])
+    assert np.allclose(make_state(ket_spec), [1, 0])
     dm_spec = {
         "kind": "dm", "dim": 2,
         "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
@@ -183,3 +185,19 @@ def test_load_state(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"kind": "named", "name": "y_plus_pair"}))
     assert np.allclose(load_state(str(path), dim=4), y_plus_pair())
+
+
+def test_dense_states_are_capped_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense state past the cap")
+
+    monkeypatch.setattr(np, "eye", refuse)
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        maximally_mixed(2 * MAX_DENSE_DIM)
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        make_state("maximally_mixed", dim=2 * MAX_DENSE_DIM)
+    # A dm's declared dim is checked before its entries are read.
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        make_state({"kind": "dm", "dim": 2 * MAX_DENSE_DIM, "entries": "not read"})
+    # Kets past the cap stay kets.
+    assert ghz(13).shape == (2**13,) and 2**13 > MAX_DENSE_DIM
