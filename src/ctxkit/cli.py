@@ -26,6 +26,7 @@ from .inequalities import (
     expr_to_json,
     load_expr,
     parse_sign,
+    read_json,
     specialize,
 )
 from .observables import ObservableSet, build_ks18, build_set
@@ -160,8 +161,7 @@ def _cmd_sweep(args) -> dict:
 
 def _cmd_specialize(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
-    with open(args.subs, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(args.subs)
     if not isinstance(raw, dict):
         raise ValueError("substitution file must hold a JSON object of label: +-1")
     subs = {str(k): parse_sign(v, f"substitution for {k}") for k, v in raw.items()}

@@ -15,17 +15,23 @@ defined the way Cabello (arXiv:0808.2456) derives them, by two tables:
   ``specialize`` performs it, with terms, factor order and signs kept.
 
 Term compatibility is not checked here: the quantum side checks every
-term it measures (``quantum.compatible_expansions``).
+term it measures (``quantum.compatible_expansions``).  Every JSON input
+file, here and in ``states`` and the CLI, is read by ``read_json``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .exceptions import UnknownInequalityError, UnknownLabelError
+from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
 from .observables import KS18_RAYS, set_contexts, set_labels
+
+# Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
+# full-precision [re, im] pair as json.dumps writes it (at most 227 MB).
+MAX_INPUT_BYTES = 2**28
 
 CATALOG_IDS = ("ineq1", "kcbs3", "ineq4", "cfrh6", "nambu7", "chsh8", "ineq9", "mermin11")
 
@@ -188,6 +194,24 @@ def parse_int(value, what: str) -> int:
     return value
 
 
+def read_json(path: str):
+    """The JSON document in a file of at most ``MAX_INPUT_BYTES`` bytes,
+    a size checked before anything is parsed (ResourceLimitError).
+    Malformed or too deeply nested JSON raises ValueError."""
+    too_big = ResourceLimitError(f"{path} exceeds the input cap of {MAX_INPUT_BYTES} bytes")
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size > MAX_INPUT_BYTES:
+            raise too_big
+        raw = fh.read(MAX_INPUT_BYTES + 1)
+    if len(raw) > MAX_INPUT_BYTES:
+        raise too_big
+    raw = raw.decode("utf-8")  # rebound, so the bytes are freed before parsing
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError(f"{path} nests its JSON too deeply") from None
+
+
 def check_keys(data, allowed: tuple[str, ...], what: str) -> None:
     """``data`` must be a JSON object with no key outside ``allowed``."""
     if not isinstance(data, Mapping):
@@ -236,5 +260,4 @@ def expr_from_json(data: Mapping) -> InequalityExpr:
 
 
 def load_expr(path: str) -> InequalityExpr:
-    with open(path, encoding="utf-8") as fh:
-        return expr_from_json(json.load(fh))
+    return expr_from_json(read_json(path))

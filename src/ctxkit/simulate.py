@@ -12,10 +12,14 @@ shot ``s`` of term ``t`` consumes exactly the draws of substream
 (seed, lane 1, t, s), and a marginal-consistency check of a context uses
 (seed, lane 2, digest(context labels), s), so measuring the same context
 twice reproduces the same runs while distinct contexts get independent
-ensembles.  Estimation batches shots by walking the branching tree of
-post-measurement states, which reproduces the per-shot sequential draws
-bit for bit (same uniforms, same comparisons) while computing each
-distinct branch state only once.
+ensembles.
+
+Every measurement runs one Lüders walk: shots that have seen the same
+outcomes share a post-measurement factor, so the branch tree is walked
+once, depth first, holding at most one pending sibling per level.  A
+single run (``sequential_measure``) is that walk on one shot; a batch
+reproduces its per-shot draws bit for bit (same uniforms, same
+comparisons) while computing each distinct branch state only once.
 
 Every entry point that takes a state certifies it as a ket or density
 matrix of the set's dimension (``linalg.factor``) before measuring, and
@@ -90,10 +94,36 @@ def _split(k: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]
     return min(max(p, 0.0), 1.0), (k + a) / 2.0, (k - a) / 2.0
 
 
+def _walk(k: np.ndarray, expansions, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the expansions in order on shots sharing the state K K^dagger:
+    shot s takes the +1 branch of measurement i when uniforms[s, i] is
+    below its probability.  The stack holds (K, shot indices, level).
+    Returns the (shots, depth) outcomes and the last factor reached (for
+    one shot, its post-measurement factor)."""
+    shots, depth = uniforms.shape
+    outcomes = np.empty((shots, depth), dtype=np.int64)
+    stack = [(k, np.arange(shots), 0)]
+    while stack:
+        k, idx, level = stack.pop()
+        if level == depth:
+            continue
+        p, plus, minus = _split(k, expansions[level])
+        took_plus = uniforms[idx, level] < p
+        outcomes[idx, level] = np.where(took_plus, 1, -1)
+        for branch_idx, post, prob in ((idx[took_plus], plus, p), (idx[~took_plus], minus, 1 - p)):
+            if branch_idx.size:
+                if prob < _P_FLOOR:
+                    raise NumericError(f"sampled a measurement branch with probability {prob}")
+                post /= np.sqrt(prob)
+                stack.append((post, branch_idx, level + 1))
+    return outcomes, k
+
+
 def sequential_measure(
     state: np.ndarray, obs: ObservableSet, labels, rng: np.random.Generator
 ) -> MeasurementRecord:
-    """One experimental run: measure the labels in order on one copy.
+    """One experimental run: measure the labels in order on one copy,
+    drawing one ``rng.random()`` per label.
 
     The labels must be jointly measurable.  Returns the ordered outcomes
     and the final post-measurement state, in the input's form: a ket for
@@ -102,54 +132,10 @@ def sequential_measure(
     labels = tuple(labels)
     expansions = compatible_expansions(obs, labels)
     k = factor(state, obs.dim)
-    outcomes = []
-    for label, e in zip(labels, expansions):
-        p, plus, minus = _split(k, e)
-        if rng.random() < p:
-            outcome, post, prob = 1, plus, p
-        else:
-            outcome, post, prob = -1, minus, 1.0 - p
-        if prob < _P_FLOOR:
-            raise NumericError(
-                f"sampled a measurement branch with probability {prob} for {label}"
-            )
-        k = post / np.sqrt(prob)
-        outcomes.append((label, outcome))
+    uniforms = np.array([[rng.random() for _ in labels]])
+    outcomes, k = _walk(k, expansions, uniforms)
     post_state = k[:, 0] if np.ndim(state) == 1 else k @ k.conj().T
-    return MeasurementRecord(outcomes=tuple(outcomes), post_state=post_state)
-
-
-def _branch_outcomes(
-    k: np.ndarray, expansions: list[np.ndarray], uniforms: np.ndarray
-) -> np.ndarray:
-    """Outcomes for a batch of shots sharing the initial state K K^dagger.
-
-    uniforms[s, i] is shot s's draw for measurement i.  Equivalent to
-    running sequential_measure per shot with those draws: shots that have
-    seen the same outcomes share a post-measurement state, so the state
-    tree is walked once with index masks.
-    """
-    shots, depth = uniforms.shape
-    outcomes = np.empty((shots, depth), dtype=np.int64)
-
-    def walk(k: np.ndarray, idx: np.ndarray, level: int) -> None:
-        if level == depth:
-            return
-        p, plus, minus = _split(k, expansions[level])
-        took_plus = uniforms[idx, level] < p
-        plus_idx = idx[took_plus]
-        minus_idx = idx[~took_plus]
-        outcomes[plus_idx, level] = 1
-        outcomes[minus_idx, level] = -1
-        for branch_idx, post, prob in ((plus_idx, plus, p), (minus_idx, minus, 1.0 - p)):
-            if branch_idx.size:
-                if prob < _P_FLOOR:
-                    raise NumericError(f"sampled a measurement branch with probability {prob}")
-                walk(post / np.sqrt(prob), branch_idx, level + 1)
-
-    walk(k, np.arange(shots), 0)
-    del walk  # the recursive closure is a cycle holding the expansions until a GC pass
-    return outcomes
+    return MeasurementRecord(tuple(zip(labels, outcomes[0].tolist())), post_state)
 
 
 def _check_shots(shots: int) -> None:
@@ -159,11 +145,16 @@ def _check_shots(shots: int) -> None:
         raise ResourceLimitError(f"{shots} shots exceeds the cap of {MAX_SHOTS}")
 
 
-def _shot_uniforms(seed: int, lane: int, index: int, shots: int, depth: int) -> np.ndarray:
-    u = np.empty((shots, depth), dtype=float)
+def _shot_outcomes(
+    k: np.ndarray, obs: ObservableSet, labels, shots: int, seed: int, lane: int, index: int
+) -> np.ndarray:
+    """Outcomes of ``shots`` runs measuring ``labels`` in order on K K^dagger;
+    shot s draws from substream (seed, lane, index, s)."""
+    expansions = compatible_expansions(obs, labels)
+    uniforms = np.empty((shots, len(labels)))
     for s in range(shots):
-        u[s] = substream(seed, lane, index, subindex=s).random(depth)
-    return u
+        uniforms[s] = substream(seed, lane, index, subindex=s).random(len(labels))
+    return _walk(k, expansions, uniforms)[0]
 
 
 def _context_stream_index(labels: tuple[str, ...]) -> int:
@@ -188,10 +179,8 @@ def estimate_term(
     """
     _check_shots(shots)
     k = factor(state, obs.dim)
-    expansions = compatible_expansions(obs, term.factors)
-    if expansions:
-        uniforms = _shot_uniforms(seed, PROTOCOL_LANE, term_index, shots, len(expansions))
-        outcomes = _branch_outcomes(k, expansions, uniforms)
+    if term.factors:
+        outcomes = _shot_outcomes(k, obs, term.factors, shots, seed, PROTOCOL_LANE, term_index)
         values = term.sign * outcomes.prod(axis=1).astype(float)
     else:
         values = np.full(shots, float(term.sign))
@@ -255,9 +244,8 @@ def marginal_consistency(
     for ctx in (first, second):
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
-        expansions = compatible_expansions(obs, ctx)
-        uniforms = _shot_uniforms(seed, MARGINAL_LANE, _context_stream_index(ctx), shots, len(ctx))
-        outcomes = _branch_outcomes(k, expansions, uniforms)
+        index = _context_stream_index(ctx)
+        outcomes = _shot_outcomes(k, obs, ctx, shots, seed, MARGINAL_LANE, index)
         col = ctx.index(label)
         freqs.append(float(np.mean(outcomes[:, col] == 1)))
     f1, f2 = freqs

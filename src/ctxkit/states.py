@@ -19,13 +19,12 @@ matter how the sweep is chunked.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Mapping
 
 import numpy as np
 
-from .inequalities import check_keys, parse_int
+from .inequalities import check_keys, parse_int, read_json
 from .linalg import as_ket, check_dense, check_density_matrix
 from .runtime import substream
 
@@ -193,8 +192,7 @@ def make_state(spec, dim: int | None = None) -> np.ndarray:
 
 def load_state(path: str, dim: int | None = None) -> np.ndarray:
     """A state file: one JSON object in the form ``make_state`` takes."""
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = read_json(path)
     if not isinstance(spec, Mapping):
         raise ValueError(f"state file must hold a JSON object, got {type(spec).__name__}")
     return make_state(spec, dim)

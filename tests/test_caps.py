@@ -13,6 +13,8 @@ import time
 import pytest
 
 import ctxkit
+from ctxkit.inequalities import MAX_INPUT_BYTES
+from ctxkit.linalg import MAX_DENSE_DIM
 
 GIB = 1 << 30
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
@@ -57,11 +59,23 @@ def test_largest_star_runs_within_a_gib(argv, budget_s, key, want):
     ("quantum", *STAR13, "--state", "maximally_mixed"),
     ("simulate", *STAR13, "--state", "DM_FILE", "--shots", "2", "--seed", "1"),
     ("sweep", "--inequality", "ineq1", "--states", "1000001", "--seed", "1"),
-], ids=["maximally_mixed", "dm_file", "sweep_states"])
+    ("bound", "--inequality", "BIG_FILE"),
+], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes"])
 def test_past_a_cap_exits_3_at_once(argv, tmp_path):
-    dm_file = tmp_path / "dm.json"
-    dm_file.write_text(json.dumps({"kind": "dm", "dim": 8192, "entries": [[1.0, 0.0]]}))
-    argv = [str(dm_file) if a == "DM_FILE" else a for a in argv]
+    files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json"}
+    files["DM_FILE"].write_text(json.dumps({"kind": "dm", "dim": 8192, "entries": [[1.0, 0.0]]}))
+    with open(files["BIG_FILE"], "wb") as fh:
+        fh.truncate(MAX_INPUT_BYTES + 1)  # sparse: no disk blocks
+    argv = [str(files.get(a, a)) for a in argv]
     rc, report, err, _ = run_capped(argv, 1.0)
     assert (rc, report) == (3, None)
     assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
+def test_input_cap_holds_a_dm_file_at_the_dense_cap():
+    # No float prints wider than the 24 characters of this one, so a dm
+    # file of dimension MAX_DENSE_DIM in json.dumps' own form fits.
+    widest = -2.2250738585072014e-308
+    entry = json.dumps([[widest, widest]])[1:-1] + ", "
+    header = json.dumps({"kind": "dm", "dim": MAX_DENSE_DIM, "entries": []})
+    assert len(header) + MAX_DENSE_DIM**2 * len(entry) <= MAX_INPUT_BYTES

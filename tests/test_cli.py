@@ -215,6 +215,25 @@ def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("bound", "--inequality"), DEEP),
+    (("quantum", "--inequality", "chsh8", "--state"),
+     '{"kind": "ket", "dim": 4, "amplitudes": ' + DEEP + "}"),
+    (("specialize", "--inequality", "ineq4", "--subs"), DEEP),
+], ids=["inequality", "ket_amplitudes", "subs"])
+def test_deeply_nested_json_files_exit_2(capsys, tmp_path, argv, text):
+    # Too deep for the JSON parser's recursion: bad input, not a traceback.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": f"{path} nests its JSON too deeply"}
+
+
 def test_inequality_file_n_conflict(capsys, tmp_path):
     path = tmp_path / "star.json"
     path.write_text(json.dumps(expr_to_json(catalog_get("mermin11", 3))))

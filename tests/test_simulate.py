@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from ctxkit.observables import KS18_RAYS, build_set, star_contexts
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     MAX_SHOTS,
-    _branch_outcomes,
+    _walk,
     estimate_term,
     marginal_consistency,
     report_to_json,
@@ -268,28 +269,49 @@ def test_branch_probability_out_of_range_raises(scale):
     op = expand(scale * np.diag([1.0, -1.0]))
     uniforms = np.full((4, 1), 0.5)
     with pytest.raises(NumericError, match="outside"):
-        _branch_outcomes(zero_product(1)[:, None], [op], uniforms)
+        _walk(zero_product(1)[:, None], [op], uniforms)
 
 
 def test_branch_probability_rounding_is_clamped():
     # p = 1 + 1e-12 is rounding error, inside STRUCT_TOL: clamped to 1.
     op = expand(np.diag([1.0 + 2e-12, -1.0]))
-    outcomes = _branch_outcomes(zero_product(1)[:, None], [op], np.full((4, 1), 0.5))
+    outcomes, _ = _walk(zero_product(1)[:, None], [op], np.full((4, 1), 0.5))
     assert (outcomes == 1).all()
 
 
 def test_branch_walk_frees_its_operators():
-    # The recursive walk must not leave a reference cycle that keeps each
-    # term's expansions alive until the next garbage-collection pass.
+    # The walk must hold each term's expansions only while it runs, with
+    # no reference cycle that keeps them alive until a garbage-collection
+    # pass.
     op = expand(np.diag([1.0, -1.0]))
     ref = weakref.ref(op)
     gc.disable()
     try:
-        _branch_outcomes(zero_product(1)[:, None], [op], np.full((4, 1), 0.5))
+        _walk(zero_product(1)[:, None], [op], np.full((4, 1), 0.5))
         del op
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_branch_walk_keeps_one_pending_sibling_per_level():
+    # A full branch tree: Z on each of the first `depth` qubits of the
+    # maximally mixed state, one shot per outcome string.  Depth first,
+    # the walk holds one pending sibling per level plus the node it
+    # splits, about depth + 4 factors of 4 MB, not each ancestor's factor
+    # and both its branches (about 3 * depth).
+    depth, dim = 6, 512
+    k = linalg.factor(maximally_mixed(dim), dim)
+    expansions = [linalg.pauli("I" * i + "Z" + "I" * (8 - i)) for i in range(depth)]
+    bits = (np.arange(2**depth)[:, None] >> np.arange(depth)) & 1
+    tracemalloc.start()
+    try:
+        outcomes, _ = _walk(k, expansions, np.where(bits, 0.75, 0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (outcomes == 1 - 2 * bits).all()
+    assert peak <= (depth + 5) * k.nbytes
 
 
 @pytest.mark.parametrize("family", ["ks18", 3, 5])
