@@ -31,7 +31,7 @@ from .inequalities import (
     load_expr,
     specialize,
 )
-from .linalg import as_ket, check_density_matrix
+from .linalg import as_ket
 from .observables import (
     ObservableSet,
     RaySet,
@@ -108,7 +108,6 @@ __all__ = [
     "build_set",
     "catalog_get",
     "certify_state_independence",
-    "check_density_matrix",
     "classical_bound",
     "compatible",
     "context_product",

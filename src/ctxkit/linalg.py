@@ -9,8 +9,9 @@ state's factor by an expansion; ``dense`` builds a matrix only for the
 eigensolver and the 4x4 calibration.
 
 A state is a ket (1-D complex vector) or a density matrix, checked
-within 1e-9.  ``factor`` certifies either as its d x r factor K with
-rho = K K^dagger.  No d x d array is built past ``MAX_DENSE_DIM``.
+within 1e-9.  ``factor`` is the one place that certifies either, as its
+d x r factor K with rho = K K^dagger; every consumer of a state calls
+it once per computation.  No d x d array is built past ``MAX_DENSE_DIM``.
 """
 
 from __future__ import annotations
@@ -163,13 +164,6 @@ def as_ket(amplitudes) -> np.ndarray:
     if abs(norm - 1.0) > KET_NORM_SLACK:
         raise ValueError(f"state vector norm {norm} is not within {KET_NORM_SLACK} of 1")
     return psi / norm
-
-
-def check_density_matrix(rho) -> np.ndarray:
-    """Certify rho as a density matrix (``factor``); returns it as complex."""
-    rho = _as_operator(rho, "rho")
-    factor(rho, rho.shape[0])
-    return rho
 
 
 def factor(state, dim: int) -> np.ndarray:

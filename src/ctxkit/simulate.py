@@ -177,8 +177,8 @@ def estimate_term(
     standard error is the sample standard deviation over shots divided by
     sqrt(shots).
     """
-    _check_shots(shots)
     k = factor(state, obs.dim)
+    _check_shots(shots)
     if term.factors:
         outcomes = _shot_outcomes(k, obs, term.factors, shots, seed, PROTOCOL_LANE, term_index)
         values = term.sign * outcomes.prod(axis=1).astype(float)

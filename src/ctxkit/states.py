@@ -2,8 +2,12 @@
 seeded Haar-random states, and the JSON state form used by the CLI.
 
 Pure states are 1-D unit kets, never expanded to a density matrix;
-mixed states are dense density matrices, certified and capped at
-``linalg.MAX_DENSE_DIM`` before they are built.  Named states:
+mixed states are dense density matrices, capped at
+``linalg.MAX_DENSE_DIM`` before they are built.  This module builds a
+density matrix and checks only what needs no decomposition (shape,
+dimension, finite entries); ``linalg.factor`` certifies it (Hermitian,
+unit trace, positive semidefinite) once per computation that uses it.
+Named states:
 
 * ``singlet``: (|01> - |10>)/sqrt(2), dimension 4,
 * ``y_plus_pair``: the +1 eigenstate of Y on each of two qubits,
@@ -25,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .inequalities import check_keys, parse_int, read_json
-from .linalg import as_ket, check_dense, check_density_matrix
+from .linalg import as_ket, check_dense
 from .runtime import substream
 
 
@@ -118,12 +122,10 @@ _STATE_KEYS = {
 }
 
 
-def _complex_entries(values, what: str) -> np.ndarray:
-    """A JSON list of [re, im] pairs of finite numbers; a bool, string,
-    bare number or pair of any other length is rejected, not coerced."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of [re, im] pairs, got {values!r}")
-    parts = []
+def _checked_floats(values, what: str):
+    """re, im of each [re, im] pair of finite JSON numbers, in order; a
+    bool, string, bare number or pair of any other length is rejected,
+    not coerced."""
     for pair in values:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(x) in (int, float) for x in pair)):
@@ -134,8 +136,17 @@ def _complex_entries(values, what: str) -> np.ndarray:
             raise ValueError(f"{what} entry {pair!r} is too large") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError(f"{what} entry {pair!r} is not finite")
-        parts.append(complex(re, im))
-    return np.array(parts, dtype=complex)
+        yield re
+        yield im
+
+
+def _complex_entries(values, what: str) -> np.ndarray:
+    """A JSON list of [re, im] pairs as complex entries: the checked
+    floats fill one flat float buffer, viewed as complex."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of [re, im] pairs, got {values!r}")
+    floats = np.fromiter(_checked_floats(values, what), dtype=float, count=2 * len(values))
+    return floats.view(complex)
 
 
 def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
@@ -159,17 +170,20 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     entries = _complex_entries(spec["entries"], "dm entries")
     if entries.size != d * d:
         raise ValueError(f"dm declares dim {d} but has {entries.size} entries")
-    return check_density_matrix(entries.reshape(d, d))
+    return entries.reshape(d, d)
 
 
 def make_state(spec, dim: int | None = None) -> np.ndarray:
     """Resolve a state specification to a validated 1-D ket or a
-    certified density matrix.
+    complex density matrix.
 
     ``spec`` may be a named-state string, a dict in the JSON form
     ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array of numbers,
-    never bools or objects (1-D vectors are kets, 2-D matrices density
-    matrices).  When ``dim`` is given the result must match it.
+    never bools or objects (1-D vectors are kets, square 2-D matrices
+    density matrices).  When ``dim`` is given the result must match it.
+    A density matrix is built here with finite entries, within the dense
+    cap; its Hermiticity, trace and positivity are certified by
+    ``linalg.factor``, which every consumer runs once.
     """
     if isinstance(spec, str):
         state = _named_state(spec, dim)
@@ -181,17 +195,21 @@ def make_state(spec, dim: int | None = None) -> np.ndarray:
             raise ValueError(f"state array must hold numbers, got dtype {arr.dtype}")
         if arr.ndim == 1:
             state = as_ket(arr)
-        elif arr.ndim == 2:
-            state = check_density_matrix(arr)
+        elif arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0:
+            check_dense(arr.shape[0], "density matrix")
+            state = np.asarray(arr, dtype=complex)
+            if not np.isfinite(state).all():
+                raise ValueError("density matrix has non-finite entries")
         else:
-            raise ValueError(f"state array must be 1-D or 2-D, got shape {arr.shape}")
+            raise ValueError(f"state array must be 1-D or square 2-D, got shape {arr.shape}")
     if dim is not None and state.shape[0] != dim:
         raise ValueError(f"state has dimension {state.shape[0]}, set needs {dim}")
     return state
 
 
 def load_state(path: str, dim: int | None = None) -> np.ndarray:
-    """A state file: one JSON object in the form ``make_state`` takes."""
+    """A state file: one JSON object in the form ``make_state`` takes.
+    A dm file is built, not certified: ``linalg.factor`` does that."""
     spec = read_json(path)
     if not isinstance(spec, Mapping):
         raise ValueError(f"state file must hold a JSON object, got {type(spec).__name__}")

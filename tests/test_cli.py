@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ctxkit import cli
@@ -310,6 +311,53 @@ def test_exit_code_dimension_mismatch(capsys):
     )
     assert rc == 2
     assert "dimension" in json.loads(err)["error"]["message"]
+
+
+def _dm_file(path, rho) -> str:
+    entries = [[z.real, z.imag] for z in np.asarray(rho, dtype=complex).reshape(-1)]
+    path.write_text(json.dumps({"kind": "dm", "dim": len(rho), "entries": entries}))
+    return str(path)
+
+
+STATE_COMMANDS = {
+    "quantum": ["quantum", "--inequality", "ineq1"],
+    "simulate": ["simulate", "--inequality", "ineq1", "--shots", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command,eighs", [("quantum", 1), ("simulate", 9)])
+def test_dm_file_is_certified_once_per_computation(capsys, tmp_path, monkeypatch,
+                                                   command, eighs):
+    # Loading the file runs no eigensolver; linalg.factor runs one per
+    # consumer: quantum evaluates once, and simulate estimates each of
+    # ineq1's nine terms through the public estimate_term.
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = m @ m.conj().T
+    path = _dm_file(tmp_path / "dm.json", rho / np.trace(rho))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    run_json(capsys, *STATE_COMMANDS[command], "--state", path)
+    assert calls == [(4, 4)] * eighs
+
+
+@pytest.mark.parametrize("command", list(STATE_COMMANDS))
+@pytest.mark.parametrize("rho,message", [
+    (np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) / 2, "density matrix is not Hermitian"),
+    (np.eye(4) / 2, "density matrix trace (2+0j) is not 1"),
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "density matrix has negative eigenvalue -0.5"),
+])
+def test_dm_file_that_is_not_a_state_exits_2(capsys, tmp_path, command, rho, message):
+    path = _dm_file(tmp_path / "dm.json", rho)
+    rc, out, err = run_cli(capsys, *STATE_COMMANDS[command], "--state", path)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
 
 
 def test_version_flag(capsys):

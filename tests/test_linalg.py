@@ -12,7 +12,6 @@ from ctxkit.linalg import (
     adjoint,
     apply,
     as_ket,
-    check_density_matrix,
     combine,
     dense,
     expand,
@@ -180,7 +179,7 @@ def test_state_checks_reject_large_entries_without_overflow():
     rho = np.zeros((2, 2), dtype=complex)
     rho[0, 1], rho[1, 0] = 1e308, -1e308
     with pytest.raises(ValueError, match="above 2"):
-        check_density_matrix(rho)
+        factor(rho, 2)
 
 
 def test_ket_density_is_projector():
@@ -223,26 +222,27 @@ def test_dense_cap_comes_before_any_matrix(monkeypatch):
         factor(hollow, 2 * MAX_DENSE_DIM)
 
 
-def test_check_density_matrix_accepts_mixed():
-    rho = check_density_matrix(np.eye(4) / 4)
-    assert rho.shape == (4, 4)
+def test_factor_accepts_mixed():
+    k = factor(np.eye(4) / 4, 4)
+    assert k.shape == (4, 4)
+    assert np.abs(k @ k.conj().T - np.eye(4) / 4).max() <= 1e-15
 
 
-def test_check_density_matrix_rejections():
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        check_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        check_density_matrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        check_density_matrix(np.ones(3))  # not a matrix
+def test_factor_rejections():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        factor(np.array([[1.0, 1.0], [0.0, 0.0]]), 2)
+    with pytest.raises(ValueError, match="trace"):
+        factor(np.eye(2), 2)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        factor(np.diag([1.5, -0.5]), 2)
+    with pytest.raises(ValueError, match="shape"):
+        factor(np.ones((3, 2)), 3)  # not a square matrix
 
 
-def test_check_density_matrix_rejects_non_finite():
+def test_factor_rejects_non_finite():
     rho = np.eye(2, dtype=complex) / 2
     rho[0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        check_density_matrix(rho)
+        factor(rho, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        check_density_matrix(np.diag([np.inf, 0.0]))
+        factor(np.diag([np.inf, 0.0]), 2)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from ctxkit.exceptions import ResourceLimitError
-from ctxkit.linalg import MAX_DENSE_DIM, check_density_matrix
+from ctxkit.inequalities import catalog_get
+from ctxkit.linalg import MAX_DENSE_DIM, factor
+from ctxkit.quantum import evaluate_inequality
 from ctxkit.states import (
     NAMED_STATES,
     ghz,
@@ -25,7 +27,7 @@ def test_named_constructors_return_density_matrices():
                 ghz(3), haar_random(4, seed=1)):
         assert psi.ndim == 1
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
-    check_density_matrix(maximally_mixed(5))
+    assert factor(maximally_mixed(5), 5).shape == (5, 5)
 
 
 def test_singlet_entries():
@@ -95,14 +97,37 @@ def test_make_state_from_arrays():
     assert np.allclose(make_state(np.eye(4) / 4), maximally_mixed(4))
     with pytest.raises(ValueError):
         make_state(np.array([0.9, 0.0]))  # norm too far from 1
-    with pytest.raises(ValueError):
-        make_state(np.zeros((2, 2, 2)))
+    for shape in ((2, 2, 2), (2, 3), (0, 0)):
+        with pytest.raises(ValueError, match="1-D or square 2-D"):
+            make_state(np.zeros(shape))
     with pytest.raises(ValueError):
         make_state(np.eye(4) / 4, dim=8)
     with pytest.raises(ValueError, match="non-finite"):
         make_state(np.array([np.nan, 0, 0, 0]))
     with pytest.raises(ValueError, match="non-finite"):
         make_state(np.diag([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("rho", [
+    np.diag([0.5, 0.5, 0.0, 0.0]) + np.eye(4, k=1) / 2,  # not Hermitian
+    np.eye(4) / 2,  # trace 2
+    np.diag([1.5, -0.5, 0.0, 0.0]),  # a negative eigenvalue
+])
+def test_density_matrices_are_certified_by_factor(ks18_obs, rho):
+    # make_state builds the matrix; the consumer's linalg.factor refuses it.
+    entries = [[float(z.real), float(z.imag)] for z in rho.reshape(-1)]
+    for spec in (rho, {"kind": "dm", "dim": 4, "entries": entries}):
+        state = make_state(spec, dim=4)
+        assert state.shape == (4, 4) and np.array_equal(state, rho)
+        with pytest.raises(ValueError, match="density matrix"):
+            evaluate_inequality(state, ks18_obs, catalog_get("ineq1"))
+
+
+def test_state_json_entries_keep_every_bit():
+    pairs = [[-0.0, 1e-300], [3, 2**53 + 1], [0.1, -5e-324], [1, 0]]
+    expected = np.array([complex(float(re), float(im)) for re, im in pairs])
+    entries = make_state({"kind": "dm", "dim": 2, "entries": pairs})
+    assert entries.reshape(-1).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("spec", [[True, False, False, False], [{}], ["1", "0", "0", "0"], None])
@@ -152,6 +177,7 @@ def test_state_json_integers_are_strict(spec):
     {"kind": "ket", "dim": 2, "amplitudes": [[1, 0, 0], [0, 0]]},
     {"kind": "ket", "dim": 2, "amplitudes": {"re": [1, 0], "im": [0, 0]}},
     {"kind": "ket", "dim": 2, "amplitudes": [[float("nan"), 0], [0, 0]]},
+    {"kind": "dm", "dim": 2, "entries": [[0.5, 0], [float("inf"), 0], [0, 0], [0.5, 0]]},
     {"kind": "ket", "dim": 2, "amplitudes": [[10**400, 0], [0, 0]]},
 ])
 def test_state_json_entries_are_number_pairs(spec):
