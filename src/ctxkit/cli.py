@@ -3,14 +3,16 @@
 Every subcommand prints one JSON report to standard output:
 {"command", "version", "inputs", "results"} in that key order, plus
 "timing_s" when --timing is given (off by default so seeded reports are
-byte-identical across runs).  Errors print {"error": {"type", "message"}}
-to standard error.  Exit codes: 0 success, 2 invalid input or unknown
-name, 3 resource limit exceeded (a cap or a MemoryError), 1 numeric failure.
+byte-identical across runs).  Errors, argument errors included, print
+{"error": {"type", "message"}} to standard error.  Exit codes: 0 success,
+2 invalid input (bad arguments too) or unknown name, 3 resource limit
+exceeded (a cap or a MemoryError), 1 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -65,11 +67,16 @@ def _set_for(expr: InequalityExpr) -> ObservableSet:
     return build_set(expr.set_id, expr.n)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+def _csv_file(path: str | None):
+    """``--csv``, opened before the run, so a bad path fails before any
+    work; with no path, a context that gives None."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _write_csv(fh, header: list[str], rows: list[list]) -> None:
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def _cmd_bound(args) -> dict:
@@ -127,29 +134,31 @@ def _cmd_simulate(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
     obs = _set_for(expr)
     state = _resolve_state(args.state, obs)
-    report = run_protocol(state, obs, expr, args.shots, args.seed)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["term_index", "estimate", "stderr", "shots"],
-            [
-                [i, t.estimate, t.standard_error, t.shots]
-                for i, t in enumerate(report.terms)
-            ],
-        )
+    with _csv_file(args.csv) as fh:
+        report = run_protocol(state, obs, expr, args.shots, args.seed)
+        if fh:
+            _write_csv(
+                fh,
+                ["term_index", "estimate", "stderr", "shots"],
+                [
+                    [i, t.estimate, t.standard_error, t.shots]
+                    for i, t in enumerate(report.terms)
+                ],
+            )
     return report_to_json(report, args.state)
 
 
 def _cmd_sweep(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
     obs = _set_for(expr)
-    values = haar_sweep(obs, expr, args.states, args.seed)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["state_index", "value"],
-            [[i, float(v)] for i, v in enumerate(values)],
-        )
+    with _csv_file(args.csv) as fh:
+        values = haar_sweep(obs, expr, args.states, args.seed)
+        if fh:
+            _write_csv(
+                fh,
+                ["state_index", "value"],
+                [[i, float(v)] for i, v in enumerate(values)],
+            )
     return {
         "count": int(values.size),
         "seed": args.seed,
@@ -191,8 +200,20 @@ def _cmd_calibrate(args) -> dict:
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are bad input like any other: the JSON error, exit 2.
+
+    ``exit_on_error=False`` would not cover missing or unrecognized
+    arguments on Python 3.10 and 3.11, so ``error`` itself raises, to be
+    reported by ``main``.  ``--help`` and ``--version`` exit as usual.
+    """
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctxkit",
         description="Noncontextuality inequalities: bounds, certificates, simulation.",
     )
@@ -254,7 +275,11 @@ def _inputs_echo(args) -> dict:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        _print_error(exc)
+        return 2
     started = time.perf_counter()
     try:
         results = args.handler(args)
@@ -280,7 +305,9 @@ def main(argv=None) -> int:
 
 
 def _print_error(exc: Exception) -> None:
-    message = str(exc.args[0]) if exc.args else str(exc)
+    # str() would quote a KeyError's message; an OSError's str() names the
+    # error and the path, where its first argument is the errno.
+    message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
     payload = {"error": {"type": type(exc).__name__, "message": message}}
     print(json.dumps(payload), file=sys.stderr)
 

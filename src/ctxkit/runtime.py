@@ -20,6 +20,13 @@ that key, so building a stream draws no OS entropy (``Philox(key=...)``
 would seed a ``SeedSequence`` from the OS and then discard it).  The
 adapter class is made on the first ``substream`` call, so ``numpy.random``
 loads only then and a process that never draws does not import it.
+
+A simulation makes one ``substream`` call per shot, and only the counter
+changes from shot to shot.  So four plain ``int`` coordinates are checked
+in one expression (other values get the per-coordinate checks), and the
+read-only ``[seed, lane]`` key and its seed sequence are built once per
+(seed, lane) and reused by every stream they key, from a small bounded
+cache.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import operator
 import numpy as np
 
 _U64_MAX = 2**64 - 1
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 
 def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.random.Generator:
@@ -39,17 +48,38 @@ def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.ran
     units of work can run in any order without changing the numbers each
     one draws.
     """
-    for name, value in (("seed", seed), ("lane", lane), ("index", index), ("subindex", subindex)):
-        # Plain ints skip the type checks (one call per shot); floats and bools are refused.
+    # Four plain ints in [0, 2**64) pass in one test (a negative one makes
+    # the OR negative); anything else gets the checks one by one.
+    if not (type(seed) is type(lane) is type(index) is type(subindex) is int
+            and not (seed | lane | index | subindex) >> 64):
+        seed, lane, index, subindex = _checked(seed, lane, index, subindex)
+    # Written into a uint64 array (a copy and two stores cost half an
+    # np.array call): a plain int list goes through float64 inside numpy
+    # and mangles coordinates above 2**53.
+    counter = _ZERO_COUNTER.copy()
+    counter[1] = subindex
+    counter[2] = index
+    return np.random.Generator(np.random.Philox(_lane_key(seed, lane), counter=counter))
+
+
+def _checked(*coordinates) -> list[int]:
+    """The coordinates as plain ints; floats, bools, strings and values
+    outside [0, 2**64) raise ValueError."""
+    for name, value in zip(("seed", "lane", "index", "subindex"), coordinates):
         if type(value) is not int and (isinstance(value, bool) or not hasattr(value, "__index__")):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= operator.index(value) <= _U64_MAX:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
-    # Explicit uint64 arrays: a plain int list goes through float64 inside
-    # numpy and mangles coordinates above 2**53.
+    return [operator.index(value) for value in coordinates]
+
+
+@functools.lru_cache(maxsize=64)
+def _lane_key(seed: int, lane: int):
+    """The seed sequence keying every stream of (seed, lane).  Its key is
+    read-only because every stream of that pair shares it."""
     key = np.array([seed, lane], dtype=np.uint64)
-    counter = np.array([0, subindex, index, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_key_seed(key), counter=counter))
+    key.flags.writeable = False
+    return _key_seed(key)
 
 
 @functools.cache

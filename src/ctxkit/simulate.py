@@ -32,7 +32,6 @@ More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,12 +152,15 @@ def _shot_outcomes(
     expansions = compatible_expansions(obs, labels)
     uniforms = np.empty((shots, len(labels)))
     for s in range(shots):
-        uniforms[s] = substream(seed, lane, index, subindex=s).random(len(labels))
+        substream(seed, lane, index, s).random(out=uniforms[s])
     return _walk(k, expansions, uniforms)[0]
 
 
 def _context_stream_index(labels: tuple[str, ...]) -> int:
     """Stable 64-bit index for a context's substream, from its label list."""
+    # Imported here: only marginal checks hash, and hashlib loads OpenSSL.
+    import hashlib
+
     digest = hashlib.blake2b("\x1f".join(labels).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

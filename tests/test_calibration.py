@@ -182,3 +182,15 @@ def test_each_relabeling_builds_one_bell_operator(monkeypatch):
     report = kcbs_calibration()
     assert (report.automorphism_count, report.pentagon_count) == (72, 36)
     assert len(calls) == 72
+
+
+def test_top_eigvec_2x2_degenerate_keeps_the_current_vector():
+    # Any unit vector is a top eigenvector of a multiple of the identity.
+    current = np.array([0.6, 0.8j])
+    assert calibration._top_eigvec_2x2(np.eye(2) * 3.0, current) is current
+
+
+@pytest.mark.parametrize("diag,want", [((3.0, 1.0), [1, 0]), ((1.0, 3.0), [0, 1])])
+def test_top_eigvec_2x2_diagonal(diag, want):
+    vec = calibration._top_eigvec_2x2(np.diag(diag).astype(complex), np.array([0.6, 0.8]))
+    assert vec.tolist() == want

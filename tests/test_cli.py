@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 
 from ctxkit import cli
 from ctxkit.cli import main
+from ctxkit.exceptions import NumericError
 from ctxkit.inequalities import catalog_get, expr_to_json
 from ctxkit.observables import build_ks18
 from ctxkit.quantum import max_quantum_value
@@ -18,6 +21,13 @@ from ctxkit.states import make_state
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
+    if rc != 0:
+        # Every failure, argument errors included: nothing on stdout, and
+        # stderr is exactly the JSON error.
+        assert captured.out == ""
+        payload = json.loads(captured.err)
+        assert list(payload) == ["error"] and sorted(payload["error"]) == ["message", "type"]
+        assert all(isinstance(v, str) for v in payload["error"].values())
     return rc, captured.out, captured.err
 
 
@@ -296,6 +306,77 @@ def test_memory_error_is_a_resource_limit(capsys, monkeypatch):
     assert json.loads(err) == {
         "error": {"type": "MemoryError", "message": "Unable to allocate 1.00 GiB for an array"}
     }
+
+
+def test_numeric_error_exits_1(capsys, monkeypatch):
+    def failing(args):
+        raise NumericError("branch probability 1.5 is outside [0, 1]")
+
+    monkeypatch.setattr(cli, "_cmd_quantum", failing)
+    rc, out, err = run_cli(capsys, "quantum", "--inequality", "cfrh6", "--state", "singlet")
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {"type": "NumericError", "message": "branch probability 1.5 is outside [0, 1]"}
+    }
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("simulate", "--inequality", "ineq1", "--state", "singlet", "--shots", "abc", "--seed", "1"),
+     "argument --shots: invalid int value: 'abc'"),
+    (("bound", "--n", "3"), "the following arguments are required: --inequality"),
+    (("bound", "--inequality", "chsh8", "--bogus"), "unrecognized arguments: --bogus"),
+    (("bound", "--inequality", "chsh8", "extra"), "unrecognized arguments: extra"),
+    ((), "the following arguments are required: command"),
+    (("nosuch",), "argument command: invalid choice: 'nosuch'"),
+])
+def test_argument_errors_print_the_json_error(capsys, argv, message):
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ArgumentError"
+    # An invalid choice also lists the choices, worded by the Python version.
+    assert error["message"].startswith(message)
+
+
+def test_os_error_message_names_the_error_and_the_path(capsys, tmp_path):
+    rc, _, err = run_cli(capsys, "bound", "--inequality", str(tmp_path))
+    assert rc == 2
+    expected = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+    assert json.loads(err)["error"] == {"type": "IsADirectoryError", "message": str(expected)}
+
+
+CSV_COMMANDS = {
+    "simulate": ("run_protocol", ["simulate", "--inequality", "kcbs3", "--state",
+                                  "maximally_mixed", "--shots", "60", "--seed", "1"]),
+    "sweep": ("haar_sweep", ["sweep", "--inequality", "ineq4", "--states", "5", "--seed", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_COMMANDS))
+def test_unwritable_csv_path_exits_2_before_the_run(capsys, tmp_path, monkeypatch, command):
+    def not_reached(*args):
+        raise AssertionError("the run started before --csv was opened")
+
+    runner, argv = CSV_COMMANDS[command]
+    monkeypatch.setattr(cli, runner, not_reached)
+    path = tmp_path / "missing" / "out.csv"
+    rc, _, err = run_cli(capsys, *argv, "--csv", str(path))
+    assert rc == 2
+    expected = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    assert json.loads(err)["error"] == {"type": "FileNotFoundError", "message": str(expected)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--inequality", "kcbs3", "--state", "maximally_mixed", "--shots", str(10**12),
+     "--seed", "1"],
+    ["sweep", "--inequality", "ineq4", "--states", str(10**12), "--seed", "2"],
+], ids=["simulate", "sweep"])
+def test_run_that_fails_leaves_an_empty_csv(capsys, tmp_path, argv):
+    path = tmp_path / "out.csv"
+    path.write_text("old contents\n")
+    rc, _, _ = run_cli(capsys, *argv, "--csv", str(path))
+    assert rc == 3
+    assert path.read_text() == ""
 
 
 def test_exit_code_unknown_state(capsys):

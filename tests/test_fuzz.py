@@ -1,5 +1,6 @@
 """Property tests of the input boundary: generated expression and state
-JSON, both through the library parsers and through ``cli.main``.
+JSON, both through the library parsers and through ``cli.main``, and
+generated command lines.
 
 Every case must end in a result or in one of the exception families
 the CLI maps to exit 2 (ValueError, KeyError) or exit 3
@@ -154,7 +155,9 @@ def _run(capsys, argv) -> None:
         json.loads(out)
     else:
         assert out == ""
-        assert list(json.loads(err)) == ["error"]
+        payload = json.loads(err)
+        assert list(payload) == ["error"] and sorted(payload["error"]) == ["message", "type"]
+        assert all(isinstance(v, str) for v in payload["error"].values())
 
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -179,3 +182,24 @@ def test_cli_on_generated_state_files(capsys, tmp_path, spec, command):
     path.write_text(json.dumps(spec))
     extra = ["--shots", "4", "--seed", "1"] if command == "simulate" else []
     _run(capsys, [command, "--inequality", "chsh8", "--state", str(path)] + extra)
+
+
+# Command-line words: every subcommand but the slow calibrate, their
+# options, cheap values and junk.  --help and --version are left out:
+# they print usage text and exit 0 by design.
+argv_words = st.sampled_from([
+    "bound", "quantum", "certify", "maxval", "colorability", "simulate", "sweep", "specialize",
+    "nosuch", "--inequality", "--n", "--state", "--shots", "--states", "--seed", "--subs",
+    "--timing", "--bogus", "-x", "chsh8", "ineq9", "singlet", "ghz", "missing.json",
+    "3", "4", "15", "-1", "1.5", "abc", "",
+])
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(argv_words, max_size=8))
+@example(["simulate", "--inequality", "chsh8", "--state", "singlet", "--shots", "abc"])
+@example(["bound", "--n", "3"])
+@example(["nosuch"])
+@example([])
+def test_cli_on_generated_arguments(capsys, argv):
+    _run(capsys, argv)

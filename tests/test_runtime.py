@@ -58,6 +58,28 @@ def test_substream_rejects_non_integers(coordinates):
         substream(**coordinates)
 
 
+@pytest.mark.parametrize("coordinates,message", [
+    ((2**64, 0), "seed must fit in an unsigned 64-bit integer, got 18446744073709551616"),
+    ((0, 0, -1, 1.5), "index must fit in an unsigned 64-bit integer, got -1"),
+    ((0, 0, 1.5, -1), "index must be an integer, got 1.5"),
+    ((0, True, 2**64), "lane must be an integer, got True"),
+    ((np.int64(-1), 0), "seed must fit in an unsigned 64-bit integer, got np.int64(-1)"),
+])
+def test_substream_names_the_first_bad_coordinate(coordinates, message):
+    # Coordinates are checked in order, each for its type, then its range.
+    with pytest.raises(ValueError) as excinfo:
+        substream(*coordinates)
+    assert str(excinfo.value) == message
+
+
+def test_streams_of_one_seed_and_lane_share_a_read_only_key():
+    a, b = substream(7, 1, 0, 0), substream(np.uint64(7), 1, 3, 9)
+    assert a.bit_generator.seed_seq is b.bit_generator.seed_seq
+    with pytest.raises(ValueError):
+        a.bit_generator.seed_seq.key[0] = 8
+    assert substream(7, 1, 3, 9).random(4).tolist() == FROZEN_DRAWS[7, 1, 3, 9]
+
+
 def test_substream_accepts_numpy_integers():
     top = 2**64 - 1
     assert np.array_equal(
@@ -129,3 +151,11 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # Only marginal checks hash; hashlib would load OpenSSL in every process.
+    probe = "import sys, ctxkit.cli; print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"

@@ -235,6 +235,15 @@ def test_marginal_same_context_twice_is_identical(ks18_obs):
     assert report.z_statistic == 0.0
 
 
+def test_marginal_in_the_rays_own_state_has_zero_spread(ks18_obs):
+    # In A12's own ray state A12 reads +1 in every shot of both contexts:
+    # the pooled variance is 0, and z is 0 by definition, not 0/0.
+    ray = np.array(KS18_RAYS["A12"], dtype=complex)
+    contexts = [c for c in ks18_obs.contexts if "A12" in c]
+    report = marginal_consistency(ray, ks18_obs, "A12", contexts, 50, seed=2)
+    assert (report.freq_plus_first, report.freq_plus_second, report.z_statistic) == (1.0, 1.0, 0.0)
+
+
 def test_marginal_swapping_contexts_negates_z(ks18_obs):
     first, second = ks18_obs.contexts[0], ks18_obs.contexts[1]
     rho = maximally_mixed(4)
