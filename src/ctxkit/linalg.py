@@ -5,13 +5,16 @@ An observable is a read-only record array of ``EXPANSION`` terms
 by (x, z) with distinct masks and nonzero c: equal operators are equal
 arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
 dyadic coefficients keep the algebra exact.  ``apply`` multiplies a
-state's factor by an expansion; ``dense`` builds a matrix only for the
-eigensolver and the 4x4 calibration.
+state's factor by an expansion; ``apply_rows`` multiplies a block of
+kets by one, from its ``gather_tables`` built once; ``dense`` builds a
+matrix only for the eigensolver and the 4x4 calibration.
 
 A state is a ket (1-D complex vector) or a density matrix, checked
 within 1e-9.  ``factor`` is the one place that certifies either, as its
 d x r factor K with rho = K K^dagger; every consumer of a state calls
-it once per computation.  No d x d array is built past ``MAX_DENSE_DIM``.
+it once per computation (a Haar sweep certifies its blocks of kets with
+``as_kets``, the row-wise form of ``as_ket``).  No d x d array is built
+past ``MAX_DENSE_DIM``.
 """
 
 from __future__ import annotations
@@ -114,6 +117,15 @@ def dense(e: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def gather_tables(e: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``apply``'s entries in gather order, built once for ``apply_rows``:
+    per term, for every entry i < dim of a ket, the entry i ^ x it takes
+    and the value c (-1)^|z & (i ^ x)| it takes it with (j -> j ^ x is an
+    involution, so these are the same pairs that ``apply`` scatters)."""
+    rows, values = _entries(e, np.arange(dim))
+    return rows, np.take_along_axis(values, rows, axis=1)
+
+
 def apply(e: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``dense(e, len(m)) @ m`` for a 2-D m, without the matrix: term
     c X^x Z^z moves row j of m, times c (-1)^|z & j|, to row j ^ x."""
@@ -121,6 +133,18 @@ def apply(e: np.ndarray, m: np.ndarray) -> np.ndarray:
     out = np.zeros(m.shape, dtype=complex)
     for r, v in zip(rows, values):
         out[r] += v[:, None] * m
+    return out
+
+
+def apply_rows(tables: tuple[np.ndarray, np.ndarray], kets: np.ndarray) -> np.ndarray:
+    """``apply`` to each row of a (count, dim) array of kets, from the
+    expansion's ``gather_tables``.  Each entry is summed from the same
+    value-times-amplitude products as in ``apply`` on that ket alone, in
+    the same term order, so each row equals it bit for bit."""
+    out = np.zeros(kets.shape, dtype=complex)
+    for cols, v in zip(*tables):
+        moved = kets[:, cols]
+        out += np.multiply(v, moved, out=moved)
     return out
 
 
@@ -146,6 +170,30 @@ def expand(matrix) -> np.ndarray:
     return _collect((x, z, c) for (z, x), c in np.ndenumerate(coefficients))
 
 
+def row_norms(kets: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-D complex array, bit for bit:
+    sqrt(re.re + im.im) on the row's strided real and imaginary views,
+    one row at a time (a vectorized sum can round differently)."""
+    return np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(kets.real, kets.imag)])
+
+
+def as_kets(rows) -> np.ndarray:
+    """Validate and normalize each row of a 2-D array as ``as_ket`` does
+    one state vector, with the same checks and messages."""
+    psi = np.ascontiguousarray(rows, dtype=complex)  # as np.linalg.norm's ravel would
+    if psi.shape[1] == 0:
+        raise ValueError("empty state vector")
+    if not np.abs(psi).max() <= 2.0:  # also keeps the norms from overflowing
+        raise ValueError("state vector has non-finite amplitudes or one above 2 in magnitude")
+    norms = row_norms(psi)
+    if (norms == 0.0).any():
+        raise ValueError("zero state vector")
+    if (off := np.abs(norms - 1.0) > KET_NORM_SLACK).any():
+        norm = float(norms[off][0])
+        raise ValueError(f"state vector norm {norm} is not within {KET_NORM_SLACK} of 1")
+    return psi / norms[:, None]
+
+
 def as_ket(amplitudes) -> np.ndarray:
     """Validate and normalize a state vector.
 
@@ -153,17 +201,7 @@ def as_ket(amplitudes) -> np.ndarray:
     and any non-finite amplitude or one above 2 in magnitude (no unit
     vector has one), is rejected rather than guessed at.
     """
-    psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if psi.size == 0:
-        raise ValueError("empty state vector")
-    if not np.abs(psi).max() <= 2.0:  # also keeps the norm from overflowing
-        raise ValueError("state vector has non-finite amplitudes or one above 2 in magnitude")
-    norm = float(np.linalg.norm(psi))
-    if norm == 0.0:
-        raise ValueError("zero state vector")
-    if abs(norm - 1.0) > KET_NORM_SLACK:
-        raise ValueError(f"state vector norm {norm} is not within {KET_NORM_SLACK} of 1")
-    return psi / norm
+    return as_kets(np.asarray(amplitudes, dtype=complex).reshape(1, -1))[0]
 
 
 def factor(state, dim: int) -> np.ndarray:

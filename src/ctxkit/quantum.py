@@ -9,6 +9,9 @@ max |B - c*1|, certified when the residual is exactly 0.  A state's
 value is Re vdot(K, B K) on its factor K (``linalg.factor``), with no
 dense B; a dense B is built only for the eigensolver (the maximal
 quantum value, up to ``linalg.MAX_DENSE_DIM``) and the calibration.
+A Haar sweep evaluates its kets in blocks of ``SWEEP_BLOCK_ENTRIES``
+complex entries, one B application per block, and every value equals
+``evaluate_inequality`` on that state alone bit for bit.
 
 Factors inside one declared context were checked to commute when the set
 was built; any other group of factors is checked pairwise when used.
@@ -28,16 +31,24 @@ from .linalg import (
     STRUCT_TOL,
     adjoint,
     apply,
+    apply_rows,
+    as_kets,
     combine,
     dense,
     factor,
+    gather_tables,
     max_entry,
     multiply,
 )
 from .observables import ObservableSet, noncommuting_pairs
-from .states import haar_random
+from .states import haar_kets
 
 MAX_STATES = 10**6
+# Complex entries in one block of a Haar sweep: 256 kets at d = 4, 32
+# at d = 32, one ket from d = 1024 up.  A block array of 16 KiB keeps a
+# sweep's peak memory where one ket at a time had it (2**12 entries
+# raised it by 0.3-0.5 MB), while per-block calls cost little per ket.
+SWEEP_BLOCK_ENTRIES = 2**10
 
 
 def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
@@ -58,12 +69,17 @@ def _product(obs: ObservableSet, labels: tuple[str, ...]) -> np.ndarray:
     return reduce(multiply, compatible_expansions(obs, labels), IDENTITY)
 
 
-def _value(k: np.ndarray, bell: np.ndarray) -> float:
-    """<B> in the state K K^dagger: Re Tr(K^dagger B K) = Re vdot(K, B K)."""
-    value = complex(np.vdot(k, apply(bell, k)))
+def _real(value) -> float:
+    """An expectation vdot(K, B K), checked real."""
+    value = complex(value)
     if abs(value.imag) > STRUCT_TOL:
         raise NumericError(f"expectation has imaginary part {value.imag}")
-    return float(value.real)
+    return value.real
+
+
+def _value(k: np.ndarray, bell: np.ndarray) -> float:
+    """<B> in the state K K^dagger: Re Tr(K^dagger B K) = Re vdot(K, B K)."""
+    return _real(np.vdot(k, apply(bell, k)))
 
 
 def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
@@ -134,15 +150,26 @@ def haar_sweep(
     """Expression values over ``count`` seeded Haar-random pure states.
 
     State i comes from substream (seed, lane 0, i), so the result is
-    independent of evaluation order.  The Bell expansion is built once and
-    each state is evaluated against it exactly as ``evaluate_inequality``
-    would, one ket at a time.  More than ``MAX_STATES`` states raise
-    ResourceLimitError before any draw.
+    independent of evaluation order.  States are evaluated in blocks of
+    ``SWEEP_BLOCK_ENTRIES // d`` kets (at least one): each block is drawn
+    as one array (``haar_kets``), certified row by row (``as_kets``) and
+    multiplied by the Bell expansion in one ``apply_rows``, from
+    ``gather_tables`` built once per sweep.  Norms and inner products are
+    taken per row, so every value equals ``evaluate_inequality`` on
+    ``haar_random(d, seed, i)`` bit for bit.  More than ``MAX_STATES``
+    states raise ResourceLimitError before any draw.
     """
     if count < 1:
         raise ValueError(f"sweep needs at least one state, got {count}")
     if count > MAX_STATES:
         raise ResourceLimitError(f"{count} states exceeds the cap of {MAX_STATES}")
-    bell = _bell(obs, expr)
-    kets = (factor(haar_random(obs.dim, seed, index=i), obs.dim) for i in range(count))
-    return np.array([_value(k, bell) for k in kets])
+    bell_tables = gather_tables(_bell(obs, expr), obs.dim)
+    block = max(1, SWEEP_BLOCK_ENTRIES // obs.dim)
+    values = np.empty(count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        kets = as_kets(haar_kets(obs.dim, seed, range(start, stop)))
+        applied = apply_rows(bell_tables, kets)
+        values[start:stop] = [_real(np.vdot(k, b)) for k, b in zip(kets, applied)]
+        del kets, applied  # freed before the next block is drawn
+    return values

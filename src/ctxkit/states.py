@@ -18,7 +18,11 @@ Named states:
 
 Haar-random states are normalized complex-Gaussian vectors drawn from
 substream (seed, lane 0, index), so a sweep's i-th state is the same no
-matter how the sweep is chunked.
+matter how the sweep is chunked.  ``haar_kets`` draws a block of them
+as the rows of one array and ``haar_random`` is its one-row case; each
+state is one ``standard_normal(2 * d)`` draw split into real and
+imaginary parts, the same numbers as two successive
+``standard_normal(d)`` draws.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .inequalities import check_keys, parse_int, read_json
-from .linalg import as_ket, check_dense
+from .linalg import as_ket, check_dense, row_norms
 from .runtime import substream
 
 
@@ -72,18 +76,33 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
+def haar_kets(d: int, seed: int, indices) -> np.ndarray:
+    """The Haar-random pure states at ``indices`` of a sweep, as the rows
+    of a (len(indices), d) array: state i is the normalized complex
+    Gaussian vector re + 1j * im, with re and im the two halves of one
+    ``standard_normal(2 * d)`` draw from substream (seed, lane 0, i).
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    draws = np.empty((len(indices), 2 * d))
+    for row, index in zip(draws, indices):
+        substream(seed, 0, index).standard_normal(out=row)
+    kets = np.empty((len(draws), d), dtype=complex)
+    kets.real = draws[:, :d]
+    kets.imag = draws[:, d:]
+    kets /= row_norms(kets)[:, None]
+    return kets
+
+
 def haar_random(d: int, seed: int, index: int = 0) -> np.ndarray:
     """Haar-distributed pure state: normalized complex-Gaussian vector,
     a ket by construction, which consumers certify like any other.
 
     ``index`` selects the position within a sweep; (d, seed, index)
-    determines the state exactly.
+    determines the state exactly, and it is row 0 of
+    ``haar_kets(d, seed, [index])``.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    rng = substream(seed, 0, index)
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return psi / np.linalg.norm(psi)
+    return haar_kets(d, seed, (index,))[0]
 
 
 def _qubits_for(dim: int, name: str) -> int:

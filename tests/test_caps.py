@@ -45,7 +45,7 @@ def run_capped(argv, budget_s: float):
 
 @pytest.mark.parametrize("argv, budget_s, key, want", [
     (("quantum", *STAR13, "--state", "ghz"), 10, "value", 5.0),
-    (("sweep", *STAR13, "--states", "2", "--seed", "1"), 10, "mean", 5.0),
+    (("sweep", *STAR13, "--states", "64", "--seed", "1"), 10, "mean", 5.0),
     (("simulate", *STAR13, "--state", "ghz", "--shots", "200", "--seed", "1"), 30,
      "lhs_estimate", 5.0),
 ], ids=["quantum", "sweep", "simulate"])

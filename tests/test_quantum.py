@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import expectation_term, ket_density, operator
-from ctxkit import quantum
+from ctxkit import quantum, states
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
 from ctxkit.linalg import MAX_DENSE_DIM
@@ -200,18 +200,27 @@ def test_state_cap_comes_before_any_draw(monkeypatch, ks18_obs):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep drew a state past the cap")
 
-    monkeypatch.setattr(quantum, "haar_random", refuse)
+    # Every Haar draw goes through substream as states binds it.
+    monkeypatch.setattr(states, "substream", refuse)
+    with pytest.raises(AssertionError, match="drew a state"):
+        haar_sweep(ks18_obs, catalog_get("kcbs3"), 1, seed=9)  # the patch is on the draw path
     for count in (MAX_STATES + 1, 10**12):
         with pytest.raises(ResourceLimitError):
             haar_sweep(ks18_obs, catalog_get("kcbs3"), count, seed=9)
 
 
-def test_haar_sweep_matches_per_state_evaluation(ks18_obs):
-    expr = catalog_get("kcbs3")
-    values = haar_sweep(ks18_obs, expr, 4, seed=13)
-    for i in range(4):
-        rho = haar_random(4, seed=13, index=i)
-        assert values[i] == evaluate_inequality(rho, ks18_obs, expr)
+@pytest.mark.parametrize("id_, n", [
+    ("kcbs3", None), ("cfrh6", None), ("ineq4", None), ("ineq9", 5), ("mermin11", 7),
+], ids=["kcbs3", "cfrh6", "ineq4", "ineq9-n5", "mermin11-n7"])
+def test_haar_sweep_matches_per_state_evaluation(id_, n):
+    expr = catalog_get(id_, n)
+    obs = build_set(expr.set_id, expr.n)
+    block = max(1, quantum.SWEEP_BLOCK_ENTRIES // obs.dim)
+    for count in (1, block - 1, block, block + 1, 2 * block + 3):
+        values = haar_sweep(obs, expr, count, seed=13)
+        expected = [evaluate_inequality(haar_random(obs.dim, 13, i), obs, expr)
+                    for i in range(count)]
+        assert values.tolist() == expected, (id_, n, count)
 
 
 def test_state_independent_sweep_is_flat(pm_obs):

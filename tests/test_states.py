@@ -7,6 +7,7 @@ from ctxkit.exceptions import ResourceLimitError
 from ctxkit.inequalities import catalog_get
 from ctxkit.linalg import MAX_DENSE_DIM, factor
 from ctxkit.quantum import evaluate_inequality
+from ctxkit.runtime import substream
 from ctxkit.states import (
     NAMED_STATES,
     ghz,
@@ -66,6 +67,20 @@ def test_haar_random_seeded():
     assert not np.allclose(haar_random(4, seed=3, index=7), haar_random(4, seed=4, index=7))
     with pytest.raises(ValueError):
         haar_random(0, seed=1)
+
+
+U64_MAX = 2**64 - 1
+
+
+@pytest.mark.parametrize("d", [1, 4, 32, 8192])
+@pytest.mark.parametrize("seed, index", [(0, 0), (3, 7), (U64_MAX, 5), (2, U64_MAX), (U64_MAX, U64_MAX)])
+def test_haar_random_replays_two_normal_draws(d, seed, index):
+    # The specification of lane 0: re and im are two successive
+    # standard_normal(d) draws from substream (seed, 0, index).
+    rng = substream(seed, 0, index)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    expected = psi / np.linalg.norm(psi)
+    assert haar_random(d, seed, index).tobytes() == expected.tobytes()
 
 
 def test_haar_random_is_pure():
