@@ -4,10 +4,11 @@ An observable is a read-only record array of ``EXPANSION`` terms
 (x, z, c), each c * X^x Z^z with qubit 1 in the masks' top bit, sorted
 by (x, z) with distinct masks and nonzero c: equal operators are equal
 arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
-dyadic coefficients keep the algebra exact.  ``apply`` multiplies a
-state's factor by an expansion; ``apply_rows`` multiplies a block of
-kets by one, from its ``gather_tables`` built once; ``dense`` builds a
-matrix only for the eigensolver and the 4x4 calibration.
+dyadic coefficients keep the algebra exact.  ``tables`` compiles an
+expansion for one dimension into the one form every consumer reads:
+``apply`` multiplies a ket, a factor or a block of kets by it, and
+``dense`` (only for the eigensolver and the 4x4 calibration) and
+``max_entry`` read the same tables.
 
 A state is a ket (1-D complex vector) or a density matrix, checked
 within 1e-9.  ``factor`` is the one place that certifies either, as its
@@ -93,57 +94,43 @@ def _signs(z, j: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(j & z) & 1)
 
 
-def _entries(e: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per term, the rows j ^ x and values c (-1)^|z & j| of columns j:
-    X^x Z^z maps |j> to (-1)^|z & j| |j ^ x>."""
-    x, z = (e[f].astype(np.int64)[:, None] for f in "xz")
-    return j ^ x, e["c"][:, None] * _signs(z, j)
-
-
 def check_dense(dim: int, what: str) -> None:
     """The one cap on d x d arrays, checked before one is built."""
     if dim > MAX_DENSE_DIM:
         raise ResourceLimitError(f"{what} of dimension {dim} exceeds the dense cap {MAX_DENSE_DIM}")
 
 
+def tables(e: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion compiled for dimension ``dim``, as (cols, values) of
+    shape (terms, dim): X^x Z^z maps |j> to (-1)^|z & j| |j ^ x>, so per
+    term, row i of the product takes row i ^ x, times c (-1)^|z & (i ^ x)|."""
+    x, z = (e[f].astype(np.int64)[:, None] for f in "xz")
+    cols = np.arange(dim) ^ x
+    return cols, e["c"][:, None] * _signs(z, cols)
+
+
 def dense(e: np.ndarray, dim: int) -> np.ndarray:
     """The read-only dim x dim matrix of an expansion."""
     check_dense(dim, "dense operator")
-    j = np.arange(dim)
-    rows, values = _entries(e, j)
+    cols, values = tables(e, dim)
     out = np.zeros((dim, dim), dtype=complex)
-    np.add.at(out, (rows, j), values)
+    np.add.at(out, (np.arange(dim), cols), values)
     out.flags.writeable = False
     return out
 
 
-def gather_tables(e: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``apply``'s entries in gather order, built once for ``apply_rows``:
-    per term, for every entry i < dim of a ket, the entry i ^ x it takes
-    and the value c (-1)^|z & (i ^ x)| it takes it with (j -> j ^ x is an
-    involution, so these are the same pairs that ``apply`` scatters)."""
-    rows, values = _entries(e, np.arange(dim))
-    return rows, np.take_along_axis(values, rows, axis=1)
-
-
-def apply(e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``dense(e, len(m)) @ m`` for a 2-D m, without the matrix: term
-    c X^x Z^z moves row j of m, times c (-1)^|z & j|, to row j ^ x."""
-    rows, values = _entries(e, np.arange(len(m)))
-    out = np.zeros(m.shape, dtype=complex)
-    for r, v in zip(rows, values):
-        out[r] += v[:, None] * m
-    return out
-
-
-def apply_rows(tables: tuple[np.ndarray, np.ndarray], kets: np.ndarray) -> np.ndarray:
-    """``apply`` to each row of a (count, dim) array of kets, from the
-    expansion's ``gather_tables``.  Each entry is summed from the same
-    value-times-amplitude products as in ``apply`` on that ket alone, in
-    the same term order, so each row equals it bit for bit."""
-    out = np.zeros(kets.shape, dtype=complex)
-    for cols, v in zip(*tables):
-        moved = kets[:, cols]
+def apply(compiled: tuple[np.ndarray, np.ndarray], m: np.ndarray) -> np.ndarray:
+    """``dense(e, len(m)) @ m`` from ``compiled = tables(e, len(m))``,
+    without the matrix, for a ket or a 2-D m (a d x r factor, or a block
+    of kets as columns).  Terms are summed in order into a zeroed output
+    in m's layout, so each column equals ``apply`` on that column alone
+    bit for bit, and a transposed block comes back with contiguous kets."""
+    cols, values = compiled
+    if m.ndim == 2:
+        values = values[:, :, None]
+    out = np.zeros_like(m, dtype=complex)
+    for c, v in zip(cols, values):
+        moved = m[c]
         out += np.multiply(v, moved, out=moved)
     return out
 
@@ -152,10 +139,9 @@ def max_entry(e: np.ndarray, dim: int) -> float:
     """Largest |entry| of ``dense(e, dim)``, without a dim x dim array:
     terms with equal x-masks fill the same entries, others disjoint ones,
     so one length-dim vector per distinct x-mask holds every entry."""
-    j = np.arange(dim)
     xs, group = np.unique(e["x"], return_inverse=True)
     out = np.zeros((xs.size, dim), dtype=complex)
-    np.add.at(out, (group[:, None], j), _entries(e, j)[1])
+    np.add.at(out, (group[:, None], np.arange(dim)), tables(e, dim)[1])
     return float(np.abs(out).max(initial=0.0))
 
 

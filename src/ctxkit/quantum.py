@@ -6,11 +6,12 @@ factor observables), is formed exactly as a Pauli expansion; it is the
 one compiled form of the expression.  ``certify_state_independence``
 reads it directly: constant = the identity coefficient, residual =
 max |B - c*1|, certified when the residual is exactly 0.  A state's
-value is Re vdot(K, B K) on its factor K (``linalg.factor``), with no
-dense B; a dense B is built only for the eigensolver (the maximal
-quantum value, up to ``linalg.MAX_DENSE_DIM``) and the calibration.
-A Haar sweep evaluates its kets in blocks of ``SWEEP_BLOCK_ENTRIES``
-complex entries, one B application per block, and every value equals
+value is Re vdot(K, B K) on its factor K (``linalg.factor``), with B
+compiled once per evaluation (``linalg.tables``) and no dense B; a
+dense B is built only for the eigensolver (the maximal quantum value,
+up to ``linalg.MAX_DENSE_DIM``) and the calibration.  A Haar sweep
+compiles B once and applies it once per block of
+``SWEEP_BLOCK_ENTRIES`` complex entries, and every value equals
 ``evaluate_inequality`` on that state alone bit for bit.
 
 Factors inside one declared context were checked to commute when the set
@@ -31,14 +32,13 @@ from .linalg import (
     STRUCT_TOL,
     adjoint,
     apply,
-    apply_rows,
     as_kets,
     combine,
     dense,
     factor,
-    gather_tables,
     max_entry,
     multiply,
+    tables,
 )
 from .observables import ObservableSet, noncommuting_pairs
 from .states import haar_kets
@@ -79,7 +79,7 @@ def _real(value) -> float:
 
 def _value(k: np.ndarray, bell: np.ndarray) -> float:
     """<B> in the state K K^dagger: Re Tr(K^dagger B K) = Re vdot(K, B K)."""
-    return _real(np.vdot(k, apply(bell, k)))
+    return _real(np.vdot(k, apply(tables(bell, len(k)), k)))
 
 
 def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
@@ -153,23 +153,23 @@ def haar_sweep(
     independent of evaluation order.  States are evaluated in blocks of
     ``SWEEP_BLOCK_ENTRIES // d`` kets (at least one): each block is drawn
     as one array (``haar_kets``), certified row by row (``as_kets``) and
-    multiplied by the Bell expansion in one ``apply_rows``, from
-    ``gather_tables`` built once per sweep.  Norms and inner products are
-    taken per row, so every value equals ``evaluate_inequality`` on
-    ``haar_random(d, seed, i)`` bit for bit.  More than ``MAX_STATES``
-    states raise ResourceLimitError before any draw.
+    multiplied by the Bell expansion in one ``apply`` to its transpose,
+    the kets as columns, from ``tables`` compiled once per sweep.  Norms
+    and inner products are taken per ket, so every value equals
+    ``evaluate_inequality`` on ``haar_random(d, seed, i)`` bit for bit.
+    More than ``MAX_STATES`` states raise ResourceLimitError before any draw.
     """
     if count < 1:
         raise ValueError(f"sweep needs at least one state, got {count}")
     if count > MAX_STATES:
         raise ResourceLimitError(f"{count} states exceeds the cap of {MAX_STATES}")
-    bell_tables = gather_tables(_bell(obs, expr), obs.dim)
+    compiled = tables(_bell(obs, expr), obs.dim)
     block = max(1, SWEEP_BLOCK_ENTRIES // obs.dim)
     values = np.empty(count)
     for start in range(0, count, block):
         stop = min(start + block, count)
         kets = as_kets(haar_kets(obs.dim, seed, range(start, stop)))
-        applied = apply_rows(bell_tables, kets)
+        applied = apply(compiled, kets.T).T
         values[start:stop] = [_real(np.vdot(k, b)) for k, b in zip(kets, applied)]
         del kets, applied  # freed before the next block is drawn
     return values

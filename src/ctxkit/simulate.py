@@ -24,9 +24,11 @@ comparisons) while computing each distinct branch state only once.
 Every entry point that takes a state certifies it as a ket or density
 matrix of the set's dimension (``linalg.factor``) before measuring, and
 rejects anything else.  Measurements act on K through the observables'
-Pauli expansions (``linalg.apply``).  A branch probability further than
-``STRUCT_TOL`` outside [0, 1] raises NumericError; only rounding error
-inside that tolerance is clamped.
+Pauli expansions, each compiled once per walk (``linalg.tables``) and
+applied at every node of its level (``linalg.apply``); a post-measurement
+factor is built only for a branch that holds shots.  A branch
+probability further than ``STRUCT_TOL`` outside [0, 1] raises
+NumericError; only rounding error inside that tolerance is clamped.
 More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw.
 """
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
-from .linalg import STRUCT_TOL, apply, factor
+from .linalg import STRUCT_TOL, apply, factor, tables
 from .observables import ObservableSet
 from .quantum import compatible_expansions
 from .runtime import substream
@@ -81,38 +83,43 @@ class MarginalReport:
     z_statistic: float
 
 
-def _split(k: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Measure A (expansion e) on the state K K^dagger: the +1 probability
-    p = (1 + Re Tr(K^dagger A K))/2 and both unnormalized post-factors
-    (1 +- A) K / 2.  Rounding error within STRUCT_TOL of [0, 1] is
-    clamped; anything further out raises NumericError."""
-    a = apply(e, k)
+def _split(k: np.ndarray, compiled: tuple[np.ndarray, np.ndarray]) -> tuple[float, np.ndarray]:
+    """Measure A (compiled by ``linalg.tables``) on the state K K^dagger:
+    the +1 probability p = (1 + Re Tr(K^dagger A K))/2 and A K, from which
+    a branch's unnormalized post-factor is (K +- A K)/2.  Rounding error
+    within STRUCT_TOL of [0, 1] is clamped; anything further out raises
+    NumericError."""
+    a = apply(compiled, k)
     p = (1.0 + float(np.vdot(k, a).real)) / 2.0
     if not -STRUCT_TOL <= p <= 1.0 + STRUCT_TOL:
         raise NumericError(f"branch probability {p} is outside [0, 1]")
-    return min(max(p, 0.0), 1.0), (k + a) / 2.0, (k - a) / 2.0
+    return min(max(p, 0.0), 1.0), a
 
 
 def _walk(k: np.ndarray, expansions, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure the expansions in order on shots sharing the state K K^dagger:
     shot s takes the +1 branch of measurement i when uniforms[s, i] is
-    below its probability.  The stack holds (K, shot indices, level).
-    Returns the (shots, depth) outcomes and the last factor reached (for
-    one shot, its post-measurement factor)."""
+    below its probability.  Each expansion is compiled once; the stack
+    holds (K, shot indices, level), and only a branch that holds shots is
+    built.  Returns the (shots, depth) outcomes and the last factor
+    reached (for one shot, its post-measurement factor)."""
     shots, depth = uniforms.shape
+    compiled = [tables(e, len(k)) for e in expansions]
     outcomes = np.empty((shots, depth), dtype=np.int64)
     stack = [(k, np.arange(shots), 0)]
     while stack:
         k, idx, level = stack.pop()
         if level == depth:
             continue
-        p, plus, minus = _split(k, expansions[level])
+        p, a = _split(k, compiled[level])
         took_plus = uniforms[idx, level] < p
         outcomes[idx, level] = np.where(took_plus, 1, -1)
-        for branch_idx, post, prob in ((idx[took_plus], plus, p), (idx[~took_plus], minus, 1 - p)):
+        branches = ((idx[took_plus], np.add, p), (idx[~took_plus], np.subtract, 1 - p))
+        for branch_idx, op, prob in branches:
             if branch_idx.size:
                 if prob < _P_FLOOR:
                     raise NumericError(f"sampled a measurement branch with probability {prob}")
+                post = op(k, a) / 2.0  # (K +- A K)/2
                 post /= np.sqrt(prob)
                 stack.append((post, branch_idx, level + 1))
     return outcomes, k

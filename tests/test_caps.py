@@ -48,8 +48,14 @@ def run_capped(argv, budget_s: float):
     (("sweep", *STAR13, "--states", "64", "--seed", "1"), 10, "mean", 5.0),
     (("simulate", *STAR13, "--state", "ghz", "--shots", "200", "--seed", "1"), 30,
      "lhs_estimate", 5.0),
-], ids=["quantum", "sweep", "simulate"])
-def test_largest_star_runs_within_a_gib(argv, budget_s, key, want):
+    # A Haar ket takes both branches of a measurement: the walk at d = 8192.
+    (("simulate", *STAR13, "--state", "HAAR_FILE", "--shots", "200", "--seed", "1"), 10,
+     "lhs_estimate", 5.0),
+], ids=["quantum", "sweep", "simulate", "simulate_haar"])
+def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
+    haar_file = tmp_path / "haar.json"
+    haar_file.write_text(json.dumps({"kind": "haar", "dim": 8192, "seed": 3}))
+    argv = [str(haar_file) if a == "HAAR_FILE" else a for a in argv]
     rc, report, err, _ = run_capped(argv, budget_s)
     assert rc == 0, err
     assert abs(report["results"][key] - want) <= 1e-9

@@ -19,6 +19,7 @@ from ctxkit.linalg import (
     max_entry,
     multiply,
     pauli,
+    tables,
 )
 from ctxkit.observables import KS18_RAYS
 
@@ -139,16 +140,26 @@ _SEEDS = st.integers(0, 2**32 - 1)
     lambda n: st.tuples(st.just(2**n), _word_expansions(n))
 ), _SEEDS, st.booleans())
 def test_apply_matches_dense_product_on_words(case, seed, ket):
+    # A factor, and a block of kets as columns (F order, as a sweep
+    # passes it): each column is the apply of that column alone, bit for
+    # bit, and the output keeps the input's layout, so a sweep's kets
+    # come back contiguous for np.vdot.
     dim, e = case
-    m = _random_matrix(seed, dim, 1 if ket else dim)
-    assert np.abs(apply(e, m) - dense(e, dim) @ m).max() <= 1e-12
+    compiled = tables(e, dim)
+    for m in (_random_matrix(seed, dim, 1 if ket else dim), _random_matrix(seed, 3, dim).T):
+        out = apply(compiled, m)
+        assert np.abs(out - dense(e, dim) @ m).max() <= 1e-12
+        assert (out.flags.c_contiguous, out.flags.f_contiguous) == (
+            m.flags.c_contiguous, m.flags.f_contiguous)
+        for j in range(m.shape[1]):
+            assert np.array_equal(out[:, j], apply(compiled, m[:, j]))
 
 
 @given(st.sampled_from(sorted(KS18_RAYS)), _SEEDS)
 def test_apply_matches_dense_product_on_rays(label, seed):
     e = expand(ray_operator(KS18_RAYS[label]))
     m = _random_matrix(seed, 4, 4)
-    assert np.abs(apply(e, m) - dense(e, 4) @ m).max() <= 1e-12
+    assert np.abs(apply(tables(e, 4), m) - dense(e, 4) @ m).max() <= 1e-12
 
 
 def test_as_ket_renormalizes_within_slack():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import ket_density, ray_operator, star_operators
-from ctxkit import linalg, quantum
+from ctxkit import linalg, quantum, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from ctxkit.inequalities import Term, catalog_get
 from ctxkit.linalg import expand
@@ -303,24 +303,41 @@ def test_branch_walk_frees_its_operators():
         gc.enable()
 
 
-def test_branch_walk_keeps_one_pending_sibling_per_level():
-    # A full branch tree: Z on each of the first `depth` qubits of the
-    # maximally mixed state, one shot per outcome string.  Depth first,
-    # the walk holds one pending sibling per level plus the node it
-    # splits, about depth + 4 factors of 4 MB, not each ancestor's factor
-    # and both its branches (about 3 * depth).
-    depth, dim = 6, 512
+def _full_branch_tree(depth: int = 6, dim: int = 512):
+    """A full branch tree: Z on each of the first ``depth`` qubits of the
+    maximally mixed state, one shot per outcome string.  Returns the
+    walk's (K, expansions, uniforms) and each shot's outcome bits."""
     k = linalg.factor(maximally_mixed(dim), dim)
     expansions = [linalg.pauli("I" * i + "Z" + "I" * (8 - i)) for i in range(depth)]
     bits = (np.arange(2**depth)[:, None] >> np.arange(depth)) & 1
+    return (k, expansions, np.where(bits, 0.75, 0.25)), bits
+
+
+def test_branch_walk_keeps_one_pending_sibling_per_level():
+    # Depth first, the walk holds one pending sibling per level plus the
+    # node it splits, about depth + 4 factors of 4 MB, not each
+    # ancestor's factor and both its branches (about 3 * depth).
+    walk_args, bits = _full_branch_tree()
+    k, depth = walk_args[0], bits.shape[1]
     tracemalloc.start()
     try:
-        outcomes, _ = _walk(k, expansions, np.where(bits, 0.75, 0.25))
+        outcomes, _ = _walk(*walk_args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (outcomes == 1 - 2 * bits).all()
     assert peak <= (depth + 5) * k.nbytes
+
+
+def test_branch_walk_compiles_each_level_once(monkeypatch):
+    # The full depth-6 tree splits at 63 nodes; each level's expansion
+    # is compiled once per walk, not once per node.
+    walk_args, bits = _full_branch_tree()
+    compiled = []
+    monkeypatch.setattr(simulate, "tables", lambda e, d: compiled.append(e) or linalg.tables(e, d))
+    outcomes, _ = _walk(*walk_args)
+    assert (outcomes == 1 - 2 * bits).all()
+    assert [e.tolist() for e in compiled] == [e.tolist() for e in walk_args[1]]
 
 
 @pytest.mark.parametrize("family", ["ks18", 3, 5])
