@@ -8,7 +8,10 @@ values are another matter: the pentagon inequality evaluated at a fixed
 product state changes under relabeling.  This module enumerates the full
 automorphism group, evaluates the pentagon at the reference product state
 under every relabeling, and searches for the best product-state violation
-with a seeded alternating eigenvector ascent.
+with seeded alternating eigenvector ascents.  The ascents from all
+``ASCENT_STARTS`` starts on every distinct pentagon run together, in lock
+step on one stack of 2x2x2x2 tensors; each row stops on its own and ends
+with the bits ``product_state_ascent`` gives for its start alone.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .inequalities import InequalityExpr, Term, catalog_get
+from .linalg import row_norms
 from .observables import RaySet, build_ks18
 from .quantum import bell_operator
 from .runtime import substream
@@ -104,28 +108,62 @@ def relabel_expr(expr: InequalityExpr, label_map: dict[str, str]) -> InequalityE
     )
 
 
-def _top_eigvec_2x2(m: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Top eigenvector of a Hermitian 2x2 matrix, in closed form.
+def _top_eigvecs(m: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Top eigenvector of each Hermitian 2x2 matrix in an (n, 2, 2) stack,
+    in closed form.
 
-    Falls back to ``current`` when the spectrum is degenerate (any unit
-    vector is then optimal, and keeping the current one makes the ascent
-    deterministic).
+    A row whose spectrum is degenerate keeps its row of ``current`` (any
+    unit vector is then optimal, and keeping the current one makes the
+    ascent deterministic).  Each row has the bits of the one-matrix
+    formula: |beta| is ``np.hypot`` of its parts, as Python's
+    ``abs(complex)`` computes it (numpy's complex ``abs`` can differ in
+    the last bit), and ``row_norms`` is ``np.linalg.norm`` of each row.
     """
-    alpha = float(m[0, 0].real)
-    gamma = float(m[1, 1].real)
-    beta = complex(m[0, 1])
-    half_gap = (alpha - gamma) / 2.0
-    radius = float(np.hypot(half_gap, abs(beta)))
-    if radius < 1e-14:
-        return current
+    alpha, gamma, beta = m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1]
+    abs_beta = np.hypot(beta.real, beta.imag)
+    radius = np.hypot((alpha - gamma) / 2.0, abs_beta)
     top = (alpha + gamma) / 2.0 + radius
-    if abs(beta) < 1e-14:
-        vec = np.array([1.0, 0.0], dtype=complex) if alpha >= gamma else np.array(
-            [0.0, 1.0], dtype=complex
-        )
-        return vec
-    vec = np.array([beta, top - alpha], dtype=complex)
-    return vec / np.linalg.norm(vec)
+    vec = np.stack([beta, top - alpha], axis=1)
+    diagonal = abs_beta < 1e-14
+    vec[diagonal] = np.where((alpha >= gamma)[diagonal, None], [1.0, 0.0], [0.0, 1.0])
+    vec /= row_norms(vec)[:, None]
+    return np.where((radius < 1e-14)[:, None], current, vec)
+
+
+def _draw_start(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One ascent's unnormalized starting factors (a, b)."""
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return a, b
+
+
+def _product_values(tensors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("nikjl,ni,nk,nj,nl->n", tensors, a.conj(), b.conj(), a, b).real
+
+
+def _ascend(
+    tensors: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating ascents in lock step, one per row: row r maximizes
+    <a x b|B|a x b> on tensors[r] ([i, k, j, l] = B[2i+k, 2j+l]) from the
+    start (a[r], b[r]).  A row stops after the first sweep that changes
+    its value by at most ``ASCENT_TOL``, or after ``ASCENT_SWEEPS``;
+    the others go on without it.  Returns (values, a, b)."""
+    a = a / row_norms(a)[:, None]
+    b = b / row_norms(b)[:, None]
+    values = _product_values(tensors, a, b)
+    live = np.arange(len(tensors))
+    for _ in range(ASCENT_SWEEPS):
+        t, b_live = tensors[live], b[live]
+        a_live = _top_eigvecs(np.einsum("nikjl,nk,nl->nij", t, b_live.conj(), b_live), a[live])
+        b_live = _top_eigvecs(np.einsum("nikjl,ni,nj->nkl", t, a_live.conj(), a_live), b_live)
+        new_values = _product_values(t, a_live, b_live)
+        gain = np.abs(new_values - values[live])
+        a[live], b[live], values[live] = a_live, b_live, new_values
+        live = live[gain > ASCENT_TOL]
+        if not live.size:
+            break
+    return values, a, b
 
 
 def product_state_ascent(
@@ -135,31 +173,14 @@ def product_state_ascent(
 
     Alternating ascent: with one factor fixed, the optimal other factor
     is the top eigenvector of the conditional 2x2 matrix, so each half
-    step cannot decrease the value.  Returns (value, a, b).
+    step cannot decrease the value.  This is one row of the lock-step
+    ascent ``kcbs_calibration`` runs.  Returns (value, a, b).
     """
     if bell.shape != (4, 4):
         raise ValueError(f"product-state ascent needs a 4x4 operator, got {bell.shape}")
-    tensor = bell.reshape(2, 2, 2, 2)  # [i, k, j, l] = B[2i+k, 2j+l]
-    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    value = float(
-        np.real(np.einsum("ikjl,i,k,j,l", tensor, a.conj(), b.conj(), a, b))
-    )
-    for _ in range(ASCENT_SWEEPS):
-        cond_a = np.einsum("ikjl,k,l->ij", tensor, b.conj(), b)
-        a = _top_eigvec_2x2(cond_a, a)
-        cond_b = np.einsum("ikjl,i,j->kl", tensor, a.conj(), a)
-        b = _top_eigvec_2x2(cond_b, b)
-        new_value = float(
-            np.real(np.einsum("ikjl,i,k,j,l", tensor, a.conj(), b.conj(), a, b))
-        )
-        if abs(new_value - value) <= ASCENT_TOL:
-            value = new_value
-            break
-        value = new_value
-    return value, a, b
+    a, b = _draw_start(rng)
+    values, a, b = _ascend(bell.reshape(1, 2, 2, 2, 2), a[None], b[None])
+    return float(values[0]), a[0], b[0]
 
 
 @dataclass(frozen=True)
@@ -201,17 +222,18 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
         key = frozenset(frozenset(t.factors) for t in mapped.terms)
         pentagons.setdefault(key, (mapped, bell))
 
-    best_product = -np.inf
-    best_expr = expr
-    best_state = np.zeros(4, dtype=complex)
-    for pent_idx, (mapped, bell) in enumerate(pentagons.values()):
-        for start in range(ASCENT_STARTS):
-            rng = substream(seed, 3, index=pent_idx, subindex=start)
-            value, a, b = product_state_ascent(bell, rng)
-            if value > best_product:
-                best_product = value
-                best_expr = mapped
-                best_state = np.kron(a, b)
+    images = list(pentagons.values())
+    starts = [
+        _draw_start(substream(seed, 3, index=pent_idx, subindex=start))
+        for pent_idx in range(len(images))
+        for start in range(ASCENT_STARTS)
+    ]
+    a, b = (np.array(factors) for factors in zip(*starts))
+    bells = np.array([bell for _, bell in images]).reshape(-1, 2, 2, 2, 2)
+    values, a, b = _ascend(np.repeat(bells, ASCENT_STARTS, axis=0), a, b)
+    best = int(np.argmax(values))  # the first best, in (pentagon, start) order
+    best_product = float(values[best])
+    best_expr = images[best // ASCENT_STARTS][0]
 
     best_paper = max(paper_values)
     return CalibrationReport(
@@ -224,6 +246,6 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
         target_matched=any(abs(v - TARGET) <= SLACK for v in paper_values),
         best_product_value=float(best_product),
         best_pentagon=tuple(t.factors for t in best_expr.terms),
-        best_product_state=best_state,
+        best_product_state=np.kron(a[best], b[best]),
         qualitative_violation=bool(best_product > 3.0),
     )

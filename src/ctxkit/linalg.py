@@ -158,9 +158,11 @@ def expand(matrix) -> np.ndarray:
 
 def row_norms(kets: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a 2-D complex array, bit for bit:
-    sqrt(re.re + im.im) on the row's strided real and imaginary views,
-    one row at a time (a vectorized sum can round differently)."""
-    return np.sqrt([re.dot(re) + im.dot(im) for re, im in zip(kets.real, kets.imag)])
+    sqrt(re.re + im.im) on the rows' strided real and imaginary views.
+    ``np.vecdot`` takes each row's dot product with the same inner loop
+    as ``ndarray.dot`` (a vectorized sum can round differently)."""
+    re, im = kets.real, kets.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def as_kets(rows) -> np.ndarray:

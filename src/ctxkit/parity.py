@@ -44,7 +44,8 @@ def ks_colorable(rayset: RaySet) -> ColorabilityResult:
     and the set is colorable when the best score counts every context.
     UNSAT verdicts are therefore proofs, and the witness is the
     lexicographically first coloring (0 < 1).  Raises ResourceLimitError
-    past the solver's cap of ``MAX_LABELS`` rays.
+    past the solver's caps: ``MAX_LABELS`` rays, or ``MAX_SCAN_WORK``
+    for 2^rays assignments x contexts.
     """
     _check_rayset(rayset)
     labels = sorted(rayset.rays)

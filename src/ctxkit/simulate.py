@@ -119,8 +119,11 @@ def _walk(k: np.ndarray, expansions, uniforms: np.ndarray) -> tuple[np.ndarray, 
             if branch_idx.size:
                 if prob < _P_FLOOR:
                     raise NumericError(f"sampled a measurement branch with probability {prob}")
-                post = op(k, a) / 2.0  # (K +- A K)/2
-                post /= np.sqrt(prob)
+                # (K +- A K)/2, renormalized: one real multiplier, not
+                # numpy's complex division loop, for the same values (a
+                # zero's sign aside).
+                post = op(k, a)
+                post *= 0.5 / np.sqrt(prob)
                 stack.append((post, branch_idx, level + 1))
     return outcomes, k
 

@@ -40,6 +40,11 @@ from .exceptions import ResourceLimitError
 from .inequalities import InequalityExpr, absorb_sign_flip
 
 MAX_LABELS = 30
+# Scan work: assignments x scored groups (terms, or contexts for a
+# coloring).  The kernel scores 2.4-2.9e8 of them per second on a 2-vCPU
+# box, so a scan at the cap (say 2^27 assignments x 32 terms) takes
+# about 15 s; 30 one-label terms (2^30 x 30) would take about two minutes.
+MAX_SCAN_WORK = 1 << 32
 _BLOCK = 1 << 16
 
 
@@ -60,11 +65,18 @@ def _check_cap(m: int) -> None:
 def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
     """Bitmask of each group of (sorted) labels under the canonical
     convention.  Raises ResourceLimitError when there are more than
-    ``MAX_LABELS`` labels to enumerate."""
+    ``MAX_LABELS`` labels to enumerate, or when scoring every group at
+    every assignment is more than ``MAX_SCAN_WORK``."""
     m = len(labels)
     _check_cap(m)
     bit = {label: m - 1 - j for j, label in enumerate(labels)}
-    return np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
+    masks = np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
+    if (1 << m) * len(masks) > MAX_SCAN_WORK:
+        raise ResourceLimitError(
+            f"2^{m} assignments x {len(masks)} terms or contexts exceeds the scan-work cap of "
+            f"{MAX_SCAN_WORK} (2^{MAX_SCAN_WORK.bit_length() - 1})"
+        )
+    return masks
 
 
 def decode(k: int, labels: Sequence[str], values: tuple[int, int]) -> dict[str, int]:
@@ -99,8 +111,9 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
     Returns the bound, the lexicographically smallest maximizing
     assignment, and the number of assignments covered (2^m).  Raises
     ResourceLimitError when the expression has more than ``MAX_LABELS``
-    distinct labels.  The scan runs over the merged variables described
-    in the module docstring.
+    distinct labels, or when its scan (2^(merged variables) x terms) is
+    past ``MAX_SCAN_WORK``.  The scan runs over the merged variables
+    described in the module docstring.
 
     With the non-last labels at -1, a term's product at assignment k of
     the last labels is (-1)^(|factors| - popcount(k & mask)), so folding

@@ -184,13 +184,65 @@ def test_each_relabeling_builds_one_bell_operator(monkeypatch):
     assert len(calls) == 72
 
 
-def test_top_eigvec_2x2_degenerate_keeps_the_current_vector():
-    # Any unit vector is a top eigenvector of a multiple of the identity.
-    current = np.array([0.6, 0.8j])
-    assert calibration._top_eigvec_2x2(np.eye(2) * 3.0, current) is current
+def test_top_eigvecs_on_a_mixed_batch():
+    # A degenerate row (any unit vector is a top eigenvector of a multiple
+    # of the identity) keeps its current vector, and the two diagonal
+    # rows give the basis vector of their larger entry, beside a general
+    # row whose eigenvector comes from the closed form.
+    general = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
+    m = np.array(
+        [np.eye(2) * 3.0, np.diag([3.0, 1.0]), general, np.diag([1.0, 3.0])], dtype=complex
+    )
+    current = np.array([[0.6, 0.8j], [0.6, 0.8], [0.6, 0.8], [0.6, 0.8]])
+    vecs = calibration._top_eigvecs(m, current)
+    assert vecs[0].tobytes() == current[0].tobytes()
+    assert vecs[1].tolist() == [1, 0]
+    assert vecs[3].tolist() == [0, 1]
+    assert np.linalg.norm(vecs[2]) == pytest.approx(1.0)
+    assert general @ vecs[2] == pytest.approx(np.linalg.eigvalsh(general)[-1] * vecs[2])
 
 
-@pytest.mark.parametrize("diag,want", [((3.0, 1.0), [1, 0]), ((1.0, 3.0), [0, 1])])
-def test_top_eigvec_2x2_diagonal(diag, want):
-    vec = calibration._top_eigvec_2x2(np.diag(diag).astype(complex), np.array([0.6, 0.8]))
-    assert vec.tolist() == want
+def test_each_batch_row_is_a_lone_ascent(ks18_rayset, ks18_obs):
+    # The calibration runs its 216 ascents in lock step; every row must
+    # have the bits of product_state_ascent on that start alone.
+    report = kcbs_calibration(seed=2)
+    expr = catalog_get("kcbs3")
+    bells = {}
+    for m in incidence_automorphisms(ks18_rayset):
+        mapped = relabel_expr(expr, m)
+        key = frozenset(frozenset(t.factors) for t in mapped.terms)
+        bells.setdefault(key, bell_operator(ks18_obs, mapped))
+    bells = list(bells.values())
+    starts = calibration.ASCENT_STARTS
+    rows = [(p, s) for p in range(len(bells)) for s in range(starts)]
+    a, b = (np.array(f) for f in zip(*(
+        calibration._draw_start(substream(2, 3, index=p, subindex=s)) for p, s in rows
+    )))
+    tensors = np.repeat(np.array(bells).reshape(-1, 2, 2, 2, 2), starts, axis=0)
+    values, a, b = calibration._ascend(tensors, a, b)
+    assert len(values) == 216
+    for r, (p, s) in enumerate(rows):
+        value, lone_a, lone_b = product_state_ascent(bells[p], substream(2, 3, index=p, subindex=s))
+        assert value == values[r]
+        assert lone_a.tobytes() == a[r].tobytes()
+        assert lone_b.tobytes() == b[r].tobytes()
+    best = int(np.argmax(values))
+    assert report.best_product_value == values[best]
+    assert report.best_product_state.tobytes() == np.kron(a[best], b[best]).tobytes()
+
+
+PENTAGON_A56 = (("A56", "A69"), ("A56", "A45"), ("A45", "A34"), ("A34", "A39"), ("A69", "A39"))
+PENTAGON_A23 = (("A23", "A39"), ("A23", "A12"), ("A12", "A16"), ("A16", "A69"), ("A39", "A69"))
+
+
+@pytest.mark.parametrize("seed, best_product, pentagon", [
+    (0, "3.680441279830472", PENTAGON_A56),
+    (2, "3.6804412798304718", PENTAGON_A23),
+    (3, "3.6804412798304718", PENTAGON_A56),
+    (7, "3.680441279830472", PENTAGON_A56),
+])
+def test_calibration_is_pinned(seed, best_product, pentagon):
+    report = kcbs_calibration(seed=seed)
+    assert repr(report.best_product_value) == best_product
+    assert repr(report.best_paper_value) == "3.1758784566616125"
+    assert report.best_pentagon == pentagon

@@ -15,6 +15,7 @@ import pytest
 import ctxkit
 from ctxkit.inequalities import MAX_INPUT_BYTES
 from ctxkit.linalg import MAX_DENSE_DIM
+from ctxkit.observables import star_labels
 
 GIB = 1 << 30
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
@@ -66,10 +67,18 @@ def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
     ("simulate", *STAR13, "--state", "DM_FILE", "--shots", "2", "--seed", "1"),
     ("sweep", "--inequality", "ineq1", "--states", "1000001", "--seed", "1"),
     ("bound", "--inequality", "BIG_FILE"),
-], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes"])
+    ("bound", "--inequality", "WIDE_FILE"),
+], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes", "scan_work"])
 def test_past_a_cap_exits_3_at_once(argv, tmp_path):
-    files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json"}
+    files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json",
+             "WIDE_FILE": tmp_path / "wide.json"}
     files["DM_FILE"].write_text(json.dumps({"kind": "dm", "dim": 8192, "entries": [[1.0, 0.0]]}))
+    # The n = 13 star's 30 labels (inside the label cap) in 30 one-label
+    # terms: 2^30 assignments x 30 terms is past the scan-work cap.
+    files["WIDE_FILE"].write_text(json.dumps({
+        "id": "wide", "set_id": "mermin_star", "n": 13, "bound": None,
+        "terms": [{"sign": 1, "factors": [label]} for label in star_labels(13)],
+    }))
     with open(files["BIG_FILE"], "wb") as fh:
         fh.truncate(MAX_INPUT_BYTES + 1)  # sparse: no disk blocks
     argv = [str(files.get(a, a)) for a in argv]

@@ -7,6 +7,7 @@ from ctxkit.exceptions import ResourceLimitError
 from ctxkit.linalg import combine, pauli
 from ctxkit.observables import ObservableSet, RaySet
 from ctxkit.parity import ks_colorable, parity_stats
+from ctxkit import solver
 from ctxkit.solver import classical_bound
 from ctxkit.inequalities import catalog_get
 
@@ -127,6 +128,13 @@ def test_ray_cap():
     contexts = [tuple(f"r{i}_{j}" for j in range(4)) for i in range(8)]  # 32 rays
     with pytest.raises(ResourceLimitError):
         ks_colorable(toy_rayset(contexts))
+
+
+def test_coloring_shares_the_scan_work_cap(monkeypatch, ks18_rayset):
+    # 2^18 assignments x 9 contexts is the 18-ray coloring's scan work.
+    monkeypatch.setattr(solver, "MAX_SCAN_WORK", 9 * 2**18 - 1)
+    with pytest.raises(ResourceLimitError, match="scan-work cap"):
+        ks_colorable(ks18_rayset)
 
 
 def test_parity_stats_ks18(ks18_obs):

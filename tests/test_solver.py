@@ -116,6 +116,24 @@ def test_label_cap(monkeypatch):
         classical_bound(catalog_get("chsh8"))
 
 
+def test_scan_work_cap(monkeypatch):
+    # 30 labels in 30 one-label terms: inside the label cap, but 2^30
+    # assignments x 30 terms is past the work cap, refused before any scan.
+    labels = [f"L{i:02d}" for i in range(30)]
+    wide = InequalityExpr(id="wide", set_id="test",
+                          terms=tuple(Term(1, (lab,)) for lab in labels), bound=None)
+    with pytest.raises(ResourceLimitError, match="scan-work cap"):
+        classical_bound(wide)
+    # 4 merged variables in 4 terms is 2^4 x 4 = 64 units of work.
+    four = InequalityExpr(id="four", set_id="test",
+                          terms=tuple(Term(1, (lab,)) for lab in labels[:4]), bound=None)
+    monkeypatch.setattr(solver, "MAX_SCAN_WORK", 64)
+    assert classical_bound(four).bound == 4
+    monkeypatch.setattr(solver, "MAX_SCAN_WORK", 63)
+    with pytest.raises(ResourceLimitError, match="scan-work cap"):
+        classical_bound(four)
+
+
 def test_witness_is_lex_first_across_blocks():
     # 17 labels span two scan blocks.  The maximizers are L0 = L1 = -1
     # (first block) and L0 = L1 = +1 (second block); the witness must be
