@@ -184,6 +184,21 @@ def test_each_relabeling_builds_one_bell_operator(monkeypatch):
     assert len(calls) == 72
 
 
+def test_top_eigvec_2x2_degenerate_keeps_the_current_vector():
+    # Any unit vector is a top eigenvector of a multiple of the identity.
+    current = np.array([[0.6, 0.8j]])
+    vecs = calibration._top_eigvecs((np.eye(2) * 3.0)[None].astype(complex), current)
+    assert vecs.tobytes() == current.tobytes()
+
+
+@pytest.mark.parametrize("diag,want", [((3.0, 1.0), [1, 0]), ((1.0, 3.0), [0, 1])])
+def test_top_eigvec_2x2_diagonal(diag, want):
+    vecs = calibration._top_eigvecs(
+        np.diag(diag).astype(complex)[None], np.array([[0.6, 0.8]], dtype=complex)
+    )
+    assert vecs[0].tolist() == want
+
+
 def test_top_eigvecs_on_a_mixed_batch():
     # A degenerate row (any unit vector is a top eigenvector of a multiple
     # of the identity) keeps its current vector, and the two diagonal
