@@ -212,15 +212,17 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
 
     relabelings = incidence_automorphisms(rayset)
     paper_values = []
-    pentagons: dict[frozenset[frozenset[str]], tuple[InequalityExpr, np.ndarray]] = {}
+    # Relabelings onto one pentagon share its operator and reference value.
+    pentagons: dict[frozenset[frozenset[str]], tuple[InequalityExpr, np.ndarray, float]] = {}
     for label_map in relabelings:
         mapped = relabel_expr(expr, label_map)
-        # The reference ket is built here, so this evaluates <psi|B|psi>
-        # on the dense B the ascent needs, without re-certifying psi.
-        bell = bell_operator(obs, mapped)
-        paper_values.append(float(np.vdot(psi, bell @ psi).real))
         key = frozenset(frozenset(t.factors) for t in mapped.terms)
-        pentagons.setdefault(key, (mapped, bell))
+        if key not in pentagons:
+            # The reference ket is built here, so this evaluates <psi|B|psi>
+            # on the dense B the ascent needs, without re-certifying psi.
+            bell = bell_operator(obs, mapped)
+            pentagons[key] = (mapped, bell, float(np.vdot(psi, bell @ psi).real))
+        paper_values.append(pentagons[key][2])
 
     images = list(pentagons.values())
     starts = [
@@ -229,7 +231,7 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
         for start in range(ASCENT_STARTS)
     ]
     a, b = (np.array(factors) for factors in zip(*starts))
-    bells = np.array([bell for _, bell in images]).reshape(-1, 2, 2, 2, 2)
+    bells = np.array([bell for _, bell, _ in images]).reshape(-1, 2, 2, 2, 2)
     values, a, b = _ascend(np.repeat(bells, ASCENT_STARTS, axis=0), a, b)
     best = int(np.argmax(values))  # the first best, in (pentagon, start) order
     best_product = float(values[best])

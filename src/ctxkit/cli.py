@@ -63,10 +63,6 @@ def _resolve_state(state: str, obs: ObservableSet):
     raise ValueError(f"unknown state {state!r} (not a named state or readable file)")
 
 
-def _set_for(expr: InequalityExpr) -> ObservableSet:
-    return build_set(expr.set_id, expr.n)
-
-
 def _csv_file(path: str | None):
     """``--csv``, opened before the run, so a bad path fails before any
     work; with no path, a context that gives None."""
@@ -91,14 +87,14 @@ def _cmd_bound(args) -> dict:
 
 def _cmd_quantum(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
-    obs = _set_for(expr)
+    obs = build_set(expr.set_id, expr.n)
     state = _resolve_state(args.state, obs)
     return {"value": evaluate_inequality(state, obs, expr)}
 
 
 def _cmd_certify(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
-    obs = _set_for(expr)
+    obs = build_set(expr.set_id, expr.n)
     cert = certify_state_independence(obs, expr)
     bound = classical_bound(expr)
     return {
@@ -112,7 +108,7 @@ def _cmd_certify(args) -> dict:
 
 def _cmd_maxval(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
-    obs = _set_for(expr)
+    obs = build_set(expr.set_id, expr.n)
     return {"max_quantum_value": max_quantum_value(obs, expr)}
 
 
@@ -132,7 +128,7 @@ def _cmd_colorability(args) -> dict:
 
 def _cmd_simulate(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
-    obs = _set_for(expr)
+    obs = build_set(expr.set_id, expr.n)
     state = _resolve_state(args.state, obs)
     with _csv_file(args.csv) as fh:
         report = run_protocol(state, obs, expr, args.shots, args.seed)
@@ -150,7 +146,7 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_sweep(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
-    obs = _set_for(expr)
+    obs = build_set(expr.set_id, expr.n)
     with _csv_file(args.csv) as fh:
         values = haar_sweep(obs, expr, args.states, args.seed)
         if fh:

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
-from .observables import KS18_RAYS, set_contexts, set_labels
+from .observables import set_contexts, set_labels
 
 # Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
 # full-precision [re, im] pair as json.dumps writes it (at most 227 MB).
@@ -78,7 +79,7 @@ _PENTAGON = ("A12", "A18", "A23", "A34", "A48")
 # substitution keeps the parent's bound valid but not tight (kcbs3 would
 # get 7 + 4 = 11, its exact bound is 3).
 _SPECIAL_CASES: dict[str, tuple[str, dict[str, int], int]] = {
-    "kcbs3": ("ineq1", {label: 1 for label in KS18_RAYS if label not in _PENTAGON}, 3),
+    "kcbs3": ("ineq1", {label: 1 for label in set_labels("ks18") if label not in _PENTAGON}, 3),
     "cfrh6": ("ineq4", {"P16": -1, "P26": -1, "P36": -1}, 3),
     "nambu7": ("ineq4", {"P36": 1}, 4),
     "chsh8": ("ineq4", {"P15": 1, "P25": 1, "P34": 1, "P35": 1, "P36": 1}, 2),
@@ -195,13 +196,18 @@ def parse_int(value, what: str) -> int:
 
 
 def read_json(path: str):
-    """The JSON document in a file of at most ``MAX_INPUT_BYTES`` bytes,
-    a size checked before anything is parsed (ResourceLimitError).
-    Malformed or too deeply nested JSON raises ValueError."""
+    """The JSON document in a regular file of at most ``MAX_INPUT_BYTES``
+    bytes, checked before the file is opened: a larger one raises
+    ResourceLimitError, a device or FIFO (no size; a FIFO blocks on open)
+    ValueError, and ``open`` refuses a directory.  Malformed or too deeply
+    nested JSON raises ValueError."""
+    info = os.stat(path)
+    if not (stat.S_ISREG(info.st_mode) or stat.S_ISDIR(info.st_mode)):
+        raise ValueError(f"{path} is not a regular file")
     too_big = ResourceLimitError(f"{path} exceeds the input cap of {MAX_INPUT_BYTES} bytes")
+    if info.st_size > MAX_INPUT_BYTES:
+        raise too_big
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size > MAX_INPUT_BYTES:
-            raise too_big
         raw = fh.read(MAX_INPUT_BYTES + 1)
     if len(raw) > MAX_INPUT_BYTES:
         raise too_big

@@ -14,6 +14,10 @@ Three families are built here:
 Label convention for the 18-ray set: "Aij" names the ray shared by
 contexts i and j (1-based, in the order of ``KS18_CONTEXTS``).
 
+Each family is one lookup, ``_family(set_id, n)``, the one check of a
+family id and its n: its unbuilt operators by label and its contexts,
+which the builders, ``set_labels`` and ``set_contexts`` all read.
+
 Every observable is stored as its exact Pauli expansion (``linalg``):
 Pauli words for Peres-Mermin and the star, and multiples of 1/8 for the
 integer rays.  The embedded ray table is fixed data, pinned by the
@@ -66,6 +70,18 @@ KS18_CONTEXTS: tuple[tuple[str, ...], ...] = (
     ("A18", "A28", "A48", "A58"),
     ("A29", "A39", "A59", "A69"),
 )
+
+PERES_MERMIN_WORDS: dict[str, str] = {
+    "P14": "ZI",
+    "P15": "IZ",
+    "P16": "ZZ",
+    "P24": "IX",
+    "P25": "XI",
+    "P26": "XX",
+    "P34": "ZX",
+    "P35": "XZ",
+    "P36": "YY",
+}
 
 PERES_MERMIN_CONTEXTS: tuple[tuple[str, ...], ...] = (
     ("P14", "P15", "P16"),
@@ -133,70 +149,22 @@ class ObservableSet:
         return tuple(self.observables)
 
 
-def build_ks18() -> tuple[RaySet, ObservableSet]:
-    """The embedded 18-ray set and its observables A = 2|v><v| - 1."""
-    rays = {label: np.array(v, dtype=np.int64) for label, v in KS18_RAYS.items()}
-    for v in rays.values():
-        v.flags.writeable = False
-    rayset = RaySet(rays=rays, contexts=KS18_CONTEXTS)
-    observables = {
-        label: expand(2 * np.outer(v, v) / int(v @ v) - np.eye(4)) for label, v in rays.items()
-    }
-    obs = ObservableSet(set_id="ks18", dim=4, observables=observables, contexts=KS18_CONTEXTS)
-    return rayset, obs
+def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...], ...]]:
+    """A family's operators by label, unbuilt (``KS18_RAYS``,
+    ``PERES_MERMIN_WORDS`` or the star's Pauli words), and its contexts.
 
-
-PERES_MERMIN_WORDS = {
-    "P14": "ZI",
-    "P15": "IZ",
-    "P16": "ZZ",
-    "P24": "IX",
-    "P25": "XI",
-    "P26": "XX",
-    "P34": "ZX",
-    "P35": "XZ",
-    "P36": "YY",
-}
-
-
-def build_peres_mermin() -> ObservableSet:
-    """The nine two-qubit square observables, rows then columns as contexts."""
-    return ObservableSet(
-        set_id="peres_mermin",
-        dim=4,
-        observables={label: pauli(word) for label, word in PERES_MERMIN_WORDS.items()},
-        contexts=PERES_MERMIN_CONTEXTS,
-    )
-
-
-def star_labels(n: int) -> tuple[str, ...]:
-    """Labels of the n-qubit star family, without building operators."""
-    _check_star_n(n)
-    return (
-        tuple(f"ACAL{k}" for k in range(1, 5))
-        + tuple(f"B{i}" for i in range(1, n + 1))
-        + tuple(f"C{i}" for i in range(1, n + 1))
-    )
-
-
-def star_contexts(n: int) -> tuple[tuple[str, ...], ...]:
-    """The star family's five contexts: four mixed ones, each an ACAL
-    observable first, then the all-ACAL context."""
-    _check_star_n(n)
-    b_tail = tuple(f"B{i}" for i in range(3, n + 1))
-    c_tail = tuple(f"C{i}" for i in range(3, n + 1))
-    return (
-        ("ACAL1", "B1", "B2") + b_tail,
-        ("ACAL2", "B1", "C2") + c_tail,
-        ("ACAL3", "C1", "B2") + c_tail,
-        ("ACAL4", "C1", "C2") + b_tail,
-        ("ACAL1", "ACAL2", "ACAL3", "ACAL4"),
-    )
-
-
-def _check_star_n(n: int | None) -> None:
-    """The one check of a star size: n given, odd and >= 3 (ValueError),
-    and at most MERMIN_STAR_MAX_QUBITS (ResourceLimitError)."""
+    An unknown id raises UnknownLabelError; only the star takes n
+    (ValueError otherwise), odd and >= 3 (ValueError) and at most
+    ``MERMIN_STAR_MAX_QUBITS`` (ResourceLimitError).
+    """
+    if set_id in ("ks18", "peres_mermin"):
+        if n is not None:
+            raise ValueError(f"{set_id} does not take n")
+        if set_id == "ks18":
+            return KS18_RAYS, KS18_CONTEXTS
+        return PERES_MERMIN_WORDS, PERES_MERMIN_CONTEXTS
+    if set_id != "mermin_star":
+        raise UnknownLabelError(set_id)
     if n is None or n < 3 or n % 2 == 0:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
     if n > MERMIN_STAR_MAX_QUBITS:
@@ -204,61 +172,79 @@ def _check_star_n(n: int | None) -> None:
             f"star family with n={n} exceeds the {MERMIN_STAR_MAX_QUBITS}-qubit cap "
             f"(dimension 2^{n})"
         )
+    words = {
+        "ACAL1": "Z" * n,
+        "ACAL2": "Z" + "X" * (n - 1),
+        "ACAL3": "XZ" + "X" * (n - 2),
+        "ACAL4": "XX" + "Z" * (n - 2),
+    }
+    for name, letter in (("B", "Z"), ("C", "X")):
+        for i in range(1, n + 1):
+            words[f"{name}{i}"] = "I" * (i - 1) + letter + "I" * (n - i)
+    b_tail, c_tail = (tuple(f"{name}{i}" for i in range(3, n + 1)) for name in "BC")
+    contexts = (
+        ("ACAL1", "B1", "B2") + b_tail,
+        ("ACAL2", "B1", "C2") + c_tail,
+        ("ACAL3", "C1", "B2") + c_tail,
+        ("ACAL4", "C1", "C2") + b_tail,
+        ("ACAL1", "ACAL2", "ACAL3", "ACAL4"),
+    )
+    return words, contexts
+
+
+def build_ks18() -> tuple[RaySet, ObservableSet]:
+    """The embedded 18-ray set and its observables A = 2|v><v| - 1."""
+    table, contexts = _family("ks18", None)
+    rays = {label: np.array(v, dtype=np.int64) for label, v in table.items()}
+    for v in rays.values():
+        v.flags.writeable = False
+    rayset = RaySet(rays=rays, contexts=contexts)
+    observables = {
+        label: expand(2 * np.outer(v, v) / int(v @ v) - np.eye(4)) for label, v in rays.items()
+    }
+    obs = ObservableSet(set_id="ks18", dim=4, observables=observables, contexts=contexts)
+    return rayset, obs
+
+
+def build_peres_mermin() -> ObservableSet:
+    """The nine two-qubit square observables, rows then columns as contexts."""
+    words, contexts = _family("peres_mermin", None)
+    observables = {label: pauli(word) for label, word in words.items()}
+    return ObservableSet(set_id="peres_mermin", dim=4, observables=observables, contexts=contexts)
 
 
 def build_mermin_star(n: int) -> ObservableSet:
     """The 4 + 2n observables of the n-qubit star family (n odd, 3 to 13).
 
     ACAL1 = Z...Z, ACAL2 = Z X X...X, ACAL3 = X Z X...X,
-    ACAL4 = X X Z...Z, B_i = Z on site i, C_i = X on site i.
+    ACAL4 = X X Z...Z, B_i = Z on site i, C_i = X on site i.  Its five
+    contexts are four mixed ones, each an ACAL observable first, then the
+    all-ACAL context.
     """
-    _check_star_n(n)
-    words = ["Z" * n, "Z" + "X" * (n - 1), "XZ" + "X" * (n - 2), "XX" + "Z" * (n - 2)]
-    words += ["I" * (i - 1) + letter + "I" * (n - i) for letter in "ZX" for i in range(1, n + 1)]
-    observables = {label: pauli(word) for label, word in zip(star_labels(n), words)}
-
-    return ObservableSet(
-        set_id="mermin_star",
-        dim=2**n,
-        observables=observables,
-        contexts=star_contexts(n),
-    )
-
-
-def _is_star(set_id: str, n: int | None) -> bool:
-    """Whether ``set_id`` names the star family.  The one check of a family
-    id and its n: an unknown id raises UnknownLabelError, and only the star
-    family takes n (ValueError otherwise); the star checks its own n."""
-    if set_id == "mermin_star":
-        return True
-    if set_id not in ("ks18", "peres_mermin"):
-        raise UnknownLabelError(set_id)
-    if n is not None:
-        raise ValueError(f"{set_id} does not take n")
-    return False
+    words, contexts = _family("mermin_star", n)
+    observables = {label: pauli(word) for label, word in words.items()}
+    return ObservableSet(set_id="mermin_star", dim=2**n, observables=observables, contexts=contexts)
 
 
 def build_set(set_id: str, n: int | None = None) -> ObservableSet:
     """Build an observable set by family id ("ks18", "peres_mermin",
     "mermin_star"); mermin_star requires n (odd, 3 to 13)."""
-    if _is_star(set_id, n):
+    _family(set_id, n)
+    if set_id == "mermin_star":
         return build_mermin_star(n)
     return build_ks18()[1] if set_id == "ks18" else build_peres_mermin()
 
 
 def set_labels(set_id: str, n: int | None = None) -> tuple[str, ...]:
-    """Label universe of a family without building any operators."""
-    if _is_star(set_id, n):
-        return star_labels(n)
-    return tuple(KS18_RAYS if set_id == "ks18" else PERES_MERMIN_WORDS)
+    """Label universe of a family, in its builder's order, without
+    building any operators."""
+    return tuple(_family(set_id, n)[0])
 
 
 def set_contexts(set_id: str, n: int | None = None) -> tuple[tuple[str, ...], ...]:
     """Contexts of a family, in their fixed order, without building any
     operators."""
-    if _is_star(set_id, n):
-        return star_contexts(n)
-    return KS18_CONTEXTS if set_id == "ks18" else PERES_MERMIN_CONTEXTS
+    return _family(set_id, n)[1]
 
 
 def compatible(obs: ObservableSet, a: str, b: str) -> bool:

@@ -29,7 +29,8 @@ applied at every node of its level (``linalg.apply``); a post-measurement
 factor is built only for a branch that holds shots.  A branch
 probability further than ``STRUCT_TOL`` outside [0, 1] raises
 NumericError; only rounding error inside that tolerance is clamped.
-More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw.
+More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw,
+and before the state is certified.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def estimate_term(
     standard error is the sample standard deviation over shots divided by
     sqrt(shots).
     """
-    k = factor(state, obs.dim)
     _check_shots(shots)
+    k = factor(state, obs.dim)
     if term.factors:
         outcomes = _shot_outcomes(k, obs, term.factors, shots, seed, PROTOCOL_LANE, term_index)
         values = term.sign * outcomes.prod(axis=1).astype(float)

@@ -176,6 +176,8 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     if kind == "named":
         return _named_state(str(spec["name"]), dim)
     d = parse_int(spec["dim"], "state dim")
+    if d < 1:
+        raise ValueError(f"{kind} state declares dim {d}, below 1")
     if dim is not None and d != dim:
         raise ValueError(f"{kind} state declares dim {d}, set needs {dim}")
     if kind == "haar":

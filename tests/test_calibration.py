@@ -170,8 +170,9 @@ def test_paper_state_value_at_reference_labeling(ks18_obs):
 
 
 def test_each_relabeling_builds_one_bell_operator(monkeypatch):
-    # 72 relabelings, one operator each; the 36 distinct pentagons reuse
-    # the first operator built for them.
+    # 72 relabelings onto 36 distinct pentagons: each pentagon's operator
+    # is built once, by the first relabeling that reaches it, and every
+    # relabeling reads its reference value from its pentagon.
     calls = []
 
     def counted(obs, expr):
@@ -181,7 +182,8 @@ def test_each_relabeling_builds_one_bell_operator(monkeypatch):
     monkeypatch.setattr(calibration, "bell_operator", counted)
     report = kcbs_calibration()
     assert (report.automorphism_count, report.pentagon_count) == (72, 36)
-    assert len(calls) == 72
+    assert len(calls) == 36
+    assert len({frozenset(frozenset(t.factors) for t in e.terms) for e in calls}) == 36
 
 
 def test_top_eigvec_2x2_degenerate_keeps_the_current_vector():

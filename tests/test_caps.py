@@ -1,7 +1,8 @@
 """Cap matrix: each row is one CLI process under a 1 GiB address-space
 limit and a wall budget.  Rows inside the caps run at the star's largest
 size, n = 13, and must exit 0; rows just past a cap must exit 3 at once,
-before anything large is built."""
+before anything large is built, and an input that is not a regular file
+must exit 2 at once."""
 
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import ctxkit
 from ctxkit.inequalities import MAX_INPUT_BYTES
 from ctxkit.linalg import MAX_DENSE_DIM
-from ctxkit.observables import star_labels
+from ctxkit.observables import set_labels
 
 GIB = 1 << 30
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
@@ -68,7 +69,11 @@ def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
     ("sweep", "--inequality", "ineq1", "--states", "1000001", "--seed", "1"),
     ("bound", "--inequality", "BIG_FILE"),
     ("bound", "--inequality", "WIDE_FILE"),
-], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes", "scan_work"])
+    # Past the shot cap on a density matrix at the dense cap: refused
+    # before the state's eigendecomposition.
+    ("simulate", "--inequality", "ineq9", "--n", "11", "--state", "maximally_mixed",
+     "--shots", "1000001", "--seed", "1"),
+], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes", "scan_work", "dense_shots"])
 def test_past_a_cap_exits_3_at_once(argv, tmp_path):
     files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json",
              "WIDE_FILE": tmp_path / "wide.json"}
@@ -77,7 +82,7 @@ def test_past_a_cap_exits_3_at_once(argv, tmp_path):
     # terms: 2^30 assignments x 30 terms is past the scan-work cap.
     files["WIDE_FILE"].write_text(json.dumps({
         "id": "wide", "set_id": "mermin_star", "n": 13, "bound": None,
-        "terms": [{"sign": 1, "factors": [label]} for label in star_labels(13)],
+        "terms": [{"sign": 1, "factors": [label]} for label in set_labels("mermin_star", 13)],
     }))
     with open(files["BIG_FILE"], "wb") as fh:
         fh.truncate(MAX_INPUT_BYTES + 1)  # sparse: no disk blocks
@@ -85,6 +90,25 @@ def test_past_a_cap_exits_3_at_once(argv, tmp_path):
     rc, report, err, _ = run_capped(argv, 1.0)
     assert (rc, report) == (3, None)
     assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--inequality", "PATH"),
+    ("quantum", "--inequality", "ineq4", "--state", "PATH"),
+    ("specialize", "--inequality", "ineq4", "--subs", "PATH"),
+], ids=["inequality", "state", "subs"])
+@pytest.mark.parametrize("kind", ["device", "fifo"])
+def test_non_regular_input_exits_2_at_once(argv, kind, tmp_path):
+    # /dev/zero would be read up to the input cap, and opening a FIFO
+    # with no writer blocks: both are refused before they are opened.
+    path = "/dev/zero" if kind == "device" else str(tmp_path / "fifo")
+    if kind == "fifo":
+        os.mkfifo(path)
+    rc, report, err, _ = run_capped([path if a == "PATH" else a for a in argv], 1.0)
+    assert (rc, report) == (2, None)
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": f"{path} is not a regular file",
+    }
 
 
 def test_input_cap_holds_a_dm_file_at_the_dense_cap():

@@ -22,8 +22,8 @@ from ctxkit.observables import (
     build_mermin_star,
     build_set,
     compatible,
+    set_contexts,
     set_labels,
-    star_labels,
 )
 
 
@@ -145,13 +145,42 @@ def test_peres_mermin_row_and_column_products(pm_obs):
 
 
 def test_star_labels():
-    assert star_labels(3) == (
+    assert set_labels("mermin_star", 3) == (
         "ACAL1", "ACAL2", "ACAL3", "ACAL4", "B1", "B2", "B3", "C1", "C2", "C3",
     )
     with pytest.raises(ValueError):
-        star_labels(4)
+        set_labels("mermin_star", 4)
     with pytest.raises(ValueError):
-        star_labels(1)
+        set_labels("mermin_star", 1)
+
+
+def test_star_contexts():
+    assert set_contexts("mermin_star", 5) == (
+        ("ACAL1", "B1", "B2", "B3", "B4", "B5"),
+        ("ACAL2", "B1", "C2", "C3", "C4", "C5"),
+        ("ACAL3", "C1", "B2", "C3", "C4", "C5"),
+        ("ACAL4", "C1", "C2", "B3", "B4", "B5"),
+        ("ACAL1", "ACAL2", "ACAL3", "ACAL4"),
+    )
+
+
+@pytest.mark.parametrize("set_id, n, error", [
+    ("nope", None, UnknownLabelError),
+    ("nope", 3, UnknownLabelError),
+    ("ks18", 3, ValueError),
+    ("peres_mermin", 3, ValueError),
+    ("mermin_star", None, ValueError),
+    ("mermin_star", 4, ValueError),
+    ("mermin_star", 1, ValueError),
+    ("mermin_star", 15, ResourceLimitError),
+])
+def test_every_family_lookup_checks_the_id_and_n_alike(set_id, n, error):
+    messages = set()
+    for lookup in (build_set, set_labels, set_contexts):
+        with pytest.raises(error) as exc:
+            lookup(set_id, n)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
 def test_star3_operators(star3_obs):
@@ -213,7 +242,7 @@ def test_build_set_dispatch(pm_obs):
 def test_set_labels_matches_builders(ks18_obs, pm_obs, star3_obs):
     assert set_labels("ks18") == ks18_obs.labels
     assert set_labels("peres_mermin") == pm_obs.labels
-    assert set(set_labels("mermin_star", n=3)) == set(star3_obs.labels)
+    assert set_labels("mermin_star", n=3) == star3_obs.labels
     with pytest.raises(ValueError):
         set_labels("mermin_star")
 

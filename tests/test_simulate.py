@@ -13,7 +13,7 @@ from ctxkit import linalg, quantum, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from ctxkit.inequalities import Term, catalog_get
 from ctxkit.linalg import expand
-from ctxkit.observables import KS18_RAYS, build_set, star_contexts
+from ctxkit.observables import KS18_RAYS, build_set
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     MAX_SHOTS,
@@ -144,13 +144,19 @@ def test_estimate_term_needs_two_shots(pm_obs):
         estimate_term(singlet(), pm_obs, Term(1, ("P14",)), 1, seed=0)
 
 
-def test_shot_cap_comes_before_any_draw(pm_obs, ks18_obs):
+def test_shot_cap_comes_before_any_draw(pm_obs, ks18_obs, monkeypatch):
     # Constant terms too: their values would otherwise be one array of
-    # ``shots`` floats.
+    # ``shots`` floats.  A density matrix is not certified either: its
+    # eigendecomposition would come first.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("certified the state before checking the shots")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     for shots in (MAX_SHOTS + 1, 10**12):
         for term in (Term(1, ("P14",)), Term(-1, ())):
-            with pytest.raises(ResourceLimitError):
-                estimate_term(singlet(), pm_obs, term, shots, seed=0)
+            for state in (singlet(), maximally_mixed(4)):
+                with pytest.raises(ResourceLimitError):
+                    estimate_term(state, pm_obs, term, shots, seed=0)
         with pytest.raises(ResourceLimitError):
             marginal_consistency(maximally_mixed(4), ks18_obs, "A12", ks18_obs.contexts[:2],
                                  shots, seed=0)
@@ -352,7 +358,8 @@ def test_post_state_matches_dense_projection(family, ks18_obs):
         obs, contexts = ks18_obs, ks18_obs.contexts
         ops = {label: ray_operator(v) for label, v in KS18_RAYS.items()}
     else:
-        obs, contexts = build_set("mermin_star", family), star_contexts(family)
+        obs = build_set("mermin_star", family)
+        contexts = obs.contexts
         ops = star_operators(family)
     eye = np.eye(obs.dim)
     for index, ctx in enumerate(contexts):

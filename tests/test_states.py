@@ -212,6 +212,28 @@ def test_state_json_rejects_unknown_keys(spec):
         make_state(spec)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("kind, rest", [
+    ("ket", {"amplitudes": []}),
+    ("dm", {"entries": []}),
+    ("haar", {"seed": 1}),
+])
+def test_state_json_rejects_a_dim_below_1(kind, rest, d):
+    # The array form rejects the (0, 0) matrix a dm of dim 0 would be.
+    with pytest.raises(ValueError, match=f"^{kind} state declares dim {d}, below 1$"):
+        make_state({"kind": kind, "dim": d, **rest})
+
+
+def test_dm_entry_count_must_match_its_dim():
+    with pytest.raises(ValueError, match="^dm declares dim 2 but has 3 entries$"):
+        make_state({"kind": "dm", "dim": 2, "entries": [[0.5, 0.0]] * 3})
+
+
+def test_haar_random_needs_a_positive_dimension():
+    with pytest.raises(ValueError, match="^dimension must be positive, got 0$"):
+        haar_random(0, 1)
+
+
 def test_declared_dim_is_checked_before_building():
     for spec in (
         {"kind": "haar", "dim": 10**6, "seed": 1},
