@@ -24,7 +24,7 @@ from .inequalities import InequalityExpr, Term, catalog_get
 from .linalg import row_norms
 from .observables import RaySet, build_ks18
 from .quantum import bell_operator
-from .runtime import substream
+from .runtime import ASCENT_LANE, substream
 from .states import paper_kcbs_product
 
 TARGET, SLACK = 3.6, 0.05  # the reference-state value the relabeling sweep looks for
@@ -226,7 +226,7 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
 
     images = list(pentagons.values())
     starts = [
-        _draw_start(substream(seed, 3, index=pent_idx, subindex=start))
+        _draw_start(substream(seed, ASCENT_LANE, index=pent_idx, subindex=start))
         for pent_idx in range(len(images))
         for start in range(ASCENT_STARTS)
     ]

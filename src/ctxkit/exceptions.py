@@ -19,9 +19,11 @@ class IncompatibleContextError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A documented size cap (label count, qubit count) was exceeded."""
+    """A documented size cap was exceeded: label or qubit count, shots,
+    states, bound-scan work, the dense dimension or input bytes."""
 
 
 class NumericError(ArithmeticError):
-    """A numeric invariant failed: non-convergence, non-real expectation,
-    or a measurement branch with vanishing probability."""
+    """A numeric invariant failed: a non-real expectation, a non-Hermitian
+    Bell operator, or a branch probability outside [0, 1] or vanishing
+    when sampled."""

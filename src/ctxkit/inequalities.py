@@ -218,13 +218,17 @@ def read_json(path: str):
         raise ValueError(f"{path} nests its JSON too deeply") from None
 
 
-def check_keys(data, allowed: tuple[str, ...], what: str) -> None:
-    """``data`` must be a JSON object with no key outside ``allowed``."""
+def check_keys(data, required: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
+    """``data`` must be a JSON object with every key of ``required`` and
+    no key outside ``required`` and ``optional``."""
     if not isinstance(data, Mapping):
         raise ValueError(f"{what} must be a JSON object, got {data!r}")
-    unknown = sorted(set(data) - set(allowed))
+    unknown = sorted(set(data) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} missing field: {key!r}")
 
 
 def _term_from_json(data) -> Term:
@@ -240,11 +244,8 @@ def expr_from_json(data: Mapping) -> InequalityExpr:
     strings, every term an object with a +-1 integer sign and a list of
     distinct label strings, bound and n JSON integers, and the labels and
     n checked against the set (only the star family takes n)."""
-    check_keys(data, ("id", "set_id", "bound", "terms", "n"), "inequality JSON")
-    try:
-        id_, set_id, raw_terms = data["id"], data["set_id"], data["terms"]
-    except KeyError as exc:
-        raise ValueError(f"inequality JSON missing field: {exc}") from exc
+    check_keys(data, ("id", "set_id", "terms"), "inequality JSON", optional=("bound", "n"))
+    id_, set_id, raw_terms = data["id"], data["set_id"], data["terms"]
     for what, value in (("id", id_), ("set_id", set_id)):
         if not isinstance(value, str):
             raise ValueError(f"inequality {what} must be a JSON string, got {value!r}")

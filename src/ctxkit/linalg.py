@@ -11,8 +11,9 @@ expansion for one dimension into the one form every consumer reads:
 ``max_entry`` read the same tables.
 
 A state is a ket (1-D complex vector) or a density matrix, checked
-within 1e-9.  ``factor`` is the one place that certifies either, as its
-d x r factor K with rho = K K^dagger; every consumer of a state calls
+within 1e-9.  ``checked_state`` is the one rule for a state array, and
+``factor``, built on it, the one place that certifies either kind, as
+its d x r factor K with rho = K K^dagger; every consumer of a state calls
 it once per computation (a Haar sweep certifies its blocks of kets with
 ``as_kets``, the row-wise form of ``as_ket``).  No d x d array is built
 past ``MAX_DENSE_DIM``.
@@ -29,15 +30,6 @@ KET_NORM_SLACK = 1e-6
 MAX_DENSE_DIM = 2**11
 
 EXPANSION = np.dtype([("x", np.uint64), ("z", np.uint64), ("c", np.complex128)])
-
-
-def _as_operator(a, name: str = "operator") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError(f"{name} has zero dimension")
-    return a
 
 
 def _collect(terms) -> np.ndarray:
@@ -148,10 +140,10 @@ def max_entry(e: np.ndarray, dim: int) -> float:
 def expand(matrix) -> np.ndarray:
     """The expansion of a 2^n x 2^n matrix M:
     c(x, z) = Tr((X^x Z^z)^dagger M) / d = sum_j (-1)^|z & j| M[j ^ x, j] / d."""
-    m = _as_operator(matrix, "matrix")
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or not m.shape[0] == m.shape[1] > 0 or m.shape[0] & (m.shape[0] - 1):
+        raise ValueError(f"matrix must be square with a power-of-two side, got shape {m.shape}")
     j = np.arange(m.shape[0])
-    if j.size & (j.size - 1):
-        raise ValueError(f"dimension {j.size} is not a power of two")
     coefficients = _signs(j[:, None], j) @ m[j ^ j[:, None], j].T / j.size  # [z, x]
     return _collect((x, z, c) for (z, x), c in np.ndenumerate(coefficients))
 
@@ -192,23 +184,39 @@ def as_ket(amplitudes) -> np.ndarray:
     return as_kets(np.asarray(amplitudes, dtype=complex).reshape(1, -1))[0]
 
 
+def checked_state(state, dim: int | None = None) -> np.ndarray:
+    """The one rule for a state array (of dimension ``dim`` when given):
+    numbers, never bools or strings, 1-D or non-empty square 2-D, within
+    the dense cap, entries finite and at most 2 in magnitude.  A 1-D array
+    comes back through ``as_ket``, a 2-D one as a complex matrix, not yet
+    certified."""
+    arr = np.asarray(state)
+    if arr.dtype.kind not in "iufc":
+        raise ValueError(f"state array must hold numbers, got dtype {arr.dtype}")
+    if not (arr.ndim == 1 or arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0):
+        raise ValueError(f"state array must be 1-D or square 2-D, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise ValueError(f"state has shape {arr.shape}, set dimension is {dim}")
+    if arr.ndim == 1:
+        return as_ket(arr)
+    check_dense(arr.shape[0], "density matrix")
+    rho = arr.astype(complex, copy=False)
+    if not np.abs(rho).max() <= 2.0:  # also keeps factor's checks from overflowing
+        raise ValueError("density matrix has non-finite entries or one above 2 in magnitude")
+    return rho
+
+
 def factor(state, dim: int) -> np.ndarray:
     """The certified state of dimension ``dim`` as its factor K, rho = K K^dagger.
 
-    A 1-D state is a ket (``as_ket``), K = psi[:, None].  A 2-D state is
-    a density matrix: entries finite and at most 2 in magnitude (a
-    density matrix's are at most 1), Hermitian, unit trace and positive
-    semidefinite within STRUCT_TOL; K is V sqrt(lambda) from the one
-    ``eigh`` that checks the last, with rounding below 0 taken as 0.
+    After ``checked_state``, a ket psi has K = psi[:, None]; a density
+    matrix must be Hermitian, unit trace and positive semidefinite within
+    STRUCT_TOL, and K is V sqrt(lambda) from the one ``eigh`` that checks
+    the last, with rounding below 0 taken as 0.
     """
-    if np.shape(state) == (dim,):
-        return as_ket(state)[:, None]
-    if np.shape(state) != (dim, dim):
-        raise ValueError(f"state has shape {np.shape(state)}, set dimension is {dim}")
-    check_dense(dim, "density matrix")
-    rho = _as_operator(state, "rho")
-    if not np.abs(rho).max() <= 2.0:  # also keeps the checks below from overflowing
-        raise ValueError("density matrix has non-finite entries or one above 2 in magnitude")
+    rho = checked_state(state, dim)
+    if rho.ndim == 1:  # a ket
+        return rho[:, None]
     if np.max(np.abs(rho - rho.conj().T)) > STRUCT_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))

@@ -7,13 +7,13 @@ is::
 
     Generator(Philox(key=(seed, lane), counter=(0, subindex, index, 0)))
 
-Lane assignments (changing them is a breaking change):
+Lane assignments, named below (changing them is a breaking change):
 
-* lane 0: state sampling (index = position in a sweep),
-* lane 1: protocol estimation (index = term index, subindex = shot),
-* lane 2: marginal-consistency checks (index = 64-bit digest of the
-  measured context's labels, subindex = shot),
-* lane 3: product-state ascent starting vectors in the calibration.
+* 0, ``STATE_LANE``: state sampling (index = position in a sweep),
+* 1, ``PROTOCOL_LANE``: protocol estimation (index = term, subindex = shot),
+* 2, ``MARGINAL_LANE``: marginal-consistency checks (index = 64-bit digest
+  of the measured context's labels, subindex = shot),
+* 3, ``ASCENT_LANE``: the calibration's product-state ascent starts.
 
 Each Philox gets its key directly, through a seed sequence whose state is
 that key, so building a stream draws no OS entropy (``Philox(key=...)``
@@ -36,6 +36,7 @@ import operator
 
 import numpy as np
 
+STATE_LANE, PROTOCOL_LANE, MARGINAL_LANE, ASCENT_LANE = range(4)
 _U64_MAX = 2**64 - 1
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.flags.writeable = False

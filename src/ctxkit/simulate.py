@@ -22,15 +22,15 @@ reproduces its per-shot draws bit for bit (same uniforms, same
 comparisons) while computing each distinct branch state only once.
 
 Every entry point that takes a state certifies it as a ket or density
-matrix of the set's dimension (``linalg.factor``) before measuring, and
-rejects anything else.  Measurements act on K through the observables'
-Pauli expansions, each compiled once per walk (``linalg.tables``) and
-applied at every node of its level (``linalg.apply``); a post-measurement
-factor is built only for a branch that holds shots.  A branch
-probability further than ``STRUCT_TOL`` outside [0, 1] raises
-NumericError; only rounding error inside that tolerance is clamped.
-More than ``MAX_SHOTS`` shots raise ResourceLimitError before any draw,
-and before the state is certified.
+matrix of the set's dimension (``linalg.factor``, after the one array
+rule ``linalg.checked_state``) before measuring, and rejects the rest.
+Measurements act on K through the observables' Pauli expansions, each
+compiled once per walk (``linalg.tables``) and applied at every node of
+its level (``linalg.apply``); a post-measurement factor is built only for
+a branch that holds shots.  A branch probability further than
+``STRUCT_TOL`` outside [0, 1] raises NumericError; only rounding error
+inside that tolerance is clamped.  More than ``MAX_SHOTS`` shots raise
+ResourceLimitError before any draw, and before the state is certified.
 """
 
 from __future__ import annotations
@@ -44,10 +44,8 @@ from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
 from .observables import ObservableSet
 from .quantum import compatible_expansions
-from .runtime import substream
+from .runtime import MARGINAL_LANE, PROTOCOL_LANE, substream
 
-PROTOCOL_LANE = 1
-MARGINAL_LANE = 2
 _P_FLOOR = 1e-12
 MAX_SHOTS = 10**6
 

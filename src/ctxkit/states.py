@@ -3,11 +3,10 @@ seeded Haar-random states, and the JSON state form used by the CLI.
 
 Pure states are 1-D unit kets, never expanded to a density matrix;
 mixed states are dense density matrices, capped at
-``linalg.MAX_DENSE_DIM`` before they are built.  This module builds a
-density matrix and checks only what needs no decomposition (shape,
-dimension, finite entries); ``linalg.factor`` certifies it (Hermitian,
-unit trace, positive semidefinite) once per computation that uses it.
-Named states:
+``linalg.MAX_DENSE_DIM`` before they are built.  An array or a dm file
+passes ``linalg.checked_state`` here; ``linalg.factor`` certifies a
+density matrix (Hermitian, unit trace, positive semidefinite) once per
+computation that uses it.  Named states:
 
 * ``singlet``: (|01> - |10>)/sqrt(2), dimension 4,
 * ``y_plus_pair``: the +1 eigenstate of Y on each of two qubits,
@@ -33,8 +32,8 @@ from typing import Mapping
 import numpy as np
 
 from .inequalities import check_keys, parse_int, read_json
-from .linalg import as_ket, check_dense, row_norms
-from .runtime import substream
+from .linalg import as_ket, check_dense, checked_state, row_norms
+from .runtime import STATE_LANE, substream
 
 
 def singlet() -> np.ndarray:
@@ -86,7 +85,7 @@ def haar_kets(d: int, seed: int, indices) -> np.ndarray:
         raise ValueError(f"dimension must be positive, got {d}")
     draws = np.empty((len(indices), 2 * d))
     for row, index in zip(draws, indices):
-        substream(seed, 0, index).standard_normal(out=row)
+        substream(seed, STATE_LANE, index).standard_normal(out=row)
     kets = np.empty((len(draws), d), dtype=complex)
     kets.real = draws[:, :d]
     kets.imag = draws[:, d:]
@@ -174,7 +173,9 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
         raise ValueError(f"unknown state kind {kind!r}")
     check_keys(spec, _STATE_KEYS[kind], f"{kind} state")
     if kind == "named":
-        return _named_state(str(spec["name"]), dim)
+        if not isinstance(name := spec["name"], str):
+            raise ValueError(f"state name must be a JSON string, got {name!r}")
+        return _named_state(name, dim)
     d = parse_int(spec["dim"], "state dim")
     if d < 1:
         raise ValueError(f"{kind} state declares dim {d}, below 1")
@@ -191,7 +192,7 @@ def _state_from_mapping(spec: Mapping, dim: int | None) -> np.ndarray:
     entries = _complex_entries(spec["entries"], "dm entries")
     if entries.size != d * d:
         raise ValueError(f"dm declares dim {d} but has {entries.size} entries")
-    return entries.reshape(d, d)
+    return checked_state(entries.reshape(d, d))
 
 
 def make_state(spec, dim: int | None = None) -> np.ndarray:
@@ -199,32 +200,20 @@ def make_state(spec, dim: int | None = None) -> np.ndarray:
     complex density matrix.
 
     ``spec`` may be a named-state string, a dict in the JSON form
-    ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array of numbers,
-    never bools or objects (1-D vectors are kets, square 2-D matrices
-    density matrices).  When ``dim`` is given the result must match it.
-    A density matrix is built here with finite entries, within the dense
-    cap; its Hermiticity, trace and positivity are certified by
-    ``linalg.factor``, which every consumer runs once.
+    ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array, which
+    passes ``linalg.checked_state``.  When ``dim`` is given the result
+    must match it.  A density matrix is built here, not certified: its
+    Hermiticity, trace and positivity are certified by ``linalg.factor``,
+    which every consumer runs once.
     """
     if isinstance(spec, str):
         state = _named_state(spec, dim)
     elif isinstance(spec, Mapping):
         state = _state_from_mapping(spec, dim)
     else:
-        arr = np.asarray(spec)
-        if arr.dtype.kind not in "iufc":
-            raise ValueError(f"state array must hold numbers, got dtype {arr.dtype}")
-        if arr.ndim == 1:
-            state = as_ket(arr)
-        elif arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0:
-            check_dense(arr.shape[0], "density matrix")
-            state = np.asarray(arr, dtype=complex)
-            if not np.isfinite(state).all():
-                raise ValueError("density matrix has non-finite entries")
-        else:
-            raise ValueError(f"state array must be 1-D or square 2-D, got shape {arr.shape}")
+        return checked_state(spec, dim)
     if dim is not None and state.shape[0] != dim:
-        raise ValueError(f"state has dimension {state.shape[0]}, set needs {dim}")
+        raise ValueError(f"state has shape {state.shape}, set dimension is {dim}")
     return state
 
 

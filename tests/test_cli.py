@@ -226,6 +226,28 @@ def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv,raw,key", [
+    (("quantum", "--inequality", "chsh8", "--state"), {"kind": "ket"}, "dim"),
+    (("quantum", "--inequality", "chsh8", "--state"), {"kind": "ket", "dim": 4}, "amplitudes"),
+    (("quantum", "--inequality", "chsh8", "--state"), {"kind": "dm", "dim": 4}, "entries"),
+    (("quantum", "--inequality", "chsh8", "--state"), {"kind": "haar", "dim": 4}, "seed"),
+    (("quantum", "--inequality", "chsh8", "--state"), {"kind": "named"}, "name"),
+    (("bound", "--inequality"), {"id": "x", "set_id": "peres_mermin", "terms": [{"sign": 1}]},
+     "factors"),
+    (("bound", "--inequality"),
+     {"id": "x", "set_id": "peres_mermin", "terms": [{"factors": ["P14"]}]}, "sign"),
+    (("bound", "--inequality"), {"id": "x", "set_id": "peres_mermin"}, "terms"),
+])
+def test_missing_json_key_exits_2_and_is_named(capsys, tmp_path, argv, raw, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    rc, _, err = run_cli(capsys, *argv, str(path))
+    assert rc == 2
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].endswith(f"missing field: '{key}'")
+
+
 DEEP = "[" * 100000 + "]" * 100000
 
 

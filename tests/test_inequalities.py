@@ -196,6 +196,21 @@ def test_json_round_trip_with_n():
     assert expr_from_json(data) == expr
 
 
+@pytest.mark.parametrize("key", ["id", "set_id", "terms", "sign", "factors"])
+def test_json_names_a_missing_key(key):
+    # bound and n are the only optional keys of an expression.
+    data = expr_to_json(catalog_get("chsh8"))
+    del data["bound"]
+    what = "inequality JSON"
+    if key in ("sign", "factors"):
+        del data["terms"][1][key]
+        what = "term"
+    else:
+        del data[key]
+    with pytest.raises(ValueError, match=f"^{what} missing field: '{key}'$"):
+        expr_from_json(data)
+
+
 def test_json_validation():
     with pytest.raises(ValueError):
         expr_from_json({"id": "x", "terms": []})  # missing set_id

@@ -89,6 +89,13 @@ def test_expand_round_trips_rays():
         expand(np.eye(3))
 
 
+@pytest.mark.parametrize("matrix", [np.ones((2, 4)), np.eye(3), np.eye(6), np.zeros((0, 0)),
+                                    np.ones(4)])
+def test_expand_needs_a_square_power_of_two_matrix(matrix):
+    with pytest.raises(ValueError, match="square with a power-of-two side"):
+        expand(matrix)
+
+
 def test_max_entry_matches_dense():
     e = combine([(1, pauli("XZ")), (-0.5, pauli("XI")), (0.25j, pauli("YY")), (3, pauli("II"))])
     assert max_entry(e, 4) == np.abs(dense(e, 4)).max()

@@ -91,6 +91,30 @@ def test_simulator_rejects_non_states(ks18_obs):
         marginal_consistency(not_a_state, ks18_obs, "A12", (ctx, ks18_obs.contexts[1]), 10, seed=0)
 
 
+STATE_CONSUMERS = {
+    "evaluate_inequality": lambda s, obs: quantum.evaluate_inequality(s, obs, catalog_get("ineq1")),
+    "estimate_term": lambda s, obs: estimate_term(s, obs, Term(-1, obs.contexts[0]), 10, seed=0),
+    "run_protocol": lambda s, obs: run_protocol(s, obs, catalog_get("ineq1"), 10, seed=0),
+    "sequential_measure": lambda s, obs: sequential_measure(s, obs, obs.contexts[0], substream(0, 1)),
+    "marginal_consistency": lambda s, obs: marginal_consistency(
+        s, obs, "A12", obs.contexts[:2], 10, seed=0),
+    "factor": lambda s, obs: linalg.factor(s, obs.dim),
+}
+
+
+@pytest.mark.parametrize("state", [
+    np.array([True, False, False, False]),
+    np.array(["a", "b", "c", "d"]),
+    ["0.6", "0.8", "0", "0"],
+], ids=["bool", "str", "numeric-str"])
+@pytest.mark.parametrize("consume", list(STATE_CONSUMERS.values()), ids=list(STATE_CONSUMERS))
+def test_state_consumers_reject_arrays_that_are_not_numbers(ks18_obs, consume, state):
+    # The array rule make_state applies: a bool is not read as the ket
+    # (1, 0, 0, 0), nor a numeric string as its number.
+    with pytest.raises(ValueError, match="must hold numbers"):
+        consume(state, ks18_obs)
+
+
 def test_zero_probability_branch_raises(pm_obs):
     class AlwaysHigh:
         # A real generator never returns 1.0; this forces the sampler

@@ -139,7 +139,9 @@ def test_density_matrices_are_certified_by_factor(ks18_obs, rho):
 
 
 def test_state_json_entries_keep_every_bit():
-    pairs = [[-0.0, 1e-300], [3, 2**53 + 1], [0.1, -5e-324], [1, 0]]
+    # Every entry is at most 2 in magnitude: larger ones are refused at
+    # build (test_dm_entries_above_2_are_refused_at_build).
+    pairs = [[-0.0, 1e-300], [2, 0], [0.1, -5e-324], [1, 0]]
     expected = np.array([complex(float(re), float(im)) for re, im in pairs])
     entries = make_state({"kind": "dm", "dim": 2, "entries": pairs})
     assert entries.reshape(-1).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
@@ -151,6 +153,44 @@ def test_make_state_arrays_must_be_numeric(spec):
     # array is a ValueError, not a TypeError from numpy.
     with pytest.raises(ValueError, match="must hold numbers"):
         make_state(spec, dim=4)
+
+
+def test_dm_entries_above_2_are_refused_at_build(tmp_path):
+    # Refused where the state is built, with factor's message, rather
+    # than built and then refused by every consumer.
+    rho = np.diag([3.0, -2.0, 0.0, 0.0])
+    spec = {"kind": "dm", "dim": 4, "entries": [[float(x), 0.0] for x in rho.reshape(-1)]}
+    path = tmp_path / "dm.json"
+    path.write_text(json.dumps(spec))
+    wide = {"kind": "dm", "dim": 2, "entries": [[-0.0, 1e-300], [3, 2**53 + 1], [0.1, 0], [1, 0]]}
+    for build in (lambda: make_state(rho), lambda: make_state(spec, dim=4),
+                  lambda: load_state(str(path)), lambda: make_state(wide)):
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries or one above 2"):
+            build()
+
+
+FULL_STATE_SPECS = [
+    {"kind": "named", "name": "singlet"},
+    {"kind": "ket", "dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+    {"kind": "dm", "dim": 1, "entries": [[1.0, 0.0]]},
+    {"kind": "haar", "dim": 4, "seed": 11},
+]
+
+
+@pytest.mark.parametrize("spec,key", [
+    (spec, key) for spec in FULL_STATE_SPECS for key in spec if key != "kind"
+])
+def test_state_json_names_a_missing_key(spec, key):
+    make_state(spec)  # whole, it builds
+    partial = {k: v for k, v in spec.items() if k != key}
+    with pytest.raises(ValueError, match=f"^{spec['kind']} state missing field: '{key}'$"):
+        make_state(partial)
+
+
+@pytest.mark.parametrize("name", [5, ["singlet"], None, True])
+def test_named_state_name_must_be_a_string(name):
+    with pytest.raises(ValueError, match="^state name must be a JSON string, got "):
+        make_state({"kind": "named", "name": name}, dim=4)
 
 
 def test_make_state_json_forms():
