@@ -27,7 +27,6 @@ from .inequalities import (
     catalog_get,
     expr_to_json,
     load_expr,
-    parse_sign,
     read_json,
     specialize,
 )
@@ -169,8 +168,7 @@ def _cmd_specialize(args) -> dict:
     raw = read_json(args.subs)
     if not isinstance(raw, dict):
         raise ValueError("substitution file must hold a JSON object of label: +-1")
-    subs = {str(k): parse_sign(v, f"substitution for {k}") for k, v in raw.items()}
-    specialized, dropped = specialize(expr, subs)
+    specialized, dropped = specialize(expr, raw)
     bound = classical_bound(specialized)
     return {
         "expression": expr_to_json(specialized),

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: argument and lookup errors (ValueError,
-KeyError and their subclasses here) exit 2, ResourceLimitError exits 3,
-NumericError exits 1.
+The CLI maps these onto exit codes: argument, lookup and file errors
+(ValueError, KeyError and their subclasses here, and OSError) exit 2,
+ResourceLimitError and MemoryError exit 3, NumericError exits 1.
 """
 
 

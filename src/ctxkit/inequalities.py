@@ -37,14 +37,24 @@ MAX_INPUT_BYTES = 2**28
 CATALOG_IDS = ("ineq1", "kcbs3", "ineq4", "cfrh6", "nambu7", "chsh8", "ineq9", "mermin11")
 
 
+def parse_sign(value, what: str) -> int:
+    """A +-1: only the integers 1 and -1, never a float, bool, numpy
+    integer or string, so nothing is silently coerced."""
+    if type(value) is not int or value not in (-1, 1):
+        raise ValueError(f"{what} must be the integer 1 or -1, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Term:
+    """A sign times a product of labels; construction checks that the sign
+    is the integer 1 or -1 (``parse_sign``) and the factors distinct."""
+
     sign: int
     factors: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"term sign must be +1 or -1, got {self.sign}")
+        parse_sign(self.sign, "term sign")
         if len(set(self.factors)) != len(self.factors):
             raise ValueError(f"term factors must be distinct, got {self.factors}")
 
@@ -108,7 +118,7 @@ def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
 def specialize(
     expr: InequalityExpr, subs: Mapping[str, int]
 ) -> tuple[InequalityExpr, int]:
-    """Substitute +-1 values for some labels.
+    """Substitute the integer 1 or -1 (``parse_sign``) for some labels.
 
     Each substituted factor is removed from its term and its value
     multiplies the term's sign.  Terms left with no factors become
@@ -121,8 +131,7 @@ def specialize(
     for label, value in subs.items():
         if label not in universe:
             raise UnknownLabelError(label)
-        if value not in (-1, 1):
-            raise ValueError(f"substitution for {label} must be +1 or -1, got {value}")
+        parse_sign(value, f"substitution for {label}")
 
     new_terms = []
     dropped_constant = 0
@@ -179,14 +188,6 @@ def expr_to_json(expr: InequalityExpr) -> dict:
     return out
 
 
-def parse_sign(value, what: str) -> int:
-    """A JSON +-1: only the integers 1 and -1, never a float, bool or
-    string, so nothing is silently coerced."""
-    if type(value) is not int or value not in (-1, 1):
-        raise ValueError(f"{what} must be the integer 1 or -1, got {value!r}")
-    return value
-
-
 def parse_int(value, what: str) -> int:
     """A JSON integer, never a float, bool or string, so nothing is
     silently truncated."""
@@ -236,7 +237,7 @@ def _term_from_json(data) -> Term:
     factors = data["factors"]
     if not isinstance(factors, list) or not all(isinstance(f, str) for f in factors):
         raise ValueError(f"term factors must be a list of label strings, got {factors!r}")
-    return Term(parse_sign(data["sign"], "term sign"), tuple(factors))
+    return Term(data["sign"], tuple(factors))
 
 
 def expr_from_json(data: Mapping) -> InequalityExpr:

@@ -97,10 +97,19 @@ MERMIN_STAR_MAX_QUBITS = 13
 
 @dataclass(frozen=True)
 class RaySet:
-    """A family of rays grouped into contexts of mutually orthogonal rays."""
+    """A family of rays grouped into contexts of mutually orthogonal rays.
+    Construction checks that every context is four distinct rays of the
+    set (ValueError otherwise); orthogonality is not checked."""
 
     rays: Mapping[str, np.ndarray]
     contexts: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self) -> None:
+        for ctx in self.contexts:
+            if len(ctx) != 4 or len(set(ctx)) != 4:
+                raise ValueError(f"context {ctx} is not 4 distinct rays")
+            if unknown := [label for label in ctx if label not in self.rays]:
+                raise ValueError(f"context {ctx} references unknown ray {unknown[0]}")
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,6 @@ class ColorabilityResult:
     witness: dict[str, int] | None
 
 
-def _check_rayset(rayset: RaySet) -> None:
-    for ctx in rayset.contexts:
-        if len(ctx) != 4:
-            raise ValueError(f"context {ctx} does not have exactly 4 rays")
-        for label in ctx:
-            if label not in rayset.rays:
-                raise ValueError(f"context {ctx} references unknown ray {label}")
-
-
 def ks_colorable(rayset: RaySet) -> ColorabilityResult:
     """Search for an assignment with exactly one 1 per 4-ray context.
 
@@ -47,7 +38,6 @@ def ks_colorable(rayset: RaySet) -> ColorabilityResult:
     past the solver's caps: ``MAX_LABELS`` rays, or ``MAX_SCAN_WORK``
     for 2^rays assignments x contexts.
     """
-    _check_rayset(rayset)
     labels = sorted(rayset.rays)
     masks = label_masks(labels, rayset.contexts)
 

@@ -82,6 +82,8 @@ def test_incidence_automorphisms_input_validation():
     )
     with pytest.raises(ValueError):
         incidence_automorphisms(doubled)  # two contexts share two rays
+    with pytest.raises(ValueError, match="is not 4 distinct rays"):
+        incidence_automorphisms(RaySet(rays=rays, contexts=(("a", "a", "b", "c"),)))
 
 
 def test_relabel_expr(ks18_rayset):

@@ -1,8 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctxkit.calibration import incidence_automorphisms, relabel_expr
 from ctxkit.exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
 from ctxkit.inequalities import (
     CATALOG_IDS,
@@ -15,7 +19,7 @@ from ctxkit.inequalities import (
     load_expr,
     specialize,
 )
-from ctxkit.observables import KS18_CONTEXTS
+from ctxkit.observables import KS18_CONTEXTS, set_labels
 from ctxkit.solver import classical_bound
 
 # expr_to_json of every catalog entry, star family at n = 3 and 5, keyed
@@ -23,6 +27,11 @@ from ctxkit.solver import classical_bound
 # factor order fixes measurement order, so both are pinned exactly.
 GOLDEN = json.loads((Path(__file__).parent / "catalog_golden.json").read_text())
 STAR_IDS = ("ineq9", "mermin11")
+CATALOG_CASES = ([(i, None) for i in CATALOG_IDS if i not in STAR_IDS]
+                 + [(i, n) for i in STAR_IDS for n in range(3, 14, 2)])
+# A sign or substitution is the integer 1 or -1, as in JSON; each of
+# these is refused, not coerced.
+NOT_INTEGER_SIGNS = (1.0, -1.0, True, np.int64(1))
 
 
 def multiset(expr):
@@ -30,8 +39,11 @@ def multiset(expr):
 
 
 def test_term_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^term sign must be the integer 1 or -1, got 2$"):
         Term(2, ("P14",))
+    for sign in NOT_INTEGER_SIGNS:
+        with pytest.raises(ValueError, match="^term sign must be the integer 1 or -1"):
+            Term(sign, ("P14",))
     with pytest.raises(ValueError):
         Term(1, ("P14", "P14"))
     Term(1, ())  # constant terms are allowed
@@ -44,8 +56,7 @@ def test_catalog_matches_golden(key):
     assert json.dumps(got) == json.dumps(GOLDEN[key])
 
 
-@pytest.mark.parametrize("id_,n", [(i, None) for i in CATALOG_IDS if i not in STAR_IDS]
-                         + [(i, n) for i in STAR_IDS for n in range(3, 14, 2)])
+@pytest.mark.parametrize("id_,n", CATALOG_CASES)
 def test_recorded_bound_is_exact(id_, n):
     expr = catalog_get(id_, n)
     assert expr.bound == classical_bound(expr).bound
@@ -164,8 +175,9 @@ def test_specialize_validation():
     expr = catalog_get("chsh8")
     with pytest.raises(UnknownLabelError):
         specialize(expr, {"A12": 1})  # wrong family
-    with pytest.raises(ValueError):
-        specialize(expr, {"P14": 0})
+    for value in (0,) + NOT_INTEGER_SIGNS:
+        with pytest.raises(ValueError, match="^substitution for P14 must be the integer 1 or -1"):
+            specialize(expr, {"P14": value})
     # Labels from the family that do not appear in the expression are fine.
     specialized, dropped = specialize(expr, {"P35": -1})
     assert multiset(specialized) == multiset(expr)
@@ -194,6 +206,35 @@ def test_json_round_trip_with_n():
     data = expr_to_json(expr)
     assert data["n"] == 5
     assert expr_from_json(data) == expr
+
+
+def assert_round_trip(expr):
+    assert expr_from_json(json.loads(json.dumps(expr_to_json(expr)))) == expr
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(CATALOG_CASES), data=st.data())
+def test_built_expressions_round_trip(case, data):
+    # Whatever the library builds reads back equal from its JSON form;
+    # a substitution it cannot write as JSON is refused instead.
+    expr = catalog_get(*case)
+    assert_round_trip(expr)
+    assert_round_trip(absorb_sign_flip(expr, data.draw(st.sampled_from(expr.labels))))
+    values = st.sampled_from((1, -1) + NOT_INTEGER_SIGNS)
+    subs = data.draw(st.dictionaries(st.sampled_from(set_labels(expr.set_id, expr.n)), values))
+    try:
+        specialized, _ = specialize(expr, subs)
+    except ValueError:
+        assert any(type(v) is not int for v in subs.values())
+    else:
+        assert_round_trip(specialized)
+
+
+def test_relabeled_expressions_round_trip(ks18_rayset):
+    maps = incidence_automorphisms(ks18_rayset)
+    for id_ in ("ineq1", "kcbs3"):
+        for label_map in maps:
+            assert_round_trip(relabel_expr(catalog_get(id_), label_map))
 
 
 @pytest.mark.parametrize("key", ["id", "set_id", "terms", "sign", "factors"])

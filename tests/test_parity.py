@@ -81,12 +81,14 @@ def test_shared_ray_propagation():
 
 
 def test_malformed_raysets():
+    # A RaySet checks its contexts when it is built.
     with pytest.raises(ValueError):
         ks_colorable(toy_rayset([("a", "b", "c")]))  # not 4 rays
+    with pytest.raises(ValueError, match="is not 4 distinct rays"):
+        ks_colorable(toy_rayset([("a", "a", "b", "c")]))  # a repeated ray
     rays = {lab: np.array([1, 0, 0, 0]) for lab in "abcd"}
-    bad = RaySet(rays=rays, contexts=(("a", "b", "c", "x"),))
     with pytest.raises(ValueError):
-        ks_colorable(bad)
+        ks_colorable(RaySet(rays=rays, contexts=(("a", "b", "c", "x"),)))
 
 
 def test_witness_is_lex_first_coloring():
