@@ -34,7 +34,6 @@ from .inequalities import (
 from .linalg import as_ket
 from .observables import (
     ObservableSet,
-    RaySet,
     build_ks18,
     build_mermin_star,
     build_peres_mermin,
@@ -92,7 +91,6 @@ __all__ = [
     "NumericError",
     "ObservableSet",
     "ParityStats",
-    "RaySet",
     "ResourceLimitError",
     "Term",
     "TermEstimate",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .inequalities import InequalityExpr, Term, catalog_get
 from .linalg import row_norms
-from .observables import RaySet, build_ks18
+from .observables import ObservableSet, build_set
 from .quantum import bell_operator
 from .runtime import ASCENT_LANE, substream
 from .states import paper_kcbs_product
@@ -32,24 +32,24 @@ ASCENT_STARTS = 6  # seeded ascents per distinct pentagon
 ASCENT_SWEEPS, ASCENT_TOL = 200, 1e-12  # each stops early once a sweep gains <= ASCENT_TOL
 
 
-def _context_graph(rayset: RaySet) -> tuple[dict[int, set[int]], dict[frozenset[int], str]]:
-    """Contexts as vertices; each ray in exactly two contexts is an edge."""
+def _context_graph(obs: ObservableSet) -> tuple[dict[int, set[int]], dict[frozenset[int], str]]:
+    """Contexts as vertices; each label in exactly two contexts is an edge."""
     membership: dict[str, list[int]] = {}
-    for idx, ctx in enumerate(rayset.contexts):
+    for idx, ctx in enumerate(obs.contexts):
         for label in ctx:
             membership.setdefault(label, []).append(idx)
     edges: dict[frozenset[int], str] = {}
     for label, ctxs in membership.items():
         if len(ctxs) != 2:
             raise ValueError(
-                f"ray {label} is in {len(ctxs)} contexts; incidence automorphisms "
-                "need every ray in exactly two"
+                f"label {label} is in {len(ctxs)} contexts; incidence automorphisms "
+                "need every label in exactly two"
             )
         key = frozenset(ctxs)
         if key in edges:
-            raise ValueError(f"contexts {set(key)} share two rays ({edges[key]}, {label})")
+            raise ValueError(f"contexts {set(key)} share two labels ({edges[key]}, {label})")
         edges[key] = label
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(rayset.contexts))}
+    adjacency: dict[int, set[int]] = {i: set() for i in range(len(obs.contexts))}
     for key in edges:
         u, v = tuple(key)
         adjacency[u].add(v)
@@ -57,13 +57,16 @@ def _context_graph(rayset: RaySet) -> tuple[dict[int, set[int]], dict[frozenset[
     return adjacency, edges
 
 
-def incidence_automorphisms(rayset: RaySet) -> list[dict[str, str]]:
+def incidence_automorphisms(obs: ObservableSet) -> list[dict[str, str]]:
     """All relabelings induced by automorphisms of the context graph.
 
-    Returned as label -> label maps, in a deterministic order.  Identity
-    first is not guaranteed; the identity map is always among them.
+    As in the 18-ray set, every label of a context must be in exactly
+    two contexts, and no two contexts may share two labels (ValueError
+    otherwise).  Returned as label -> label maps, in a deterministic
+    order.  Identity first is not guaranteed; the identity map is always
+    among them.
     """
-    adjacency, edges = _context_graph(rayset)
+    adjacency, edges = _context_graph(obs)
     vertices = sorted(adjacency)
     degree = {v: len(adjacency[v]) for v in vertices}
 
@@ -206,11 +209,11 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
     product-state value found by ``ASCENT_STARTS`` seeded ascents on each
     distinct pentagon image (compared against the noncontextual bound 3).
     """
-    rayset, obs = build_ks18()
+    obs = build_set("ks18")
     expr = catalog_get("kcbs3")
     psi = paper_kcbs_product()
 
-    relabelings = incidence_automorphisms(rayset)
+    relabelings = incidence_automorphisms(obs)
     paper_values = []
     # Relabelings onto one pentagon share its operator and reference value.
     pentagons: dict[frozenset[frozenset[str]], tuple[InequalityExpr, np.ndarray, float]] = {}

@@ -30,7 +30,7 @@ from .inequalities import (
     read_json,
     specialize,
 )
-from .observables import ObservableSet, build_ks18, build_set
+from .observables import ObservableSet, build_set
 from .parity import ks_colorable, parity_stats
 from .quantum import (
     certify_state_independence,
@@ -112,8 +112,8 @@ def _cmd_maxval(args) -> dict:
 
 
 def _cmd_colorability(args) -> dict:
-    rayset, obs = build_ks18()
-    coloring = ks_colorable(rayset)
+    obs = build_set("ks18")
+    coloring = ks_colorable(obs)
     stats = parity_stats(obs)
     return {
         "satisfiable": coloring.satisfiable,

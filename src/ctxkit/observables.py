@@ -21,9 +21,12 @@ which the builders, ``set_labels`` and ``set_contexts`` all read.
 Every observable is stored as its exact Pauli expansion (``linalg``):
 Pauli words for Peres-Mermin and the star, and multiples of 1/8 for the
 integer rays.  The embedded ray table is fixed data, pinned by the
-tests; every ``ObservableSet`` checks its own involutions and
-context-wise commutation exactly when it is constructed, so no set with
-an unchecked context exists.
+tests.  ``ObservableSet`` is the one checked structure for every family
+and for a caller's own sets: it checks its own involutions, that each
+context is distinct labels of the set, and context-wise commutation
+exactly when it is constructed, and it freezes what it checked, so no
+set with an unchecked context exists.  ``build_ks18`` also returns the
+rays themselves, read-only, next to the set.
 """
 
 from __future__ import annotations
@@ -96,23 +99,6 @@ MERMIN_STAR_MAX_QUBITS = 13
 
 
 @dataclass(frozen=True)
-class RaySet:
-    """A family of rays grouped into contexts of mutually orthogonal rays.
-    Construction checks that every context is four distinct rays of the
-    set (ValueError otherwise); orthogonality is not checked."""
-
-    rays: Mapping[str, np.ndarray]
-    contexts: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        for ctx in self.contexts:
-            if len(ctx) != 4 or len(set(ctx)) != 4:
-                raise ValueError(f"context {ctx} is not 4 distinct rays")
-            if unknown := [label for label in ctx if label not in self.rays]:
-                raise ValueError(f"context {ctx} references unknown ray {unknown[0]}")
-
-
-@dataclass(frozen=True)
 class ObservableSet:
     """A labeled family of +-1-valued observables with listed contexts.
 
@@ -120,9 +106,10 @@ class ObservableSet:
     Two observables are jointly measurable exactly when they commute; the
     contexts enumerate the maximal groups used by the catalog's
     inequalities.  Construction checks, exactly, that every expansion
-    fits the dimension, that it is an involution, and that each context
-    commutes pairwise.  The mapping and the expansions are read-only, so
-    the checks stay true.
+    fits the dimension, that it is an involution, that each context is
+    distinct labels of the set (ValueError otherwise) and that it
+    commutes pairwise.  The mapping, the expansions and the contexts
+    (stored as a tuple of tuples) are read-only, so the checks stay true.
     """
 
     set_id: str
@@ -141,7 +128,12 @@ class ObservableSet:
         for label, e in frozen.items():
             if not (np.array_equal(adjoint(e), e) and np.array_equal(multiply(e, e), IDENTITY)):
                 raise ValueError(f"{self.set_id}: {label} is not a +-1 observable")
+        object.__setattr__(self, "contexts", tuple(tuple(ctx) for ctx in self.contexts))
         for ctx in self.contexts:
+            if len(set(ctx)) != len(ctx):
+                raise ValueError(f"{self.set_id}: context {ctx} repeats a label")
+            if unknown := [label for label in ctx if label not in frozen]:
+                raise ValueError(f"{self.set_id}: context {ctx} has unknown label {unknown[0]}")
             if bad := noncommuting_pairs(self, ctx):
                 raise IncompatibleContextError(
                     f"{self.set_id}: context {ctx} contains non-commuting pairs {bad}"
@@ -201,18 +193,18 @@ def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...],
     return words, contexts
 
 
-def build_ks18() -> tuple[RaySet, ObservableSet]:
-    """The embedded 18-ray set and its observables A = 2|v><v| - 1."""
+def build_ks18() -> tuple[Mapping[str, np.ndarray], ObservableSet]:
+    """The embedded 18-ray set's rays, as a read-only mapping of read-only
+    integer vectors, and its observables A = 2|v><v| - 1."""
     table, contexts = _family("ks18", None)
     rays = {label: np.array(v, dtype=np.int64) for label, v in table.items()}
     for v in rays.values():
         v.flags.writeable = False
-    rayset = RaySet(rays=rays, contexts=contexts)
     observables = {
         label: expand(2 * np.outer(v, v) / int(v @ v) - np.eye(4)) for label, v in rays.items()
     }
     obs = ObservableSet(set_id="ks18", dim=4, observables=observables, contexts=contexts)
-    return rayset, obs
+    return MappingProxyType(rays), obs
 
 
 def build_peres_mermin() -> ObservableSet:

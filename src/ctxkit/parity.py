@@ -1,8 +1,9 @@
 """The two contradiction arguments behind the inequalities.
 
-``ks_colorable`` searches every 0/1 assignment to the rays, on the bound
-solver's enumeration kernel, for one with exactly one 1 in every context
-(the noncontextual coloring the 18-ray set famously does not admit).
+``ks_colorable`` searches every 0/1 assignment to a set's labels, on the
+bound solver's enumeration kernel, for one with exactly one 1 in every
+context (the noncontextual coloring the 18-ray set famously does not
+admit); it takes a set whose contexts are bases, as the 18-ray set's are.
 ``parity_stats`` exposes the counting argument: with every label in an
 even number of contexts, the product of all context outcome products is
 forced to +1 for any fixed +-1 assignment, while quantum mechanics gives
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import ObservableSet, RaySet
+from .observables import ObservableSet
 from .quantum import context_product
 from .solver import decode, label_masks, lex_first_max
 
@@ -27,19 +28,23 @@ class ColorabilityResult:
     witness: dict[str, int] | None
 
 
-def ks_colorable(rayset: RaySet) -> ColorabilityResult:
-    """Search for an assignment with exactly one 1 per 4-ray context.
+def ks_colorable(obs: ObservableSet) -> ColorabilityResult:
+    """Search for an assignment with exactly one 1 per context.
 
+    Every context must be a basis, ``obs.dim`` labels (ValueError
+    otherwise, so the Peres-Mermin set and the star are refused).
     Exhaustive scan on the bound solver's kernel: each 0/1 assignment to
-    the sorted rays scores the number of contexts holding exactly one 1,
+    the sorted labels scores the number of contexts holding exactly one 1,
     and the set is colorable when the best score counts every context.
     UNSAT verdicts are therefore proofs, and the witness is the
     lexicographically first coloring (0 < 1).  Raises ResourceLimitError
-    past the solver's caps: ``MAX_LABELS`` rays, or ``MAX_SCAN_WORK``
-    for 2^rays assignments x contexts.
+    past the solver's caps: ``MAX_LABELS`` labels, or ``MAX_SCAN_WORK``
+    for 2^labels assignments x contexts.
     """
-    labels = sorted(rayset.rays)
-    masks = label_masks(labels, rayset.contexts)
+    if short := [ctx for ctx in obs.contexts if len(ctx) != obs.dim]:
+        raise ValueError(f"{obs.set_id}: context {short[0]} is not a basis of {obs.dim} labels")
+    labels = sorted(obs.labels)
+    masks = label_masks(labels, obs.contexts)
 
     def score(ks: np.ndarray) -> np.ndarray:
         hits = np.zeros(len(ks), dtype=np.int64)
@@ -48,7 +53,7 @@ def ks_colorable(rayset: RaySet) -> ColorabilityResult:
         return hits
 
     best, k = lex_first_max(len(labels), score)
-    if best == len(rayset.contexts):
+    if best == len(obs.contexts):
         return ColorabilityResult(satisfiable=True, witness=decode(k, labels, (0, 1)))
     return ColorabilityResult(satisfiable=False, witness=None)
 
@@ -67,11 +72,7 @@ def parity_stats(obs: ObservableSet) -> ParityStats:
     parity_contradiction is true when the number of minus-identity
     context products is odd while every label occurs in an even number of
     contexts: no +-1 assignment can then reproduce the quantum products.
-    A RaySet is rejected with TypeError: it holds no observables, so its
-    context signs could only be assumed.
     """
-    if not isinstance(obs, ObservableSet):
-        raise TypeError(f"parity_stats needs an ObservableSet, got {type(obs).__name__}")
     signs = [context_product(obs, ctx) for ctx in obs.contexts]
 
     occurrences: dict[str, int] = {}

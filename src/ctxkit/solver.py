@@ -64,9 +64,13 @@ def _check_cap(m: int) -> None:
 
 def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
     """Bitmask of each group of (sorted) labels under the canonical
-    convention.  Raises ResourceLimitError when there are more than
-    ``MAX_LABELS`` labels to enumerate, or when scoring every group at
-    every assignment is more than ``MAX_SCAN_WORK``."""
+    convention.  Raises ValueError when a group repeats a label, and
+    ResourceLimitError when there are more than ``MAX_LABELS`` labels to
+    enumerate, or when scoring every group at every assignment is more
+    than ``MAX_SCAN_WORK``."""
+    groups = [tuple(g) for g in groups]
+    if repeats := [g for g in groups if len(set(g)) != len(g)]:
+        raise ValueError(f"group {repeats[0]} repeats a label")
     m = len(labels)
     _check_cap(m)
     bit = {label: m - 1 - j for j, label in enumerate(labels)}

@@ -21,7 +21,7 @@ def ks18():
 
 
 @pytest.fixture(scope="session")
-def ks18_rayset(ks18):
+def ks18_rays(ks18):
     return ks18[0]
 
 

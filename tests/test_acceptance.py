@@ -15,7 +15,7 @@ import numpy as np
 from ctxkit.calibration import kcbs_calibration
 from ctxkit.cli import main
 from ctxkit.inequalities import absorb_sign_flip, catalog_get, specialize
-from ctxkit.observables import KS18_CONTEXTS, build_ks18, build_set, set_labels
+from ctxkit.observables import KS18_CONTEXTS, build_set, set_labels
 from ctxkit.parity import ks_colorable, parity_stats
 from ctxkit.quantum import (
     certify_state_independence,
@@ -130,9 +130,9 @@ def test_criterion_4_named_state_spot_checks(capfd):
 
 
 def test_criterion_5_coloring_unsat_and_parity(capfd):
-    rayset, obs = build_ks18()
+    obs = build_set("ks18")
     started = time.perf_counter()
-    coloring = ks_colorable(rayset)
+    coloring = ks_colorable(obs)
     elapsed = time.perf_counter() - started
     stats = parity_stats(obs)
     checks = [
@@ -190,7 +190,7 @@ def test_criterion_6_specialization_roundtrips(capfd):
 
 def test_criterion_7_protocol_and_marginals(capfd):
     started = time.perf_counter()
-    rayset, ks = build_ks18()
+    ks = build_set("ks18")
     pm = build_set("peres_mermin")
     mixed = make_state("maximally_mixed", dim=4)
     runs = [

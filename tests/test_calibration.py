@@ -11,20 +11,21 @@ from ctxkit.calibration import (
     relabel_expr,
 )
 from ctxkit.inequalities import catalog_get
-from ctxkit.observables import RaySet
+from ctxkit.linalg import pauli
+from ctxkit.observables import ObservableSet
 from ctxkit.quantum import bell_operator, evaluate_inequality
 from ctxkit.runtime import substream
 from ctxkit.solver import classical_bound
 from ctxkit.states import paper_kcbs_product
 
 
-def brute_force_automorphism_count(rayset):
+def brute_force_automorphism_count(obs):
     """Count context-graph automorphisms by checking all 9! vertex
     permutations against the adjacency matrix.  Independent of the
     backtracking search."""
-    n = len(rayset.contexts)
+    n = len(obs.contexts)
     membership = {}
-    for idx, ctx in enumerate(rayset.contexts):
+    for idx, ctx in enumerate(obs.contexts):
         for label in ctx:
             membership.setdefault(label, []).append(idx)
     adj = [[False] * n for _ in range(n)]
@@ -39,15 +40,15 @@ def brute_force_automorphism_count(rayset):
     return count
 
 
-def test_automorphism_count_matches_brute_force(ks18_rayset):
-    maps = incidence_automorphisms(ks18_rayset)
+def test_automorphism_count_matches_brute_force(ks18_obs):
+    maps = incidence_automorphisms(ks18_obs)
     assert len(maps) == 72
-    assert len(maps) == brute_force_automorphism_count(ks18_rayset)
+    assert len(maps) == brute_force_automorphism_count(ks18_obs)
 
 
-def test_automorphisms_form_a_group(ks18_rayset):
-    maps = incidence_automorphisms(ks18_rayset)
-    labels = sorted(ks18_rayset.rays)
+def test_automorphisms_form_a_group(ks18_obs):
+    maps = incidence_automorphisms(ks18_obs)
+    labels = sorted(ks18_obs.labels)
     keys = {tuple(m[lab] for lab in labels) for m in maps}
     identity = tuple(labels)
     assert identity in keys
@@ -59,36 +60,39 @@ def test_automorphisms_form_a_group(ks18_rayset):
             assert composed in keys
 
 
-def test_automorphisms_preserve_contexts(ks18_rayset):
-    context_sets = {frozenset(ctx) for ctx in ks18_rayset.contexts}
-    for m in incidence_automorphisms(ks18_rayset)[:12]:
-        for ctx in ks18_rayset.contexts:
+def test_automorphisms_preserve_contexts(ks18_obs):
+    context_sets = {frozenset(ctx) for ctx in ks18_obs.contexts}
+    for m in incidence_automorphisms(ks18_obs)[:12]:
+        for ctx in ks18_obs.contexts:
             assert frozenset(m[lab] for lab in ctx) in context_sets
 
 
 def test_incidence_automorphisms_input_validation():
-    rays = {lab: np.array([1, 0, 0, 0]) for lab in "abcdefgh"}
-    lonely = RaySet(rays=rays, contexts=(("a", "b", "c", "d"), ("e", "f", "g", "h")))
+    # Every label is ZI in dimension 4: commuting involutions, so only
+    # the incidence rules are under test.
+    observables = {lab: pauli("ZI") for lab in "abcdefgh"}
+
+    def toy_set(contexts):
+        return ObservableSet(set_id="toy", dim=4, observables=observables, contexts=contexts)
+
+    lonely = toy_set((("a", "b", "c", "d"), ("e", "f", "g", "h")))
     with pytest.raises(ValueError):
-        incidence_automorphisms(lonely)  # rays in only one context
-    doubled = RaySet(
-        rays=rays,
-        contexts=(
-            ("a", "b", "c", "d"),
-            ("a", "b", "e", "f"),
-            ("c", "e", "g", "h"),
-            ("d", "f", "g", "h"),
-        ),
-    )
+        incidence_automorphisms(lonely)  # labels in only one context
+    doubled = toy_set((
+        ("a", "b", "c", "d"),
+        ("a", "b", "e", "f"),
+        ("c", "e", "g", "h"),
+        ("d", "f", "g", "h"),
+    ))
     with pytest.raises(ValueError):
-        incidence_automorphisms(doubled)  # two contexts share two rays
-    with pytest.raises(ValueError, match="is not 4 distinct rays"):
-        incidence_automorphisms(RaySet(rays=rays, contexts=(("a", "a", "b", "c"),)))
+        incidence_automorphisms(doubled)  # two contexts share two labels
+    with pytest.raises(ValueError, match="repeats a label"):
+        incidence_automorphisms(toy_set((("a", "a", "b", "c"),)))
 
 
-def test_relabel_expr(ks18_rayset):
+def test_relabel_expr(ks18_obs):
     expr = catalog_get("kcbs3")
-    maps = incidence_automorphisms(ks18_rayset)
+    maps = incidence_automorphisms(ks18_obs)
     identity = next(m for m in maps if all(k == v for k, v in m.items()))
     assert relabel_expr(expr, identity) == expr
     # Renaming cannot change an exhaustive bound.
@@ -221,13 +225,13 @@ def test_top_eigvecs_on_a_mixed_batch():
     assert general @ vecs[2] == pytest.approx(np.linalg.eigvalsh(general)[-1] * vecs[2])
 
 
-def test_each_batch_row_is_a_lone_ascent(ks18_rayset, ks18_obs):
+def test_each_batch_row_is_a_lone_ascent(ks18_obs):
     # The calibration runs its 216 ascents in lock step; every row must
     # have the bits of product_state_ascent on that start alone.
     report = kcbs_calibration(seed=2)
     expr = catalog_get("kcbs3")
     bells = {}
-    for m in incidence_automorphisms(ks18_rayset):
+    for m in incidence_automorphisms(ks18_obs):
         mapped = relabel_expr(expr, m)
         key = frozenset(frozenset(t.factors) for t in mapped.terms)
         bells.setdefault(key, bell_operator(ks18_obs, mapped))

@@ -230,8 +230,8 @@ def test_built_expressions_round_trip(case, data):
         assert_round_trip(specialized)
 
 
-def test_relabeled_expressions_round_trip(ks18_rayset):
-    maps = incidence_automorphisms(ks18_rayset)
+def test_relabeled_expressions_round_trip(ks18_obs):
+    maps = incidence_automorphisms(ks18_obs)
     for id_ in ("ineq1", "kcbs3"):
         for label_map in maps:
             assert_round_trip(relabel_expr(catalog_get(id_), label_map))

@@ -25,33 +25,34 @@ from ctxkit.observables import (
     set_contexts,
     set_labels,
 )
+from ctxkit.quantum import compatible_expansions
 
 
-def test_ks18_table_shape(ks18_rayset):
-    assert len(ks18_rayset.rays) == 18
-    assert len(ks18_rayset.contexts) == 9
-    assert all(len(ctx) == 4 for ctx in ks18_rayset.contexts)
+def test_ks18_table_shape(ks18_rays, ks18_obs):
+    assert len(ks18_rays) == 18
+    assert len(ks18_obs.contexts) == 9
+    assert all(len(ctx) == 4 for ctx in ks18_obs.contexts)
 
 
-def test_ks18_every_ray_in_two_contexts(ks18_rayset):
+def test_ks18_every_ray_in_two_contexts(ks18_obs):
     counts = {}
-    for ctx in ks18_rayset.contexts:
+    for ctx in ks18_obs.contexts:
         for label in ctx:
             counts[label] = counts.get(label, 0) + 1
     assert set(counts.values()) == {2}
 
 
-def test_ks18_contexts_are_orthogonal_bases(ks18_rayset):
-    for ctx in ks18_rayset.contexts:
-        vecs = np.array([ks18_rayset.rays[label] for label in ctx])
+def test_ks18_contexts_are_orthogonal_bases(ks18_rays, ks18_obs):
+    for ctx in ks18_obs.contexts:
+        vecs = np.array([ks18_rays[label] for label in ctx])
         gram = vecs @ vecs.T
         assert np.array_equal(gram - np.diag(np.diag(gram)), np.zeros((4, 4), dtype=np.int64))
 
 
-def test_ks18_ray_spot_checks(ks18_rayset):
-    assert np.array_equal(ks18_rayset.rays["A12"], [0, 1, 0, 0])
-    assert np.array_equal(ks18_rayset.rays["A37"], [1, 1, 1, 1])
-    assert np.array_equal(ks18_rayset.rays["A69"], [-1, 1, 1, 1])
+def test_ks18_ray_spot_checks(ks18_rays):
+    assert np.array_equal(ks18_rays["A12"], [0, 1, 0, 0])
+    assert np.array_equal(ks18_rays["A37"], [1, 1, 1, 1])
+    assert np.array_equal(ks18_rays["A69"], [-1, 1, 1, 1])
 
 
 def test_ks18_observables_are_involutions(ks18_obs):
@@ -62,9 +63,9 @@ def test_ks18_observables_are_involutions(ks18_obs):
         assert np.array_equal(op @ op, np.eye(4))
 
 
-def test_ks18_observable_from_ray(ks18_rayset, ks18_obs):
+def test_ks18_observable_from_ray(ks18_rays, ks18_obs):
     for label in ks18_obs.labels:
-        assert np.array_equal(operator(ks18_obs, label), ray_operator(ks18_rayset.rays[label]))
+        assert np.array_equal(operator(ks18_obs, label), ray_operator(ks18_rays[label]))
 
 
 def test_ks18_context_products_are_minus_identity(ks18_obs):
@@ -75,9 +76,9 @@ def test_ks18_context_products_are_minus_identity(ks18_obs):
         assert np.array_equal(prod, -np.eye(4))
 
 
-def test_unknown_label_raises(ks18_rayset, ks18_obs):
+def test_unknown_label_raises(ks18_rays, ks18_obs):
     with pytest.raises(KeyError):
-        ks18_rayset.rays["A99"]
+        ks18_rays["A99"]
     with pytest.raises(UnknownLabelError):
         ks18_obs.expansion("A99")
 
@@ -103,6 +104,32 @@ def test_observable_set_checks_contexts_at_construction(pm_obs):
         ObservableSet(set_id="bad", dim=6, observables={}, contexts=())
     with pytest.raises(TypeError):
         pm_obs.observables["P14"] = ops["P25"]
+    # Every context is distinct labels of the set; a one-label context
+    # forms no pairs, so its label is checked on its own.
+    with pytest.raises(ValueError, match="unknown label x"):
+        ObservableSet(set_id="bad", dim=4, observables=ops, contexts=(("x",),))
+    with pytest.raises(ValueError, match="repeats a label"):
+        ObservableSet(set_id="bad", dim=4, observables=ops, contexts=(("P14", "P14", "P15"),))
+
+
+def test_observable_set_freezes_its_contexts():
+    ctx = [["a", "b"]]
+    ops = {"a": pauli("ZI"), "b": pauli("ZI"), "c": pauli("XI")}
+    obs = ObservableSet(set_id="t", dim=4, observables=ops, contexts=ctx)
+    ctx[0].append("c")
+    assert obs.contexts == (("a", "b"),)
+    with pytest.raises(IncompatibleContextError):
+        compatible_expansions(obs, ("a", "c"))
+
+
+def test_ks18_rays_are_read_only(ks18_rays):
+    with pytest.raises(TypeError):
+        ks18_rays["A12"] = np.array([1, 0, 0, 0])
+    with pytest.raises(TypeError):
+        del ks18_rays["A12"]
+    with pytest.raises(ValueError):
+        ks18_rays["A12"][0] = 5
+    assert len(ks18_rays) == 18 and np.array_equal(ks18_rays["A12"], [0, 1, 0, 0])
 
 
 def test_observable_set_rejects_non_involutions():
@@ -247,9 +274,9 @@ def test_set_labels_matches_builders(ks18_obs, pm_obs, star3_obs):
         set_labels("mermin_star")
 
 
-def test_module_tables_match_built_set(ks18_rayset):
-    assert tuple(KS18_RAYS) == tuple(ks18_rayset.rays)
-    assert KS18_CONTEXTS == ks18_rayset.contexts
+def test_module_tables_match_built_set(ks18_rays, ks18_obs):
+    assert tuple(KS18_RAYS) == tuple(ks18_rays)
+    assert KS18_CONTEXTS == ks18_obs.contexts
 
 
 def test_compatible(pm_obs, ks18_obs):

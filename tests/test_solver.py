@@ -134,6 +134,17 @@ def test_scan_work_cap(monkeypatch):
         classical_bound(four)
 
 
+def test_label_masks_refuse_a_repeated_label(monkeypatch):
+    # A repeat would carry its bit into one that belongs to no label; the
+    # group is refused before any scan, even one past the caps.
+    assert solver.label_masks(["a", "b", "c"], [("a", "b"), ("c",)]).tolist() == [6, 1]
+    with pytest.raises(ValueError, match=r"group \('a', 'a'\) repeats a label"):
+        solver.label_masks(["a", "b", "c"], [("a", "a")])
+    monkeypatch.setattr(solver, "MAX_LABELS", 2)
+    with pytest.raises(ValueError, match="repeats a label"):
+        solver.label_masks(["a", "b", "c"], iter([("b", "c"), ("c", "a", "c")]))
+
+
 def test_witness_is_lex_first_across_blocks():
     # 17 labels span two scan blocks.  The maximizers are L0 = L1 = -1
     # (first block) and L0 = L1 = +1 (second block); the witness must be
