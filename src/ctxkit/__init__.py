@@ -10,7 +10,6 @@ from .calibration import (
     CalibrationReport,
     incidence_automorphisms,
     kcbs_calibration,
-    product_state_ascent,
     relabel_expr,
 )
 from .exceptions import (
@@ -127,7 +126,6 @@ __all__ = [
     "maximally_mixed",
     "paper_kcbs_product",
     "parity_stats",
-    "product_state_ascent",
     "relabel_expr",
     "run_protocol",
     "sequential_measure",

@@ -11,7 +11,7 @@ under every relabeling, and searches for the best product-state violation
 with seeded alternating eigenvector ascents.  The ascents from all
 ``ASCENT_STARTS`` starts on every distinct pentagon run together, in lock
 step on one stack of 2x2x2x2 tensors; each row stops on its own and ends
-with the bits ``product_state_ascent`` gives for its start alone.
+with the bits a one-row ``_ascend`` gives for its start alone.
 """
 
 from __future__ import annotations
@@ -167,23 +167,6 @@ def _ascend(
         if not live.size:
             break
     return values, a, b
-
-
-def product_state_ascent(
-    bell: np.ndarray, rng: np.random.Generator
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Locally maximize <a x b|B|a x b> over 2x2 product states.
-
-    Alternating ascent: with one factor fixed, the optimal other factor
-    is the top eigenvector of the conditional 2x2 matrix, so each half
-    step cannot decrease the value.  This is one row of the lock-step
-    ascent ``kcbs_calibration`` runs.  Returns (value, a, b).
-    """
-    if bell.shape != (4, 4):
-        raise ValueError(f"product-state ascent needs a 4x4 operator, got {bell.shape}")
-    a, b = _draw_start(rng)
-    values, a, b = _ascend(bell.reshape(1, 2, 2, 2, 2), a[None], b[None])
-    return float(values[0]), a[0], b[0]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
-from .observables import set_contexts, set_labels
+from .observables import label_tuple, set_contexts, set_labels
 
 # Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
 # full-precision [re, im] pair as json.dumps writes it (at most 227 MB).
@@ -48,13 +48,15 @@ def parse_sign(value, what: str) -> int:
 @dataclass(frozen=True)
 class Term:
     """A sign times a product of labels; construction checks that the sign
-    is the integer 1 or -1 (``parse_sign``) and the factors distinct."""
+    is the integer 1 or -1 (``parse_sign``) and the factors distinct
+    labels (``label_tuple``), stored as a tuple."""
 
     sign: int
     factors: tuple[str, ...]
 
     def __post_init__(self) -> None:
         parse_sign(self.sign, "term sign")
+        object.__setattr__(self, "factors", label_tuple(self.factors))
         if len(set(self.factors)) != len(self.factors):
             raise ValueError(f"term factors must be distinct, got {self.factors}")
 
@@ -235,9 +237,9 @@ def check_keys(data, required: tuple[str, ...], what: str, optional: tuple[str, 
 def _term_from_json(data) -> Term:
     check_keys(data, ("sign", "factors"), "term")
     factors = data["factors"]
-    if not isinstance(factors, list) or not all(isinstance(f, str) for f in factors):
+    if not isinstance(factors, list):  # an object would become its keys
         raise ValueError(f"term factors must be a list of label strings, got {factors!r}")
-    return Term(data["sign"], tuple(factors))
+    return Term(data["sign"], factors)
 
 
 def expr_from_json(data: Mapping) -> InequalityExpr:

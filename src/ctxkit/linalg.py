@@ -6,8 +6,8 @@ by (x, z) with distinct masks and nonzero c: equal operators are equal
 arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
 dyadic coefficients keep the algebra exact.  ``tables`` compiles an
 expansion for one dimension into the one form every consumer reads:
-``apply`` multiplies a ket, a factor or a block of kets by it, and
-``dense`` (only for the eigensolver and the 4x4 calibration) and
+``apply`` multiplies a 2-D operand, a factor or a block of kets, by it,
+and ``dense`` (only for the eigensolver and the 4x4 calibration) and
 ``max_entry`` read the same tables.
 
 A state is a ket (1-D complex vector) or a density matrix, checked
@@ -113,13 +113,12 @@ def dense(e: np.ndarray, dim: int) -> np.ndarray:
 
 def apply(compiled: tuple[np.ndarray, np.ndarray], m: np.ndarray) -> np.ndarray:
     """``dense(e, len(m)) @ m`` from ``compiled = tables(e, len(m))``,
-    without the matrix, for a ket or a 2-D m (a d x r factor, or a block
-    of kets as columns).  Terms are summed in order into a zeroed output
-    in m's layout, so each column equals ``apply`` on that column alone
-    bit for bit, and a transposed block comes back with contiguous kets."""
+    without the matrix, for a 2-D m (a d x r factor, or a block of kets
+    as columns).  Terms are summed in order into a zeroed output in m's
+    layout, so each column equals ``apply`` on that column alone bit for
+    bit, and a transposed block comes back with contiguous kets."""
     cols, values = compiled
-    if m.ndim == 2:
-        values = values[:, :, None]
+    values = values[:, :, None]
     out = np.zeros_like(m, dtype=complex)
     for c, v in zip(cols, values):
         moved = m[c]

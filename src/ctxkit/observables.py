@@ -98,6 +98,18 @@ PERES_MERMIN_CONTEXTS: tuple[tuple[str, ...], ...] = (
 MERMIN_STAR_MAX_QUBITS = 13
 
 
+def label_tuple(labels) -> tuple[str, ...]:
+    """The one rule for a sequence of labels (a context, a term's factors,
+    a measurement order): a tuple of its items, each a str.  A str or
+    bytes is refused rather than split into characters (ValueError)."""
+    if isinstance(labels, (str, bytes)):
+        raise ValueError(f"labels must be a sequence of str, not {labels!r}")
+    labels = tuple(labels)
+    if bad := [label for label in labels if not isinstance(label, str)]:
+        raise ValueError(f"label {bad[0]!r} in {labels!r} is not a str")
+    return labels
+
+
 @dataclass(frozen=True)
 class ObservableSet:
     """A labeled family of +-1-valued observables with listed contexts.
@@ -107,9 +119,10 @@ class ObservableSet:
     contexts enumerate the maximal groups used by the catalog's
     inequalities.  Construction checks, exactly, that every expansion
     fits the dimension, that it is an involution, that each context is
-    distinct labels of the set (ValueError otherwise) and that it
-    commutes pairwise.  The mapping, the expansions and the contexts
-    (stored as a tuple of tuples) are read-only, so the checks stay true.
+    distinct labels of the set (``label_tuple``; ValueError otherwise)
+    and that it commutes pairwise.  The mapping, the expansions and the
+    contexts (stored as a tuple of tuples) are read-only, so the checks
+    stay true.
     """
 
     set_id: str
@@ -128,7 +141,7 @@ class ObservableSet:
         for label, e in frozen.items():
             if not (np.array_equal(adjoint(e), e) and np.array_equal(multiply(e, e), IDENTITY)):
                 raise ValueError(f"{self.set_id}: {label} is not a +-1 observable")
-        object.__setattr__(self, "contexts", tuple(tuple(ctx) for ctx in self.contexts))
+        object.__setattr__(self, "contexts", tuple(label_tuple(ctx) for ctx in self.contexts))
         for ctx in self.contexts:
             if len(set(ctx)) != len(ctx):
                 raise ValueError(f"{self.set_id}: context {ctx} repeats a label")

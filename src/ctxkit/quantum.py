@@ -129,11 +129,12 @@ def context_product(obs: ObservableSet, context) -> int:
     Raises IncompatibleContextError for non-commuting labels and
     ValueError when the product is not proportional to the identity.
     """
-    prod = _product(obs, Term(1, tuple(context)).factors)  # Term rejects repeats
+    labels = Term(1, context).factors  # Term rejects a string and repeats
+    prod = _product(obs, labels)
     for s in (1, -1):
         if np.array_equal(prod, combine([(s, IDENTITY)])):
             return s
-    raise ValueError(f"product over context {tuple(context)} is not proportional to identity")
+    raise ValueError(f"product over context {labels} is not proportional to identity")
 
 
 def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> float:

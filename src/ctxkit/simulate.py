@@ -42,7 +42,7 @@ import numpy as np
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
-from .observables import ObservableSet
+from .observables import ObservableSet, label_tuple
 from .quantum import compatible_expansions
 from .runtime import MARGINAL_LANE, PROTOCOL_LANE, substream
 
@@ -137,7 +137,7 @@ def sequential_measure(
     and the final post-measurement state, in the input's form: a ket for
     a ket, a density matrix for a density matrix.
     """
-    labels = tuple(labels)
+    labels = label_tuple(labels)
     expansions = compatible_expansions(obs, labels)
     k = factor(state, obs.dim)
     uniforms = np.array([[rng.random() for _ in labels]])
@@ -249,7 +249,7 @@ def marginal_consistency(
     marginals, so |z| stays at noise level.
     """
     _check_shots(shots)
-    first, second = (tuple(c) for c in contexts)
+    first, second = (label_tuple(c) for c in contexts)
     k = factor(state, obs.dim)
     freqs = []
     for ctx in (first, second):

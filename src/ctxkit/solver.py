@@ -38,6 +38,7 @@ import numpy as np
 
 from .exceptions import ResourceLimitError
 from .inequalities import InequalityExpr, absorb_sign_flip
+from .observables import label_tuple
 
 MAX_LABELS = 30
 # Scan work: assignments x scored groups (terms, or contexts for a
@@ -64,11 +65,12 @@ def _check_cap(m: int) -> None:
 
 def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
     """Bitmask of each group of (sorted) labels under the canonical
-    convention.  Raises ValueError when a group repeats a label, and
-    ResourceLimitError when there are more than ``MAX_LABELS`` labels to
-    enumerate, or when scoring every group at every assignment is more
-    than ``MAX_SCAN_WORK``."""
-    groups = [tuple(g) for g in groups]
+    convention.  Raises ValueError when a group is not a label sequence
+    (``label_tuple``) or repeats a label, and ResourceLimitError when
+    there are more than ``MAX_LABELS`` labels to enumerate, or when
+    scoring every group at every assignment is more than
+    ``MAX_SCAN_WORK``."""
+    groups = [label_tuple(g) for g in groups]
     if repeats := [g for g in groups if len(set(g)) != len(g)]:
         raise ValueError(f"group {repeats[0]} repeats a label")
     m = len(labels)

@@ -7,7 +7,6 @@ from ctxkit import calibration
 from ctxkit.calibration import (
     incidence_automorphisms,
     kcbs_calibration,
-    product_state_ascent,
     relabel_expr,
 )
 from ctxkit.inequalities import catalog_get
@@ -98,31 +97,6 @@ def test_relabel_expr(ks18_obs):
     # Renaming cannot change an exhaustive bound.
     for m in maps[:5]:
         assert classical_bound(relabel_expr(expr, m)).bound == 3
-
-
-def test_product_state_ascent_properties(ks18_obs):
-    bell = bell_operator(ks18_obs, catalog_get("kcbs3"))
-    rng = substream(0, 3, index=0, subindex=0)
-    value, a, b = product_state_ascent(bell, rng)
-
-    assert np.linalg.norm(a) == pytest.approx(1.0)
-    assert np.linalg.norm(b) == pytest.approx(1.0)
-    psi = np.kron(a, b)
-    assert value == pytest.approx(float(np.real(psi.conj() @ bell @ psi)))
-    assert value <= float(np.linalg.eigvalsh(bell)[-1]) + 1e-9
-
-    # The ascent never moves below its own starting point.
-    replay = substream(0, 3, index=0, subindex=0)
-    a0 = replay.standard_normal(2) + 1j * replay.standard_normal(2)
-    b0 = replay.standard_normal(2) + 1j * replay.standard_normal(2)
-    psi0 = np.kron(a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0))
-    start_value = float(np.real(psi0.conj() @ bell @ psi0))
-    assert value >= start_value - 1e-12
-
-
-def test_product_state_ascent_needs_two_qubits():
-    with pytest.raises(ValueError):
-        product_state_ascent(np.eye(8, dtype=complex), substream(0, 3))
 
 
 def test_calibration_report_frozen_values():
@@ -227,7 +201,9 @@ def test_top_eigvecs_on_a_mixed_batch():
 
 def test_each_batch_row_is_a_lone_ascent(ks18_obs):
     # The calibration runs its 216 ascents in lock step; every row must
-    # have the bits of product_state_ascent on that start alone.
+    # have the bits of a one-row ascent from that start alone, and be a
+    # product state whose value is <ab|B|ab>, within the spectrum and no
+    # lower than its start's.
     report = kcbs_calibration(seed=2)
     expr = catalog_get("kcbs3")
     bells = {}
@@ -245,10 +221,20 @@ def test_each_batch_row_is_a_lone_ascent(ks18_obs):
     values, a, b = calibration._ascend(tensors, a, b)
     assert len(values) == 216
     for r, (p, s) in enumerate(rows):
-        value, lone_a, lone_b = product_state_ascent(bells[p], substream(2, 3, index=p, subindex=s))
-        assert value == values[r]
-        assert lone_a.tobytes() == a[r].tobytes()
-        assert lone_b.tobytes() == b[r].tobytes()
+        a0, b0 = calibration._draw_start(substream(2, 3, index=p, subindex=s))
+        value, lone_a, lone_b = calibration._ascend(
+            bells[p].reshape(1, 2, 2, 2, 2), a0[None], b0[None])
+        assert value[0] == values[r]
+        assert lone_a[0].tobytes() == a[r].tobytes()
+        assert lone_b[0].tobytes() == b[r].tobytes()
+
+        assert np.linalg.norm(a[r]) == pytest.approx(1.0)
+        assert np.linalg.norm(b[r]) == pytest.approx(1.0)
+        psi = np.kron(a[r], b[r])
+        assert values[r] == pytest.approx(float(np.real(psi.conj() @ bells[p] @ psi)))
+        assert values[r] <= float(np.linalg.eigvalsh(bells[p])[-1]) + 1e-9
+        psi0 = np.kron(a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0))
+        assert values[r] >= float(np.real(psi0.conj() @ bells[p] @ psi0)) - 1e-12
     best = int(np.argmax(values))
     assert report.best_product_value == values[best]
     assert report.best_product_state.tobytes() == np.kron(a[best], b[best]).tobytes()

@@ -47,6 +47,15 @@ def test_term_validation():
     with pytest.raises(ValueError):
         Term(1, ("P14", "P14"))
     Term(1, ())  # constant terms are allowed
+    assert Term(1, ["P14", "P15"]).factors == ("P14", "P15")
+
+
+@pytest.mark.parametrize("factors", ["ab", b"ab", ["a", 1], ("a", None)])
+def test_term_factors_are_a_sequence_of_str_labels(factors):
+    # A string would be read as one label per character: Term(1, "ab")
+    # would be the product a * b.
+    with pytest.raises(ValueError, match=r"sequence of str|is not a str"):
+        Term(1, factors)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))

@@ -122,6 +122,19 @@ def test_observable_set_freezes_its_contexts():
         compatible_expansions(obs, ("a", "c"))
 
 
+@pytest.mark.parametrize("contexts, observables", [
+    (("ab",), {"a": pauli("ZI"), "b": pauli("ZI")}),
+    ("ab", {"a": pauli("ZI"), "b": pauli("ZI")}),
+    ((b"ab",), {"a": pauli("ZI"), "b": pauli("ZI")}),
+    (((1,),), {1: pauli("ZI")}),
+])
+def test_a_context_is_a_sequence_of_str_labels(contexts, observables):
+    # A string context would be split into one-letter labels, and a
+    # non-str label would pass as any other key of the set.
+    with pytest.raises(ValueError, match=r"sequence of str|is not a str"):
+        ObservableSet(set_id="t", dim=4, observables=observables, contexts=contexts)
+
+
 def test_ks18_rays_are_read_only(ks18_rays):
     with pytest.raises(TypeError):
         ks18_rays["A12"] = np.array([1, 0, 0, 0])

@@ -5,7 +5,7 @@ from dense_oracle import expectation_term, ket_density, operator
 from ctxkit import quantum, states
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
-from ctxkit.linalg import MAX_DENSE_DIM
+from ctxkit.linalg import MAX_DENSE_DIM, pauli
 from ctxkit.observables import ObservableSet, build_set
 from ctxkit.quantum import (
     MAX_STATES,
@@ -137,6 +137,13 @@ def test_context_product(pm_obs, ks18_obs, star3_obs):
         context_product(ks18_obs, ("A12",))  # a single ray is not +-identity
     with pytest.raises(IncompatibleContextError):
         context_product(pm_obs, ("P14", "P25"))
+
+
+def test_context_product_refuses_a_string():
+    obs = ObservableSet("t", 4, {"a": pauli("ZI"), "b": pauli("ZI")}, (("a", "b"),))
+    assert context_product(obs, ("a", "b")) == 1
+    with pytest.raises(ValueError, match="sequence of str"):
+        context_product(obs, "ab")
 
 
 def test_all_context_products_are_exact(pm_obs, ks18_obs, star3_obs):

@@ -12,8 +12,8 @@ from dense_oracle import ket_density, ray_operator, star_operators
 from ctxkit import linalg, quantum, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from ctxkit.inequalities import Term, catalog_get
-from ctxkit.linalg import expand
-from ctxkit.observables import KS18_RAYS, build_set
+from ctxkit.linalg import expand, pauli
+from ctxkit.observables import KS18_RAYS, ObservableSet, build_set
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     MAX_SHOTS,
@@ -70,6 +70,18 @@ def test_sequential_measure_deterministic_outcome(pm_obs):
 def test_sequential_measure_rejects_incompatible(pm_obs):
     with pytest.raises(IncompatibleContextError):
         sequential_measure(singlet(), pm_obs, ("P14", "P25"), substream(0, 1))
+
+
+def test_measured_labels_are_a_sequence_of_str():
+    # With one-letter labels, "ab" would be measured as a then b.
+    obs = ObservableSet("t", 4, {"a": pauli("ZI"), "b": pauli("IZ")}, (("a", "b"),))
+    state = maximally_mixed(4)
+    with pytest.raises(ValueError, match="sequence of str"):
+        sequential_measure(state, obs, "ab", substream(0, 1))
+    with pytest.raises(ValueError, match="sequence of str"):
+        marginal_consistency(state, obs, "a", ["ab", "ab"], 100, seed=0)
+    with pytest.raises(ValueError, match="is not a str"):
+        marginal_consistency(state, obs, "a", [("a", "b"), ("a", 1)], 100, seed=0)
 
 
 def test_sequential_measure_rejects_wrong_dimension(ks18_obs):

@@ -145,6 +145,13 @@ def test_label_masks_refuse_a_repeated_label(monkeypatch):
         solver.label_masks(["a", "b", "c"], iter([("b", "c"), ("c", "a", "c")]))
 
 
+def test_label_masks_refuse_a_string_group():
+    # "ab" would be read as the group (a, b), mask 3.
+    assert solver.label_masks(["a", "b"], [["a", "b"]]).tolist() == [3]
+    with pytest.raises(ValueError, match="sequence of str"):
+        solver.label_masks(["a", "b"], ["ab"])
+
+
 def test_witness_is_lex_first_across_blocks():
     # 17 labels span two scan blocks.  The maximizers are L0 = L1 = -1
     # (first block) and L0 = L1 = +1 (second block); the witness must be

@@ -1,10 +1,13 @@
 """Source hygiene the test suite can check without a linter: every
-module-level import of the package is used by its module."""
+module-level import of the package is used by its module, and the
+package's star import binds exactly its ``__all__``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import ctxkit
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ctxkit").glob("*.py"))
 
@@ -48,3 +51,13 @@ def test_every_package_module_is_scanned():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_star_import_binds_exactly_all():
+    # A name left in __all__ after its import is deleted breaks the star
+    # import, and unused_imports counts that string as used.
+    assert len(set(ctxkit.__all__)) == len(ctxkit.__all__)
+    ns = {}
+    exec("from ctxkit import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(ctxkit.__all__)
