@@ -99,6 +99,25 @@ def test_relabel_expr(ks18_obs):
         assert classical_bound(relabel_expr(expr, m)).bound == 3
 
 
+def test_product_state_ascent_properties(ks18_obs):
+    # One product-state ascent, run alone as a one-row _ascend.
+    bell = bell_operator(ks18_obs, catalog_get("kcbs3"))
+    a0, b0 = calibration._draw_start(substream(0, 3, index=0, subindex=0))
+    values, a, b = calibration._ascend(bell.reshape(1, 2, 2, 2, 2), a0[None], b0[None])
+    value, a, b = values[0], a[0], b[0]
+
+    assert np.linalg.norm(a) == pytest.approx(1.0)
+    assert np.linalg.norm(b) == pytest.approx(1.0)
+    psi = np.kron(a, b)
+    assert value == pytest.approx(float(np.real(psi.conj() @ bell @ psi)))
+    assert value <= float(np.linalg.eigvalsh(bell)[-1]) + 1e-9
+
+    # The ascent never moves below its own starting point.
+    psi0 = np.kron(a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0))
+    start_value = float(np.real(psi0.conj() @ bell @ psi0))
+    assert value >= start_value - 1e-12
+
+
 def test_calibration_report_frozen_values():
     report = kcbs_calibration()
     assert report.automorphism_count == 72
