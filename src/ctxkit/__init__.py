@@ -60,7 +60,7 @@ from .simulate import (
     run_protocol,
     sequential_measure,
 )
-from .solver import BoundResult, bound_sign_flip_check, classical_bound, evaluate_assignment
+from .solver import BoundResult, classical_bound, evaluate_assignment
 from .states import (
     NAMED_STATES,
     ghz,
@@ -98,7 +98,6 @@ __all__ = [
     "absorb_sign_flip",
     "as_ket",
     "bell_operator",
-    "bound_sign_flip_check",
     "build_ks18",
     "build_mermin_star",
     "build_peres_mermin",

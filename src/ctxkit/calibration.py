@@ -22,7 +22,7 @@ import numpy as np
 
 from .inequalities import InequalityExpr, Term, catalog_get
 from .linalg import row_norms
-from .observables import ObservableSet, build_set
+from .observables import ObservableSet, build_set, incidence
 from .quantum import bell_operator
 from .runtime import ASCENT_LANE, substream
 from .states import paper_kcbs_product
@@ -34,12 +34,8 @@ ASCENT_SWEEPS, ASCENT_TOL = 200, 1e-12  # each stops early once a sweep gains <=
 
 def _context_graph(obs: ObservableSet) -> tuple[dict[int, set[int]], dict[frozenset[int], str]]:
     """Contexts as vertices; each label in exactly two contexts is an edge."""
-    membership: dict[str, list[int]] = {}
-    for idx, ctx in enumerate(obs.contexts):
-        for label in ctx:
-            membership.setdefault(label, []).append(idx)
     edges: dict[frozenset[int], str] = {}
-    for label, ctxs in membership.items():
+    for label, ctxs in incidence(obs.contexts).items():
         if len(ctxs) != 2:
             raise ValueError(
                 f"label {label} is in {len(ctxs)} contexts; incidence automorphisms "

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
-from .observables import label_tuple, set_contexts, set_labels
+from .observables import label_group, set_contexts, set_labels
 
 # Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
 # full-precision [re, im] pair as json.dumps writes it (at most 227 MB).
@@ -49,16 +49,14 @@ def parse_sign(value, what: str) -> int:
 class Term:
     """A sign times a product of labels; construction checks that the sign
     is the integer 1 or -1 (``parse_sign``) and the factors distinct
-    labels (``label_tuple``), stored as a tuple."""
+    labels (``label_group``), stored as a tuple."""
 
     sign: int
     factors: tuple[str, ...]
 
     def __post_init__(self) -> None:
         parse_sign(self.sign, "term sign")
-        object.__setattr__(self, "factors", label_tuple(self.factors))
-        if len(set(self.factors)) != len(self.factors):
-            raise ValueError(f"term factors must be distinct, got {self.factors}")
+        object.__setattr__(self, "factors", label_group(self.factors, "term"))
 
 
 @dataclass(frozen=True)

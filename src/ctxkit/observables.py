@@ -26,7 +26,9 @@ and for a caller's own sets: it checks its own involutions, that each
 context is distinct labels of the set, and context-wise commutation
 exactly when it is constructed, and it freezes what it checked, so no
 set with an unchecked context exists.  ``build_ks18`` also returns the
-rays themselves, read-only, next to the set.
+rays themselves, read-only, next to the set.  ``label_group`` is the one
+check of a group of distinct labels, and ``incidence`` the one map from
+a label to the groups that hold it.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ MERMIN_STAR_MAX_QUBITS = 13
 
 
 def label_tuple(labels) -> tuple[str, ...]:
-    """The one rule for a sequence of labels (a context, a term's factors,
-    a measurement order): a tuple of its items, each a str.  A str or
+    """The one rule for a sequence of labels (a measurement order, and
+    every ``label_group``): a tuple of its items, each a str.  A str or
     bytes is refused rather than split into characters (ValueError)."""
     if isinstance(labels, (str, bytes)):
         raise ValueError(f"labels must be a sequence of str, not {labels!r}")
@@ -108,6 +110,26 @@ def label_tuple(labels) -> tuple[str, ...]:
     if bad := [label for label in labels if not isinstance(label, str)]:
         raise ValueError(f"label {bad[0]!r} in {labels!r} is not a str")
     return labels
+
+
+def label_group(labels, what: str) -> tuple[str, ...]:
+    """The one rule for a group of distinct labels (a term's factors, a
+    context, a bound-scan group): ``label_tuple``, and no label twice
+    (ValueError naming ``what``)."""
+    labels = label_tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{what} {labels} repeats a label")
+    return labels
+
+
+def incidence(groups) -> dict[str, tuple[int, ...]]:
+    """Each label, in first-seen order, mapped to the indices of the
+    groups that hold it."""
+    held: dict[str, list[int]] = {}
+    for i, group in enumerate(groups):
+        for label in group:
+            held.setdefault(label, []).append(i)
+    return {label: tuple(indices) for label, indices in held.items()}
 
 
 @dataclass(frozen=True)
@@ -119,7 +141,7 @@ class ObservableSet:
     contexts enumerate the maximal groups used by the catalog's
     inequalities.  Construction checks, exactly, that every expansion
     fits the dimension, that it is an involution, that each context is
-    distinct labels of the set (``label_tuple``; ValueError otherwise)
+    distinct labels of the set (``label_group``; ValueError otherwise)
     and that it commutes pairwise.  The mapping, the expansions and the
     contexts (stored as a tuple of tuples) are read-only, so the checks
     stay true.
@@ -141,10 +163,9 @@ class ObservableSet:
         for label, e in frozen.items():
             if not (np.array_equal(adjoint(e), e) and np.array_equal(multiply(e, e), IDENTITY)):
                 raise ValueError(f"{self.set_id}: {label} is not a +-1 observable")
-        object.__setattr__(self, "contexts", tuple(label_tuple(ctx) for ctx in self.contexts))
-        for ctx in self.contexts:
-            if len(set(ctx)) != len(ctx):
-                raise ValueError(f"{self.set_id}: context {ctx} repeats a label")
+        contexts = tuple(label_group(ctx, f"{self.set_id}: context") for ctx in self.contexts)
+        object.__setattr__(self, "contexts", contexts)
+        for ctx in contexts:
             if unknown := [label for label in ctx if label not in frozen]:
                 raise ValueError(f"{self.set_id}: context {ctx} has unknown label {unknown[0]}")
             if bad := noncommuting_pairs(self, ctx):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import ObservableSet
+from .observables import ObservableSet, incidence
 from .quantum import context_product
 from .solver import decode, label_masks, lex_first_max
 
@@ -75,10 +75,7 @@ def parity_stats(obs: ObservableSet) -> ParityStats:
     """
     signs = [context_product(obs, ctx) for ctx in obs.contexts]
 
-    occurrences: dict[str, int] = {}
-    for ctx in obs.contexts:
-        for label in ctx:
-            occurrences[label] = occurrences.get(label, 0) + 1
+    occurrences = {label: len(ctxs) for label, ctxs in incidence(obs.contexts).items()}
 
     minus = sum(1 for s in signs if s == -1)
     all_even = all(c % 2 == 0 for c in occurrences.values())

@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .exceptions import IncompatibleContextError, NumericError, ResourceLimitError
-from .inequalities import InequalityExpr, Term
+from .inequalities import InequalityExpr
 from .linalg import (
     IDENTITY,
     STRUCT_TOL,
@@ -40,7 +40,7 @@ from .linalg import (
     multiply,
     tables,
 )
-from .observables import ObservableSet, noncommuting_pairs
+from .observables import ObservableSet, label_group, noncommuting_pairs
 from .states import haar_kets
 
 MAX_STATES = 10**6
@@ -129,7 +129,7 @@ def context_product(obs: ObservableSet, context) -> int:
     Raises IncompatibleContextError for non-commuting labels and
     ValueError when the product is not proportional to the identity.
     """
-    labels = Term(1, context).factors  # Term rejects a string and repeats
+    labels = label_group(context, "context")
     prod = _product(obs, labels)
     for s in (1, -1):
         if np.array_equal(prod, combine([(s, IDENTITY)])):

@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .exceptions import ResourceLimitError
-from .inequalities import InequalityExpr, absorb_sign_flip
-from .observables import label_tuple
+from .inequalities import InequalityExpr
+from .observables import incidence, label_group
 
 MAX_LABELS = 30
 # Scan work: assignments x scored groups (terms, or contexts for a
@@ -65,14 +65,11 @@ def _check_cap(m: int) -> None:
 
 def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
     """Bitmask of each group of (sorted) labels under the canonical
-    convention.  Raises ValueError when a group is not a label sequence
-    (``label_tuple``) or repeats a label, and ResourceLimitError when
-    there are more than ``MAX_LABELS`` labels to enumerate, or when
-    scoring every group at every assignment is more than
-    ``MAX_SCAN_WORK``."""
-    groups = [label_tuple(g) for g in groups]
-    if repeats := [g for g in groups if len(set(g)) != len(g)]:
-        raise ValueError(f"group {repeats[0]} repeats a label")
+    convention.  Raises ValueError when a group is not distinct labels
+    (``label_group``), and ResourceLimitError when there are more than
+    ``MAX_LABELS`` labels to enumerate, or when scoring every group at
+    every assignment is more than ``MAX_SCAN_WORK``."""
+    groups = [label_group(g, "group") for g in groups]
     m = len(labels)
     _check_cap(m)
     bit = {label: m - 1 - j for j, label in enumerate(labels)}
@@ -128,11 +125,8 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
     """
     labels = expr.labels
     _check_cap(len(labels))
-    incidence: dict[str, list[int]] = {label: [] for label in labels}
-    for t, term in enumerate(expr.terms):
-        for f in term.factors:
-            incidence[f].append(t)
-    last = {tuple(ts): label for label, ts in incidence.items()}
+    terms_of = incidence(t.factors for t in expr.terms)
+    last = {terms_of[label]: label for label in labels}
     merged = sorted(last.values())
     kept = set(merged)
     masks = label_masks(merged, ([f for f in t.factors if f in kept] for t in expr.terms))
@@ -166,11 +160,3 @@ def evaluate_assignment(expr: InequalityExpr, assignment: dict[str, int]) -> int
             prod *= assignment[f]
         total += prod
     return total
-
-
-def bound_sign_flip_check(expr: InequalityExpr, label: str) -> bool:
-    """Whether the bound is unchanged when ``label`` is relabeled by its
-    negation.  Always true mathematically (the flip is a bijection on
-    assignments); exposed as a runnable oracle."""
-    flipped = absorb_sign_flip(expr, label)
-    return classical_bound(expr).bound == classical_bound(flipped).bound

@@ -25,7 +25,7 @@ from ctxkit.quantum import (
 )
 from ctxkit.runtime import substream
 from ctxkit.simulate import marginal_consistency, run_protocol, sequential_measure
-from ctxkit.solver import bound_sign_flip_check, classical_bound
+from ctxkit.solver import classical_bound
 from ctxkit.states import haar_random, make_state
 
 
@@ -173,8 +173,9 @@ def test_criterion_6_specialization_roundtrips(capfd):
     for label in ("B1", "B2", "B3"):
         spec_mermin = absorb_sign_flip(spec_mermin, label)
     mermin_ok = _multiset(spec_mermin) == _multiset(catalog_get("mermin11", 3))
+    mermin = catalog_get("mermin11", 3)
     flips_ok = all(
-        bound_sign_flip_check(catalog_get("mermin11", 3), label)
+        classical_bound(absorb_sign_flip(mermin, label)).bound == classical_bound(mermin).bound
         for label in ("B1", "B2", "B3")
     )
     _verdict(

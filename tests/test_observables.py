@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dense_oracle import (
 )
 
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
+from ctxkit.inequalities import Term
 from ctxkit.linalg import combine, expand, pauli
 from ctxkit.observables import (
     KS18_CONTEXTS,
@@ -22,10 +25,12 @@ from ctxkit.observables import (
     build_mermin_star,
     build_set,
     compatible,
+    incidence,
     set_contexts,
     set_labels,
 )
-from ctxkit.quantum import compatible_expansions
+from ctxkit.quantum import compatible_expansions, context_product
+from ctxkit.solver import label_masks
 
 
 def test_ks18_table_shape(ks18_rays, ks18_obs):
@@ -133,6 +138,30 @@ def test_a_context_is_a_sequence_of_str_labels(contexts, observables):
     # non-str label would pass as any other key of the set.
     with pytest.raises(ValueError, match=r"sequence of str|is not a str"):
         ObservableSet(set_id="t", dim=4, observables=observables, contexts=contexts)
+
+
+AB = {"a": pauli("ZI"), "b": pauli("IZ")}
+REPEAT = ("a", "b", "a")
+
+
+@pytest.mark.parametrize("what, refuse", [
+    ("term", lambda: Term(1, REPEAT)),
+    ("t: context", lambda: ObservableSet(set_id="t", dim=4, observables=AB, contexts=(REPEAT,))),
+    ("group", lambda: label_masks(["a", "b"], [("a", "b"), REPEAT])),
+    ("context", lambda: context_product(
+        ObservableSet(set_id="t", dim=4, observables=AB, contexts=(("a", "b"),)), REPEAT)),
+], ids=["term", "context", "scan group", "context_product"])
+def test_every_label_group_refuses_a_repeat_with_one_message(what, refuse):
+    message = f"{what} ('a', 'b', 'a') repeats a label"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refuse()
+
+
+def test_incidence_maps_labels_to_groups_in_first_seen_order():
+    groups = [("b", "a"), (), ("a", "c"), ("b",)]
+    held = incidence(iter(groups))
+    assert list(held.items()) == [("b", (0, 3)), ("a", (0, 2)), ("c", (2,))]
+    assert "d" not in held and incidence([]) == {}  # an unheld label has no entry
 
 
 def test_ks18_rays_are_read_only(ks18_rays):
