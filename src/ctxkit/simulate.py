@@ -30,7 +30,9 @@ its level (``linalg.apply``); a post-measurement factor is built only for
 a branch that holds shots.  A branch probability further than
 ``STRUCT_TOL`` outside [0, 1] raises NumericError; only rounding error
 inside that tolerance is clamped.  More than ``MAX_SHOTS`` shots raise
-ResourceLimitError before any draw, and before the state is certified.
+ResourceLimitError before any draw, and before the state is certified;
+so does a term or context that is not jointly measurable
+(IncompatibleContextError), checked after the shot cap.
 """
 
 from __future__ import annotations
@@ -154,12 +156,11 @@ def _check_shots(shots: int) -> None:
 
 
 def _shot_outcomes(
-    k: np.ndarray, obs: ObservableSet, labels, shots: int, seed: int, lane: int, index: int
+    k: np.ndarray, expansions, shots: int, seed: int, lane: int, index: int
 ) -> np.ndarray:
-    """Outcomes of ``shots`` runs measuring ``labels`` in order on K K^dagger;
-    shot s draws from substream (seed, lane, index, s)."""
-    expansions = compatible_expansions(obs, labels)
-    uniforms = np.empty((shots, len(labels)))
+    """Outcomes of ``shots`` runs measuring the expansions in order on
+    K K^dagger; shot s draws from substream (seed, lane, index, s)."""
+    uniforms = np.empty((shots, len(expansions)))
     for s in range(shots):
         substream(seed, lane, index, s).random(out=uniforms[s])
     return _walk(k, expansions, uniforms)[0]
@@ -186,12 +187,14 @@ def estimate_term(
 
     Shot s draws from substream (seed, lane 1, term_index, s).  The
     standard error is the sample standard deviation over shots divided by
-    sqrt(shots).
+    sqrt(shots).  The shot count and the term's compatibility are checked
+    before the state is certified.
     """
     _check_shots(shots)
+    expansions = compatible_expansions(obs, term.factors)
     k = factor(state, obs.dim)
     if term.factors:
-        outcomes = _shot_outcomes(k, obs, term.factors, shots, seed, PROTOCOL_LANE, term_index)
+        outcomes = _shot_outcomes(k, expansions, shots, seed, PROTOCOL_LANE, term_index)
         values = term.sign * outcomes.prod(axis=1).astype(float)
     else:
         values = np.full(shots, float(term.sign))
@@ -212,8 +215,12 @@ def run_protocol(
     Term t uses substreams (seed, lane 1, t, shot), so the full report is
     a pure function of (state, expr, shots_per_term, seed).  The combined
     standard error is the root-sum-square of the per-term errors
-    (independent subensembles).
+    (independent subensembles).  Every term is checked jointly measurable
+    after the shot cap and before any term's work.
     """
+    _check_shots(shots_per_term)
+    for term in expr.terms:
+        compatible_expansions(obs, term.factors)
     estimates = [
         estimate_term(state, obs, term, shots_per_term, seed, term_index=t)
         for t, term in enumerate(expr.terms)
@@ -246,19 +253,24 @@ def marginal_consistency(
     distinct contexts are measured on independent ensembles.  The report
     holds the +1 frequency of ``label`` in each context and a
     two-proportion z statistic; quantum mechanics predicts equal
-    marginals, so |z| stays at noise level.
+    marginals, so |z| stays at noise level.  Before the state is
+    certified, both contexts are checked: exactly two, each holding
+    ``label`` and jointly measurable (ValueError otherwise).
     """
     _check_shots(shots)
-    first, second = (label_tuple(c) for c in contexts)
-    k = factor(state, obs.dim)
-    freqs = []
-    for ctx in (first, second):
+    contexts = [label_tuple(c) for c in contexts]
+    if len(contexts) != 2:
+        raise ValueError(f"marginal consistency takes exactly two contexts, got {len(contexts)}")
+    for ctx in contexts:
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
+    expansions = [compatible_expansions(obs, ctx) for ctx in contexts]
+    k = factor(state, obs.dim)
+    freqs = []
+    for ctx, exps in zip(contexts, expansions):
         index = _context_stream_index(ctx)
-        outcomes = _shot_outcomes(k, obs, ctx, shots, seed, MARGINAL_LANE, index)
-        col = ctx.index(label)
-        freqs.append(float(np.mean(outcomes[:, col] == 1)))
+        outcomes = _shot_outcomes(k, exps, shots, seed, MARGINAL_LANE, index)
+        freqs.append(float(np.mean(outcomes[:, ctx.index(label)] == 1)))
     f1, f2 = freqs
     pooled = (f1 + f2) / 2.0
     spread = pooled * (1.0 - pooled)

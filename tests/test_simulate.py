@@ -11,9 +11,9 @@ import pytest
 from dense_oracle import ket_density, ray_operator, star_operators
 from ctxkit import linalg, quantum, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
-from ctxkit.inequalities import Term, catalog_get
+from ctxkit.inequalities import InequalityExpr, Term, catalog_get
 from ctxkit.linalg import expand, pauli
-from ctxkit.observables import KS18_RAYS, ObservableSet, build_set
+from ctxkit.observables import KS18_CONTEXTS, KS18_RAYS, ObservableSet, build_set
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     MAX_SHOTS,
@@ -196,6 +196,48 @@ def test_shot_cap_comes_before_any_draw(pm_obs, ks18_obs, monkeypatch):
         with pytest.raises(ResourceLimitError):
             marginal_consistency(maximally_mixed(4), ks18_obs, "A12", ks18_obs.contexts[:2],
                                  shots, seed=0)
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Counts of the simulator's first steps of work: certifying the state
+    (``factor``) and opening a shot's substream, as ``simulate`` calls them."""
+    calls = {"factor": 0, "substream": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(simulate, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, counted)
+    return calls
+
+
+def test_an_incompatible_term_is_refused_before_any_work(pm_obs, work_calls):
+    # Only the last term is incompatible; the refusal comes after the shot
+    # cap and before the first term is simulated or the state certified.
+    terms = (Term(1, ("P14", "P15")), Term(1, ("P14", "P25")))
+    expr = InequalityExpr(id="t", set_id="peres_mermin", terms=terms, bound=None)
+    with pytest.raises(ResourceLimitError):
+        run_protocol(singlet(), pm_obs, expr, MAX_SHOTS + 1, seed=1)
+    with pytest.raises(IncompatibleContextError):
+        run_protocol(singlet(), pm_obs, expr, 200, seed=1)
+    with pytest.raises(IncompatibleContextError):
+        estimate_term(singlet(), pm_obs, terms[1], 200, seed=1)
+    assert work_calls == {"factor": 0, "substream": 0}
+
+
+@pytest.mark.parametrize("contexts, error, message", [
+    (KS18_CONTEXTS[:3], ValueError, "^marginal consistency takes exactly two contexts, got 3$"),
+    (KS18_CONTEXTS[:1], ValueError, "exactly two contexts, got 1$"),
+    ((KS18_CONTEXTS[0], KS18_CONTEXTS[2]), ValueError, "^label A12 is not in context"),
+    ((KS18_CONTEXTS[0], ("A12", "A48")), IncompatibleContextError, "cannot be measured jointly"),
+], ids=["three contexts", "one context", "label missing", "not jointly measurable"])
+def test_marginal_contexts_are_checked_before_any_work(ks18_obs, work_calls, contexts, error,
+                                                      message):
+    # A bad second context used to be found after all of the first's shots.
+    with pytest.raises(error, match=message):
+        marginal_consistency(maximally_mixed(4), ks18_obs, "A12", contexts, 200, seed=1)
+    assert work_calls == {"factor": 0, "substream": 0}
 
 
 def test_singlet_z_outcomes_anticorrelated(pm_obs):
