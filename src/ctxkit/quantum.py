@@ -126,8 +126,9 @@ def certify_state_independence(obs: ObservableSet, expr: InequalityExpr) -> Cert
 def context_product(obs: ObservableSet, context) -> int:
     """Sign s with product(context operators) = s*1 exactly.
 
-    Raises IncompatibleContextError for non-commuting labels and
-    ValueError when the product is not proportional to the identity.
+    Raises ValueError when the context is not distinct labels
+    (``label_group``), IncompatibleContextError for non-commuting labels
+    and ValueError when the product is not proportional to the identity.
     """
     labels = label_group(context, "context")
     prod = _product(obs, labels)

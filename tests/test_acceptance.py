@@ -172,8 +172,8 @@ def test_criterion_6_specialization_roundtrips(capfd):
     )
     for label in ("B1", "B2", "B3"):
         spec_mermin = absorb_sign_flip(spec_mermin, label)
-    mermin_ok = _multiset(spec_mermin) == _multiset(catalog_get("mermin11", 3))
     mermin = catalog_get("mermin11", 3)
+    mermin_ok = _multiset(spec_mermin) == _multiset(mermin)
     flips_ok = all(
         classical_bound(absorb_sign_flip(mermin, label)).bound == classical_bound(mermin).bound
         for label in ("B1", "B2", "B3")
