@@ -19,8 +19,8 @@ class IncompatibleContextError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A documented size cap was exceeded: label or qubit count, shots,
-    states, bound-scan work, the dense dimension or input bytes."""
+    """A documented size cap was exceeded: qubit count, shots, states,
+    bound-scan work, the dense dimension or input bytes."""
 
 
 class NumericError(ArithmeticError):

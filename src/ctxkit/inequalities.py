@@ -15,7 +15,7 @@ defined the way Cabello (arXiv:0808.2456) derives them, by two tables:
   ``specialize`` performs it, with terms, factor order and signs kept.
 
 Term compatibility is not checked here: the quantum side checks every
-term it measures (``quantum.compatible_expansions``).  Every JSON input
+term it measures (``observables.compatible_expansions``).  Every JSON input
 file, here and in ``states`` and the CLI, is read by ``read_json``.
 """
 

@@ -27,8 +27,9 @@ context is distinct labels of the set, and context-wise commutation
 exactly when it is constructed, and it freezes what it checked, so no
 set with an unchecked context exists.  ``build_ks18`` also returns the
 rays themselves, read-only, next to the set.  ``label_group`` is the one
-check of a group of distinct labels, and ``incidence`` the one map from
-a label to the groups that hold it.
+check of a group of distinct labels, ``incidence`` the one map from a
+label to the groups that hold it, and ``compatible_expansions`` the one
+check that a group of labels can be measured jointly.
 """
 
 from __future__ import annotations
@@ -168,10 +169,7 @@ class ObservableSet:
         for ctx in contexts:
             if unknown := [label for label in ctx if label not in frozen]:
                 raise ValueError(f"{self.set_id}: context {ctx} has unknown label {unknown[0]}")
-            if bad := noncommuting_pairs(self, ctx):
-                raise IncompatibleContextError(
-                    f"{self.set_id}: context {ctx} contains non-commuting pairs {bad}"
-                )
+            _check_joint(self, ctx)
 
     def expansion(self, label: str) -> np.ndarray:
         try:
@@ -182,6 +180,36 @@ class ObservableSet:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.observables)
+
+
+def compatible(obs: ObservableSet, a: str, b: str) -> bool:
+    """Whether two observables of the set are jointly measurable: their
+    expansions commute exactly."""
+    ea, eb = obs.expansion(a), obs.expansion(b)
+    return np.array_equal(multiply(ea, eb), multiply(eb, ea))
+
+
+def _check_joint(obs: ObservableSet, labels: tuple[str, ...]) -> None:
+    """The one commutation rule: IncompatibleContextError naming the set,
+    the labels and every pair of them, in order, that does not commute."""
+    if bad := [pair for pair in combinations(labels, 2) if not compatible(obs, *pair)]:
+        raise IncompatibleContextError(
+            f"{obs.set_id}: labels {labels} cannot be measured jointly, "
+            f"non-commuting pairs {bad}"
+        )
+
+
+def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
+    """Expansions of labels that must be jointly measurable, in order.
+
+    Labels inside one of ``obs.contexts`` need no check here, because
+    constructing the set already checked that context; any other group
+    goes through the commutation rule (IncompatibleContextError).
+    """
+    expansions = [obs.expansion(label) for label in labels]
+    if not any(set(labels) <= set(ctx) for ctx in obs.contexts):
+        _check_joint(obs, labels)
+    return expansions
 
 
 def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...], ...]]:
@@ -280,15 +308,3 @@ def set_contexts(set_id: str, n: int | None = None) -> tuple[tuple[str, ...], ..
     """Contexts of a family, in their fixed order, without building any
     operators."""
     return _family(set_id, n)[1]
-
-
-def compatible(obs: ObservableSet, a: str, b: str) -> bool:
-    """Whether two observables of the set are jointly measurable: their
-    expansions commute exactly."""
-    ea, eb = obs.expansion(a), obs.expansion(b)
-    return np.array_equal(multiply(ea, eb), multiply(eb, ea))
-
-
-def noncommuting_pairs(obs: ObservableSet, labels) -> list[tuple[str, str]]:
-    """Every pair of the labels, in order, that is not jointly measurable."""
-    return [pair for pair in combinations(labels, 2) if not compatible(obs, *pair)]

@@ -38,8 +38,9 @@ def ks_colorable(obs: ObservableSet) -> ColorabilityResult:
     and the set is colorable when the best score counts every context.
     UNSAT verdicts are therefore proofs, and the witness is the
     lexicographically first coloring (0 < 1).  Raises ResourceLimitError
-    past the solver's caps: ``MAX_LABELS`` labels, or ``MAX_SCAN_WORK``
-    for 2^labels assignments x contexts.
+    past the solver's one limit, ``MAX_SCAN_WORK``, for 2^labels
+    assignments x max(1, contexts), so a set with no contexts is still
+    refused on its labels alone.
     """
     if short := [ctx for ctx in obs.contexts if len(ctx) != obs.dim]:
         raise ValueError(f"{obs.set_id}: context {short[0]} is not a basis of {obs.dim} labels")

@@ -14,8 +14,9 @@ compiles B once and applies it once per block of
 ``SWEEP_BLOCK_ENTRIES`` complex entries, and every value equals
 ``evaluate_inequality`` on that state alone bit for bit.
 
-Factors inside one declared context were checked to commute when the set
-was built; any other group of factors is checked pairwise when used.
+Every product of factors goes through ``observables.compatible_expansions``:
+factors inside one declared context were checked to commute when the set
+was built, and any other group is checked pairwise when used.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exceptions import IncompatibleContextError, NumericError, ResourceLimitError
+from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr
 from .linalg import (
     IDENTITY,
@@ -40,7 +41,7 @@ from .linalg import (
     multiply,
     tables,
 )
-from .observables import ObservableSet, label_group, noncommuting_pairs
+from .observables import ObservableSet, compatible_expansions, label_group
 from .states import haar_kets
 
 MAX_STATES = 10**6
@@ -49,20 +50,6 @@ MAX_STATES = 10**6
 # sweep's peak memory where one ket at a time had it (2**12 entries
 # raised it by 0.3-0.5 MB), while per-block calls cost little per ket.
 SWEEP_BLOCK_ENTRIES = 2**10
-
-
-def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
-    """Expansions of labels that must be jointly measurable, in order.
-
-    Raises IncompatibleContextError when two of them do not commute.
-    Labels inside one of ``obs.contexts`` need no check here, because
-    constructing the set already checked that context.
-    """
-    expansions = [obs.expansion(label) for label in labels]
-    within_context = any(set(labels) <= set(ctx) for ctx in obs.contexts)
-    if not within_context and (bad := noncommuting_pairs(obs, labels)):
-        raise IncompatibleContextError(f"label pairs {bad} cannot be measured jointly")
-    return expansions
 
 
 def _product(obs: ObservableSet, labels: tuple[str, ...]) -> np.ndarray:
@@ -83,8 +70,11 @@ def _value(k: np.ndarray, bell: np.ndarray) -> float:
 
 
 def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityExpr) -> float:
-    """Left-hand-side value of the expression in a ket or density matrix."""
-    return _value(factor(state, obs.dim), _bell(obs, expr))
+    """Left-hand-side value of the expression in a ket or density matrix.
+    The Bell operator is built, and so every term checked, before the
+    state is certified."""
+    bell = _bell(obs, expr)
+    return _value(factor(state, obs.dim), bell)
 
 
 def _bell(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:

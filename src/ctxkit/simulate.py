@@ -32,7 +32,8 @@ a branch that holds shots.  A branch probability further than
 inside that tolerance is clamped.  More than ``MAX_SHOTS`` shots raise
 ResourceLimitError before any draw, and before the state is certified;
 so does a term or context that is not jointly measurable
-(IncompatibleContextError), checked after the shot cap.
+(IncompatibleContextError from ``observables.compatible_expansions``),
+checked after the shot cap.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ import numpy as np
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
-from .observables import ObservableSet, label_tuple
-from .quantum import compatible_expansions
+from .observables import ObservableSet, compatible_expansions, label_tuple
 from .runtime import MARGINAL_LANE, PROTOCOL_LANE, substream
 
 _P_FLOOR = 1e-12

@@ -40,11 +40,11 @@ from .exceptions import ResourceLimitError
 from .inequalities import InequalityExpr
 from .observables import incidence, label_group
 
-MAX_LABELS = 30
-# Scan work: assignments x scored groups (terms, or contexts for a
-# coloring).  The kernel scores 2.4-2.9e8 of them per second on a 2-vCPU
-# box, so a scan at the cap (say 2^27 assignments x 32 terms) takes
-# about 15 s; 30 one-label terms (2^30 x 30) would take about two minutes.
+# The one limit on a scan: assignments x scored groups (terms, or
+# contexts for a coloring), counting at least one group.  The kernel
+# scores 2.4-2.9e8 of them per second on a 2-vCPU box, so a scan at the
+# cap (say 2^27 assignments x 32 terms) takes about 15 s; 30 one-label
+# terms (2^30 x 30) would take about two minutes.
 MAX_SCAN_WORK = 1 << 32
 _BLOCK = 1 << 16
 
@@ -56,30 +56,21 @@ class BoundResult:
     evaluations: int
 
 
-def _check_cap(m: int) -> None:
-    if m > MAX_LABELS:
-        raise ResourceLimitError(
-            f"{m} labels exceeds the enumeration cap of {MAX_LABELS} (2^{m} assignments)"
-        )
-
-
 def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
     """Bitmask of each group of (sorted) labels under the canonical
     convention.  Raises ValueError when a group is not distinct labels
-    (``label_group``), and ResourceLimitError when there are more than
-    ``MAX_LABELS`` labels to enumerate, or when scoring every group at
-    every assignment is more than ``MAX_SCAN_WORK``."""
+    (``label_group``), and ResourceLimitError, before any mask is built,
+    when the scan's work, 2^labels assignments x max(1, groups), is more
+    than ``MAX_SCAN_WORK``; within it a mask fits in a uint64."""
     groups = [label_group(g, "group") for g in groups]
-    m = len(labels)
-    _check_cap(m)
-    bit = {label: m - 1 - j for j, label in enumerate(labels)}
-    masks = np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
-    if (1 << m) * len(masks) > MAX_SCAN_WORK:
+    m, scored = len(labels), max(1, len(groups))
+    if (1 << m) * scored > MAX_SCAN_WORK:
         raise ResourceLimitError(
-            f"2^{m} assignments x {len(masks)} terms or contexts exceeds the scan-work cap of "
+            f"2^{m} assignments x {scored} terms or contexts exceeds the scan-work cap of "
             f"{MAX_SCAN_WORK} (2^{MAX_SCAN_WORK.bit_length() - 1})"
         )
-    return masks
+    bit = {label: m - 1 - j for j, label in enumerate(labels)}
+    return np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
 
 
 def decode(k: int, labels: Sequence[str], values: tuple[int, int]) -> dict[str, int]:
@@ -113,10 +104,10 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
 
     Returns the bound, the lexicographically smallest maximizing
     assignment, and the number of assignments covered (2^m).  Raises
-    ResourceLimitError when the expression has more than ``MAX_LABELS``
-    distinct labels, or when its scan (2^(merged variables) x terms) is
-    past ``MAX_SCAN_WORK``.  The scan runs over the merged variables
-    described in the module docstring.
+    ResourceLimitError when its scan, 2^(merged variables) x terms, is
+    past ``MAX_SCAN_WORK``, so the label count alone is no limit.  The
+    scan runs over the merged variables described in the module
+    docstring.
 
     With the non-last labels at -1, a term's product at assignment k of
     the last labels is (-1)^(|factors| - popcount(k & mask)), so folding
@@ -124,7 +115,6 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
     value(k) = sum_t coeff_t * (-1)^popcount(k & mask_t).
     """
     labels = expr.labels
-    _check_cap(len(labels))
     terms_of = incidence(t.factors for t in expr.terms)
     last = {terms_of[label]: label for label in labels}
     merged = sorted(last.values())

@@ -78,8 +78,8 @@ def test_past_a_cap_exits_3_at_once(argv, tmp_path):
     files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json",
              "WIDE_FILE": tmp_path / "wide.json"}
     files["DM_FILE"].write_text(json.dumps({"kind": "dm", "dim": 8192, "entries": [[1.0, 0.0]]}))
-    # The n = 13 star's 30 labels (inside the label cap) in 30 one-label
-    # terms: 2^30 assignments x 30 terms is past the scan-work cap.
+    # The n = 13 star's 30 labels in 30 one-label terms: 2^30
+    # assignments x 30 terms is past the scan-work cap.
     files["WIDE_FILE"].write_text(json.dumps({
         "id": "wide", "set_id": "mermin_star", "n": 13, "bound": None,
         "terms": [{"sign": 1, "factors": [label]} for label in set_labels("mermin_star", 13)],

@@ -5,13 +5,21 @@ exactly its recorded stdout and exits with its recorded code.
 Rows whose stdout depends on the BLAS thread count are not in the corpus
 (``maxval`` from 512 dimensions up, ``quantum`` on a dense random state
 from 128); CI runs this file once more with one BLAS thread, so a row
-that does depend on it fails there.
+that does depend on it fails there.  A few larger commands, outside the
+corpus, are compared at one and two BLAS threads in subprocesses.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from record_cli_golden import CORPUS, ROWS, run_row, write_inputs
+
+import ctxkit
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
 
 GOLDEN = json.loads(CORPUS.read_text(encoding="utf-8"))
 
@@ -32,3 +40,36 @@ def inputs_dir(tmp_path_factory):
 def test_row_is_byte_identical(row, inputs_dir, monkeypatch):
     monkeypatch.chdir(inputs_dir)
     assert run_row(row) == GOLDEN[row]
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --inequality ineq9 --n 13 --state HAAR_FILE --shots 200 --seed 1",
+    "simulate --inequality ineq9 --n 13 --state ghz --shots 200 --seed 1",
+    "sweep --inequality ineq9 --n 9 --states 200 --seed 1",
+    "simulate --inequality mermin11 --n 7 --state maximally_mixed --shots 200 --seed 1",
+    "quantum --inequality mermin11 --n 13 --state ghz",
+], ids=["simulate_haar_n13", "simulate_ghz_n13", "sweep_n9", "simulate_dm_n7", "quantum_ghz_n13"])
+def test_stdout_does_not_depend_on_blas_threads(argv, tmp_path):
+    """Each command prints the same bytes with one and with two OpenBLAS
+    threads, set only in the child's environment.
+
+    Two outputs are known to differ and are not tested here: ``maxval
+    --inequality mermin11 --n 9`` prints 4.000000000000011 at one thread
+    and 4.000000000000006 at two (the dense eigensolver), and ``quantum
+    --inequality mermin11 --n 7`` on a random d = 128 dm file moves in its
+    last digits (-0.021846844051311307 against -0.021846844051311286 for
+    one such file), because the value is read through the density
+    matrix's eigendecomposition.
+    """
+    haar = tmp_path / "haar.json"
+    haar.write_text(json.dumps({"kind": "haar", "dim": 8192, "seed": 3}))
+    args = [str(haar) if a == "HAAR_FILE" else a for a in argv.split()]
+    stdout = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "ctxkit.cli", *args],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout)
+    assert stdout[0] == stdout[1]

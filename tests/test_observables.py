@@ -16,7 +16,7 @@ from dense_oracle import (
 )
 
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
-from ctxkit.inequalities import Term
+from ctxkit.inequalities import InequalityExpr, Term
 from ctxkit.linalg import combine, expand, pauli
 from ctxkit.observables import (
     KS18_CONTEXTS,
@@ -25,12 +25,16 @@ from ctxkit.observables import (
     build_mermin_star,
     build_set,
     compatible,
+    compatible_expansions,
     incidence,
     set_contexts,
     set_labels,
 )
-from ctxkit.quantum import compatible_expansions, context_product
+from ctxkit.quantum import context_product, evaluate_inequality
+from ctxkit.runtime import substream
+from ctxkit.simulate import estimate_term, sequential_measure
 from ctxkit.solver import label_masks
+from ctxkit.states import singlet
 
 
 def test_ks18_table_shape(ks18_rays, ks18_obs):
@@ -115,6 +119,30 @@ def test_observable_set_checks_contexts_at_construction(pm_obs):
         ObservableSet(set_id="bad", dim=4, observables=ops, contexts=(("x",),))
     with pytest.raises(ValueError, match="repeats a label"):
         ObservableSet(set_id="bad", dim=4, observables=ops, contexts=(("P14", "P14", "P15"),))
+
+
+PAIR = ("P14", "P25")
+
+
+@pytest.mark.parametrize("measure", [
+    lambda obs: ObservableSet(set_id=obs.set_id, dim=obs.dim, observables=dict(obs.observables),
+                              contexts=(PAIR,)),
+    lambda obs: compatible_expansions(obs, PAIR),
+    lambda obs: estimate_term(singlet(), obs, Term(1, PAIR), 2, seed=1),
+    lambda obs: sequential_measure(singlet(), obs, PAIR, substream(1, 1)),
+    lambda obs: context_product(obs, PAIR),
+    lambda obs: evaluate_inequality(
+        singlet(), obs, InequalityExpr(id="t", set_id=obs.set_id, terms=(Term(1, PAIR),),
+                                       bound=None)),
+], ids=["set", "compatible_expansions", "estimate_term", "sequential_measure",
+        "context_product", "evaluate_inequality"])
+def test_one_commutation_rule_names_set_labels_and_pairs(pm_obs, measure):
+    with pytest.raises(IncompatibleContextError) as info:
+        measure(pm_obs)
+    assert str(info.value) == (
+        "peres_mermin: labels ('P14', 'P25') cannot be measured jointly, "
+        "non-commuting pairs [('P14', 'P25')]"
+    )
 
 
 def test_observable_set_freezes_its_contexts():

@@ -6,12 +6,11 @@ from ctxkit import quantum, states
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
 from ctxkit.linalg import MAX_DENSE_DIM, pauli
-from ctxkit.observables import ObservableSet, build_set
+from ctxkit.observables import ObservableSet, build_set, compatible_expansions
 from ctxkit.quantum import (
     MAX_STATES,
     bell_operator,
     certify_state_independence,
-    compatible_expansions,
     context_product,
     evaluate_inequality,
     haar_sweep,
@@ -37,6 +36,19 @@ def test_expectation_term_matches_trace(pm_obs):
 def test_expectation_term_rejects_incompatible(pm_obs):
     with pytest.raises(IncompatibleContextError):
         evaluate_inequality(singlet(), pm_obs, one_term(pm_obs, Term(1, ("P14", "P25"))))
+
+
+def test_an_incompatible_term_is_refused_before_the_state_is_certified(pm_obs, monkeypatch):
+    # Certifying a density matrix costs an eigendecomposition (seconds at
+    # the dense cap); a bad term is found from the set alone.
+    calls = []
+    certify = quantum.factor
+    monkeypatch.setattr(quantum, "factor", lambda *args: calls.append(args) or certify(*args))
+    with pytest.raises(IncompatibleContextError):
+        evaluate_inequality(maximally_mixed(4), pm_obs, one_term(pm_obs, Term(1, ("P14", "P25"))))
+    assert calls == []
+    assert evaluate_inequality(maximally_mixed(4), pm_obs, one_term(pm_obs, Term(1, ()))) == 1.0
+    assert len(calls) == 1
 
 
 def test_compatible_expansions_passes_for_catalog_terms(ks18_obs, pm_obs, star3_obs):

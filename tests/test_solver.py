@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from ctxkit.exceptions import ResourceLimitError
 from ctxkit.inequalities import InequalityExpr, Term, absorb_sign_flip, catalog_get
+from ctxkit.linalg import pauli
+from ctxkit.observables import ObservableSet
+from ctxkit.parity import ks_colorable
 from ctxkit import solver
 from ctxkit.solver import classical_bound, evaluate_assignment
 
@@ -108,17 +111,31 @@ def test_constant_term_expression():
     assert result.witness == {"L0": -1}
 
 
-def test_label_cap(monkeypatch):
+def test_label_cap():
     with pytest.raises(ResourceLimitError):
         classical_bound(catalog_get("ineq9", 15))  # past the star cap (34 labels)
-    monkeypatch.setattr(solver, "MAX_LABELS", 3)
-    with pytest.raises(ResourceLimitError):
-        classical_bound(catalog_get("chsh8"))
+    # The scan work is the only limit on a bound: 40 labels in one term
+    # merge to one variable, a scan of 2 x 1.
+    labels = [f"L{i:02d}" for i in range(40)]
+    one = InequalityExpr(id="one", set_id="test", terms=(Term(1, tuple(labels)),), bound=None)
+    result = classical_bound(one)
+    assert (result.bound, result.evaluations) == (1, 2**40)
+    assert result.witness == dict.fromkeys(labels, -1)
+    # 70 labels in 70 groups are refused on the work alone, before a mask
+    # past 64 bits is built.
+    wide = [f"L{i:02d}" for i in range(70)]
+    with pytest.raises(ResourceLimitError, match="scan-work cap"):
+        solver.label_masks(wide, [(label,) for label in wide])
+    # A set whose labels are in no context still counts 2^labels.
+    bare = ObservableSet(set_id="bare", dim=2, observables=dict.fromkeys(labels, pauli("Z")),
+                         contexts=())
+    with pytest.raises(ResourceLimitError, match=r"2\^40 assignments x 1 "):
+        ks_colorable(bare)
 
 
 def test_scan_work_cap(monkeypatch):
-    # 30 labels in 30 one-label terms: inside the label cap, but 2^30
-    # assignments x 30 terms is past the work cap, refused before any scan.
+    # 30 labels in 30 one-label terms: 2^30 assignments x 30 terms is
+    # past the work cap, refused before any scan.
     labels = [f"L{i:02d}" for i in range(30)]
     wide = InequalityExpr(id="wide", set_id="test",
                           terms=tuple(Term(1, (lab,)) for lab in labels), bound=None)
@@ -140,7 +157,7 @@ def test_label_masks_refuse_a_repeated_label(monkeypatch):
     assert solver.label_masks(["a", "b", "c"], [("a", "b"), ("c",)]).tolist() == [6, 1]
     with pytest.raises(ValueError, match=r"group \('a', 'a'\) repeats a label"):
         solver.label_masks(["a", "b", "c"], [("a", "a")])
-    monkeypatch.setattr(solver, "MAX_LABELS", 2)
+    monkeypatch.setattr(solver, "MAX_SCAN_WORK", 1)
     with pytest.raises(ValueError, match="repeats a label"):
         solver.label_masks(["a", "b", "c"], iter([("b", "c"), ("c", "a", "c")]))
 
