@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .calibration import kcbs_calibration
@@ -74,14 +75,18 @@ def _write_csv(fh, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-def _cmd_bound(args) -> dict:
-    expr = _resolve_inequality(args.inequality, args.n)
+def _bound_fields(expr: InequalityExpr) -> dict:
+    """The report block of ``classical_bound``, shared by bound and specialize."""
     result = classical_bound(expr)
     return {
         "classical_bound": result.bound,
         "witness": result.witness,
         "evaluations": result.evaluations,
     }
+
+
+def _cmd_bound(args) -> dict:
+    return _bound_fields(_resolve_inequality(args.inequality, args.n))
 
 
 def _cmd_quantum(args) -> dict:
@@ -113,16 +118,7 @@ def _cmd_maxval(args) -> dict:
 
 def _cmd_colorability(args) -> dict:
     obs = build_set("ks18")
-    coloring = ks_colorable(obs)
-    stats = parity_stats(obs)
-    return {
-        "satisfiable": coloring.satisfiable,
-        "witness": coloring.witness,
-        "context_count": stats.context_count,
-        "occurrences": stats.occurrences,
-        "minus_identity_contexts": stats.minus_identity_contexts,
-        "parity_contradiction": stats.parity_contradiction,
-    }
+    return {**asdict(ks_colorable(obs)), **asdict(parity_stats(obs))}
 
 
 def _cmd_simulate(args) -> dict:
@@ -169,29 +165,18 @@ def _cmd_specialize(args) -> dict:
     if not isinstance(raw, dict):
         raise ValueError("substitution file must hold a JSON object of label: +-1")
     specialized, dropped = specialize(expr, raw)
-    bound = classical_bound(specialized)
     return {
         "expression": expr_to_json(specialized),
         "dropped_constant": dropped,
-        "classical_bound": bound.bound,
-        "witness": bound.witness,
-        "evaluations": bound.evaluations,
+        **_bound_fields(specialized),
     }
 
 
 def _cmd_calibrate(args) -> dict:
-    report = kcbs_calibration(seed=args.seed)
-    return {
-        "automorphism_count": report.automorphism_count,
-        "pentagon_count": report.pentagon_count,
-        "best_paper_value": report.best_paper_value,
-        "target": report.target,
-        "slack": report.slack,
-        "target_matched": report.target_matched,
-        "best_product_value": report.best_product_value,
-        "best_pentagon": [list(t) for t in report.best_pentagon],
-        "qualitative_violation": report.qualitative_violation,
-    }
+    results = asdict(kcbs_calibration(seed=args.seed))
+    # The per-relabeling values and the product ket stay in the library.
+    del results["paper_state_values"], results["best_product_state"]
+    return results
 
 
 class _Parser(argparse.ArgumentParser):

@@ -269,11 +269,17 @@ def build_ks18() -> tuple[Mapping[str, np.ndarray], ObservableSet]:
     return MappingProxyType(rays), obs
 
 
+def _build_pauli(set_id: str, n: int | None = None) -> ObservableSet:
+    """A family of Pauli words, on 2^(word length) dimensions."""
+    words, contexts = _family(set_id, n)
+    observables = {label: pauli(word) for label, word in words.items()}
+    dim = 2 ** len(next(iter(words.values())))
+    return ObservableSet(set_id=set_id, dim=dim, observables=observables, contexts=contexts)
+
+
 def build_peres_mermin() -> ObservableSet:
     """The nine two-qubit square observables, rows then columns as contexts."""
-    words, contexts = _family("peres_mermin", None)
-    observables = {label: pauli(word) for label, word in words.items()}
-    return ObservableSet(set_id="peres_mermin", dim=4, observables=observables, contexts=contexts)
+    return _build_pauli("peres_mermin")
 
 
 def build_mermin_star(n: int) -> ObservableSet:
@@ -284,9 +290,7 @@ def build_mermin_star(n: int) -> ObservableSet:
     contexts are four mixed ones, each an ACAL observable first, then the
     all-ACAL context.
     """
-    words, contexts = _family("mermin_star", n)
-    observables = {label: pauli(word) for label, word in words.items()}
-    return ObservableSet(set_id="mermin_star", dim=2**n, observables=observables, contexts=contexts)
+    return _build_pauli("mermin_star", n)
 
 
 def build_set(set_id: str, n: int | None = None) -> ObservableSet:

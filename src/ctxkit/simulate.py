@@ -33,7 +33,9 @@ inside that tolerance is clamped.  More than ``MAX_SHOTS`` shots raise
 ResourceLimitError before any draw, and before the state is certified;
 so does a term or context that is not jointly measurable
 (IncompatibleContextError from ``observables.compatible_expansions``),
-checked after the shot cap.
+checked after the shot cap, and a seed outside [0, 2^64) (ValueError,
+``runtime``'s coordinate rule), checked after both, even when no term
+draws.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
 from .observables import ObservableSet, compatible_expansions, label_tuple
-from .runtime import MARGINAL_LANE, PROTOCOL_LANE, substream
+from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, substream
 
 _P_FLOOR = 1e-12
 MAX_SHOTS = 10**6
@@ -187,11 +189,12 @@ def estimate_term(
 
     Shot s draws from substream (seed, lane 1, term_index, s).  The
     standard error is the sample standard deviation over shots divided by
-    sqrt(shots).  The shot count and the term's compatibility are checked
-    before the state is certified.
+    sqrt(shots).  The shot count, the term's compatibility and the seed
+    are checked before the state is certified.
     """
     _check_shots(shots)
     expansions = compatible_expansions(obs, term.factors)
+    _checked(seed)
     k = factor(state, obs.dim)
     if term.factors:
         outcomes = _shot_outcomes(k, expansions, shots, seed, PROTOCOL_LANE, term_index)
@@ -216,7 +219,8 @@ def run_protocol(
     a pure function of (state, expr, shots_per_term, seed).  The combined
     standard error is the root-sum-square of the per-term errors
     (independent subensembles).  Every term is checked jointly measurable
-    after the shot cap and before any term's work.
+    after the shot cap and before any term's work; the seed is checked
+    next, by the first term, before the state is certified.
     """
     _check_shots(shots_per_term)
     for term in expr.terms:
@@ -255,7 +259,8 @@ def marginal_consistency(
     two-proportion z statistic; quantum mechanics predicts equal
     marginals, so |z| stays at noise level.  Before the state is
     certified, both contexts are checked: exactly two, each holding
-    ``label`` and jointly measurable (ValueError otherwise).
+    ``label`` and jointly measurable (ValueError otherwise), and then the
+    seed.
     """
     _check_shots(shots)
     contexts = [label_tuple(c) for c in contexts]
@@ -265,6 +270,7 @@ def marginal_consistency(
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
     expansions = [compatible_expansions(obs, ctx) for ctx in contexts]
+    _checked(seed)
     k = factor(state, obs.dim)
     freqs = []
     for ctx, exps in zip(contexts, expansions):

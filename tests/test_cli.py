@@ -275,6 +275,20 @@ def test_inequality_file_n_conflict(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_constant_only_expression_refuses_a_bad_seed(capsys, tmp_path):
+    # Its one term draws nothing, so no substream call would see the seed.
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({"id": "const", "set_id": "peres_mermin", "bound": None,
+                                "terms": [{"sign": 1, "factors": []}]}))
+    rc, _, err = run_cli(capsys, "simulate", "--inequality", str(path), "--state", "singlet",
+                         "--shots", "2", "--seed", "-1")
+    assert rc == 2
+    assert json.loads(err)["error"] == {
+        "type": "ValueError",
+        "message": "seed must fit in an unsigned 64-bit integer, got -1",
+    }
+
+
 def test_calibrate(capsys):
     report = run_json(capsys, "calibrate")
     results = report["results"]

@@ -48,10 +48,15 @@ def test_row_is_byte_identical(row, inputs_dir, monkeypatch):
     "sweep --inequality ineq9 --n 9 --states 200 --seed 1",
     "simulate --inequality mermin11 --n 7 --state maximally_mixed --shots 200 --seed 1",
     "quantum --inequality mermin11 --n 13 --state ghz",
-], ids=["simulate_haar_n13", "simulate_ghz_n13", "sweep_n9", "simulate_dm_n7", "quantum_ghz_n13"])
+    "quantum --inequality mermin11 --n 13 --state HAAR_FILE",
+    "sweep --inequality mermin11 --n 13 --states 8 --seed 1",
+], ids=["simulate_haar_n13", "simulate_ghz_n13", "sweep_n9", "simulate_dm_n7", "quantum_ghz_n13",
+        "quantum_haar_n13", "sweep_n13"])
 def test_stdout_does_not_depend_on_blas_threads(argv, tmp_path):
     """Each command prints the same bytes with one and with two OpenBLAS
-    threads, set only in the child's environment.
+    threads, set only in the child's environment.  The largest ket size,
+    2^13, is checked with state-dependent values too: on a Haar-random
+    ket file and over a seeded Haar sweep.
 
     Two outputs are known to differ and are not tested here: ``maxval
     --inequality mermin11 --n 9`` prints 4.000000000000011 at one thread

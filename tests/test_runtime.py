@@ -159,3 +159,28 @@ def test_importing_the_cli_leaves_hashlib_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_and_hashlib_unloaded(tmp_path):
+    # Loading numpy.random raises a process's peak memory by several MB.
+    subs = tmp_path / "subs.json"
+    subs.write_text('{"P16": -1}')
+    commands = [
+        "bound --inequality ineq1",
+        "certify --inequality ineq1",
+        "maxval --inequality kcbs3",
+        "quantum --inequality cfrh6 --state singlet",
+        "colorability",
+        f"specialize --inequality ineq4 --subs {subs}",
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from ctxkit.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0, argv\n"
+        "print('numpy.random' in sys.modules, 'hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"

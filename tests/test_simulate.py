@@ -240,6 +240,26 @@ def test_marginal_contexts_are_checked_before_any_work(ks18_obs, work_calls, con
     assert work_calls == {"factor": 0, "substream": 0}
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past 2^64"])
+def test_a_bad_seed_is_refused_before_any_work(pm_obs, ks18_obs, work_calls, seed):
+    # The first substream call used to refuse it, after the state was
+    # certified; a term with no factors opened no substream and passed it.
+    constant = Term(1, ())
+    only_constant = InequalityExpr(id="c", set_id="peres_mermin", terms=(constant,), bound=None)
+    runs = [
+        lambda: run_protocol(singlet(), pm_obs, catalog_get("ineq4"), 2, seed),
+        lambda: run_protocol(singlet(), pm_obs, only_constant, 2, seed),
+        lambda: estimate_term(singlet(), pm_obs, constant, 2, seed),
+        lambda: marginal_consistency(maximally_mixed(4), ks18_obs, "A12", KS18_CONTEXTS[:2], 2,
+                                     seed),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^seed must fit in an unsigned 64-bit integer, "
+                                             f"got {seed}$"):
+            run()
+    assert work_calls == {"factor": 0, "substream": 0}
+
+
 def test_singlet_z_outcomes_anticorrelated(pm_obs):
     for shot in range(8):
         rng = substream(1, 1, 0, shot)
