@@ -24,7 +24,7 @@ from .inequalities import InequalityExpr, Term, catalog_get
 from .linalg import row_norms
 from .observables import ObservableSet, build_set, incidence
 from .quantum import bell_operator
-from .runtime import ASCENT_LANE, substream
+from .runtime import ASCENT_LANE, _checked, substream
 from .states import paper_kcbs_product
 
 TARGET, SLACK = 3.6, 0.05  # the reference-state value the relabeling sweep looks for
@@ -187,7 +187,10 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
     relabeling (compared against ``TARGET`` +- ``SLACK``), and the best
     product-state value found by ``ASCENT_STARTS`` seeded ascents on each
     distinct pentagon image (compared against the noncontextual bound 3).
+    A seed outside [0, 2^64) raises ValueError (``runtime``'s coordinate
+    rule) before any work.
     """
+    _checked(seed)
     obs = build_set("ks18")
     expr = catalog_get("kcbs3")
     psi = paper_kcbs_product()

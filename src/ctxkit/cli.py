@@ -39,7 +39,7 @@ from .quantum import (
     haar_sweep,
     max_quantum_value,
 )
-from .simulate import report_to_json, run_protocol
+from .simulate import run_protocol
 from .solver import classical_bound
 from .states import NAMED_STATES, load_state, make_state
 
@@ -75,18 +75,8 @@ def _write_csv(fh, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
-def _bound_fields(expr: InequalityExpr) -> dict:
-    """The report block of ``classical_bound``, shared by bound and specialize."""
-    result = classical_bound(expr)
-    return {
-        "classical_bound": result.bound,
-        "witness": result.witness,
-        "evaluations": result.evaluations,
-    }
-
-
 def _cmd_bound(args) -> dict:
-    return _bound_fields(_resolve_inequality(args.inequality, args.n))
+    return asdict(classical_bound(_resolve_inequality(args.inequality, args.n)))
 
 
 def _cmd_quantum(args) -> dict:
@@ -100,14 +90,8 @@ def _cmd_certify(args) -> dict:
     expr = _resolve_inequality(args.inequality, args.n)
     obs = build_set(expr.set_id, expr.n)
     cert = certify_state_independence(obs, expr)
-    bound = classical_bound(expr)
-    return {
-        "classical_bound": bound.bound,
-        "quantum_constant": cert.constant,
-        "residual": cert.residual,
-        "state_independent": cert.is_state_independent,
-        "gap": cert.constant - bound.bound,
-    }
+    bound = classical_bound(expr).classical_bound
+    return {"classical_bound": bound, **asdict(cert), "gap": cert.quantum_constant - bound}
 
 
 def _cmd_maxval(args) -> dict:
@@ -132,11 +116,12 @@ def _cmd_simulate(args) -> dict:
                 fh,
                 ["term_index", "estimate", "stderr", "shots"],
                 [
-                    [i, t.estimate, t.standard_error, t.shots]
+                    [i, t.estimate, t.stderr, report.shots_per_term]
                     for i, t in enumerate(report.terms)
                 ],
             )
-    return report_to_json(report, args.state)
+    results = asdict(report)
+    return {"inequality": results.pop("inequality"), "state": args.state, **results}
 
 
 def _cmd_sweep(args) -> dict:
@@ -168,7 +153,7 @@ def _cmd_specialize(args) -> dict:
     return {
         "expression": expr_to_json(specialized),
         "dropped_constant": dropped,
-        **_bound_fields(specialized),
+        **asdict(classical_bound(specialized)),
     }
 
 

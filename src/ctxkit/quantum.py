@@ -92,24 +92,24 @@ def bell_operator(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Certificate:
-    is_state_independent: bool
-    constant: float
+    quantum_constant: float
     residual: float
+    state_independent: bool
 
 
 def certify_state_independence(obs: ObservableSet, expr: InequalityExpr) -> Certificate:
     """Whether the Bell operator is a constant multiple of the identity.
 
-    constant = identity coefficient; residual = max-magnitude entry of
-    B - constant*1, exact, so a certified expression (residual 0) takes
-    the value ``constant`` in every state.
+    quantum_constant = identity coefficient; residual = max-magnitude
+    entry of B - quantum_constant*1, exact, so a state-independent
+    expression (residual 0) takes ``quantum_constant`` in every state.
     """
     bell = _bell(obs, expr)
     identity = (bell["x"] == 0) & (bell["z"] == 0)
     constant = float(bell["c"][identity].sum().real)
     residual = max_entry(bell[~identity], obs.dim)
     return Certificate(
-        is_state_independent=residual == 0.0, constant=constant, residual=residual
+        quantum_constant=constant, residual=residual, state_independent=residual == 0.0
     )
 
 

@@ -63,18 +63,17 @@ class MeasurementRecord:
 @dataclass(frozen=True)
 class TermEstimate:
     estimate: float
-    standard_error: float
-    shots: int
+    stderr: float
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    inequality_id: str
+    inequality: str
     seed: int
     shots_per_term: int
     terms: tuple[TermEstimate, ...]
     lhs_estimate: float
-    lhs_standard_error: float
+    lhs_stderr: float
 
 
 @dataclass(frozen=True)
@@ -187,10 +186,11 @@ def estimate_term(
 ) -> TermEstimate:
     """Estimate sign * <product of outcomes> from ``shots`` preparations.
 
-    Shot s draws from substream (seed, lane 1, term_index, s).  The
-    standard error is the sample standard deviation over shots divided by
-    sqrt(shots).  The shot count, the term's compatibility and the seed
-    are checked before the state is certified.
+    Shot s draws from substream (seed, lane 1, term_index, s).  Returns
+    the estimate and its ``stderr``, the sample standard deviation over
+    shots divided by sqrt(shots); the result does not repeat ``shots``.
+    The shot count, the term's compatibility and the seed are checked
+    before the state is certified.
     """
     _check_shots(shots)
     expansions = compatible_expansions(obs, term.factors)
@@ -201,9 +201,9 @@ def estimate_term(
         values = term.sign * outcomes.prod(axis=1).astype(float)
     else:
         values = np.full(shots, float(term.sign))
-    estimate = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(shots))
-    return TermEstimate(estimate=estimate, standard_error=stderr, shots=shots)
+    return TermEstimate(
+        estimate=float(values.mean()), stderr=float(values.std(ddof=1) / np.sqrt(shots))
+    )
 
 
 def run_protocol(
@@ -216,11 +216,13 @@ def run_protocol(
     """Estimate every term on an independent subensemble and sum.
 
     Term t uses substreams (seed, lane 1, t, shot), so the full report is
-    a pure function of (state, expr, shots_per_term, seed).  The combined
-    standard error is the root-sum-square of the per-term errors
-    (independent subensembles).  Every term is checked jointly measurable
-    after the shot cap and before any term's work; the seed is checked
-    next, by the first term, before the state is certified.
+    a pure function of (state, expr, shots_per_term, seed).  Its fields
+    are the ``simulate`` command's results in order, with the command's
+    ``--state`` echoed after ``inequality``.  ``lhs_stderr`` is the
+    root-sum-square of the terms' ``stderr`` (independent subensembles).
+    Every term is checked jointly measurable after the shot cap and
+    before any term's work; the seed is checked next, by the first term,
+    before the state is certified.
     """
     _check_shots(shots_per_term)
     for term in expr.terms:
@@ -230,14 +232,14 @@ def run_protocol(
         for t, term in enumerate(expr.terms)
     ]
     lhs = float(sum(e.estimate for e in estimates))
-    lhs_err = float(np.sqrt(sum(e.standard_error**2 for e in estimates)))
+    lhs_err = float(np.sqrt(sum(e.stderr**2 for e in estimates)))
     return EstimateReport(
-        inequality_id=expr.id,
+        inequality=expr.id,
         seed=seed,
         shots_per_term=shots_per_term,
         terms=tuple(estimates),
         lhs_estimate=lhs,
-        lhs_standard_error=lhs_err,
+        lhs_stderr=lhs_err,
     )
 
 
@@ -291,18 +293,3 @@ def marginal_consistency(
         freq_plus_second=f2,
         z_statistic=float(z),
     )
-
-
-def report_to_json(report: EstimateReport, state: str) -> dict:
-    """The report's JSON form; ``state`` echoes the caller's state spec."""
-    return {
-        "inequality": report.inequality_id,
-        "state": state,
-        "seed": report.seed,
-        "shots_per_term": report.shots_per_term,
-        "terms": [
-            {"estimate": t.estimate, "stderr": t.standard_error} for t in report.terms
-        ],
-        "lhs_estimate": report.lhs_estimate,
-        "lhs_stderr": report.lhs_standard_error,
-    }

@@ -51,7 +51,7 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class BoundResult:
-    bound: int
+    classical_bound: int
     witness: dict[str, int]
     evaluations: int
 
@@ -134,7 +134,7 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
     best, best_k = lex_first_max(len(merged), score)
     values = decode(best_k, merged, (-1, 1))
     return BoundResult(
-        bound=best,
+        classical_bound=best,
         witness={label: values.get(label, -1) for label in labels},
         evaluations=1 << len(labels),
     )

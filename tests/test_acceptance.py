@@ -51,7 +51,7 @@ def test_criterion_1_classical_bounds(capfd):
         ("mermin11", 3, 2),
     ]
     started = time.perf_counter()
-    got = {(cid, n): classical_bound(catalog_get(cid, n)).bound for cid, n, _ in cases}
+    got = {(cid, n): classical_bound(catalog_get(cid, n)).classical_bound for cid, n, _ in cases}
     elapsed = time.perf_counter() - started
     exact = all(got[(cid, n)] == want for cid, n, want in cases)
     _verdict(
@@ -71,9 +71,9 @@ def test_criterion_2_state_independence_certificates(capfd):
         expr = catalog_get(cid, n)
         cert = certify_state_independence(build_set(expr.set_id, expr.n), expr)
         checks.append(
-            cert.is_state_independent
+            cert.state_independent
             and cert.residual <= 1e-9
-            and abs(cert.constant - constant) <= 1e-9
+            and abs(cert.quantum_constant - constant) <= 1e-9
         )
     _verdict(
         capfd,
@@ -175,7 +175,8 @@ def test_criterion_6_specialization_roundtrips(capfd):
     mermin = catalog_get("mermin11", 3)
     mermin_ok = _multiset(spec_mermin) == _multiset(mermin)
     flips_ok = all(
-        classical_bound(absorb_sign_flip(mermin, label)).bound == classical_bound(mermin).bound
+        classical_bound(absorb_sign_flip(mermin, label)).classical_bound
+        == classical_bound(mermin).classical_bound
         for label in ("B1", "B2", "B3")
     )
     _verdict(
@@ -203,7 +204,7 @@ def test_criterion_7_protocol_and_marginals(capfd):
     for expr, obs, rho, exact in runs:
         report = run_protocol(rho, obs, expr, shots_per_term=10_000, seed=11)
         protocol_ok.append(
-            abs(report.lhs_estimate - exact) <= 5.0 * report.lhs_standard_error
+            abs(report.lhs_estimate - exact) <= 5.0 * report.lhs_stderr
         )
 
     product_ok = True

@@ -96,7 +96,7 @@ def test_relabel_expr(ks18_obs):
     assert relabel_expr(expr, identity) == expr
     # Renaming cannot change an exhaustive bound.
     for m in maps[:5]:
-        assert classical_bound(relabel_expr(expr, m)).bound == 3
+        assert classical_bound(relabel_expr(expr, m)).classical_bound == 3
 
 
 def test_product_state_ascent_properties(ks18_obs):
@@ -183,6 +183,26 @@ def test_each_relabeling_builds_one_bell_operator(monkeypatch):
     assert (report.automorphism_count, report.pentagon_count) == (72, 36)
     assert len(calls) == 36
     assert len({frozenset(frozenset(t.factors) for t in e.terms) for e in calls}) == 36
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "must fit in an unsigned 64-bit integer, got -1"),
+    (2**64, "must fit in an unsigned 64-bit integer, got 18446744073709551616"),
+    (1.5, "must be an integer, got 1.5"),
+    (True, "must be an integer, got True"),
+], ids=["negative", "past 2^64", "float", "bool"])
+def test_a_bad_seed_is_refused_before_any_work(monkeypatch, seed, message):
+    # Refused before the relabeling sweep and its 36 Bell operators.
+    calls = {"bell_operator": 0, "incidence_automorphisms": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(calibration, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(calibration, name, counted)
+    with pytest.raises(ValueError, match=f"^seed {message}$"):
+        kcbs_calibration(seed)
+    assert calls == {"bell_operator": 0, "incidence_automorphisms": 0}
 
 
 def test_top_eigvec_2x2_degenerate_keeps_the_current_vector():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import json
 import os
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 
 from ctxkit import cli
+from ctxkit.calibration import CalibrationReport
 from ctxkit.cli import main
 from ctxkit.exceptions import NumericError
 from ctxkit.inequalities import catalog_get, expr_to_json
 from ctxkit.observables import build_ks18
-from ctxkit.quantum import max_quantum_value
-from ctxkit.simulate import report_to_json, run_protocol
+from ctxkit.parity import ColorabilityResult, ParityStats
+from ctxkit.quantum import Certificate, max_quantum_value
+from ctxkit.simulate import EstimateReport, TermEstimate, run_protocol
+from ctxkit.solver import BoundResult
 from ctxkit.states import make_state
 
 
@@ -115,11 +119,12 @@ def test_simulate_matches_library(capsys):
         "--shots", "50", "--seed", "3",
     )
     obs = build_ks18()[1]
-    expected = report_to_json(
-        run_protocol(make_state("zero_product", dim=4), obs, catalog_get("kcbs3"), 50, 3),
-        "zero_product",
+    expected = dataclasses.asdict(
+        run_protocol(make_state("zero_product", dim=4), obs, catalog_get("kcbs3"), 50, 3)
     )
-    assert report["results"] == json.loads(json.dumps(expected))
+    results = report["results"]
+    assert results.pop("state") == "zero_product"
+    assert results == json.loads(json.dumps(expected))
 
 
 def test_simulate_byte_identical(capsys):
@@ -287,6 +292,29 @@ def test_constant_only_expression_refuses_a_bad_seed(capsys, tmp_path):
         "type": "ValueError",
         "message": "seed must fit in an unsigned 64-bit integer, got -1",
     }
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("bound", "--inequality", "chsh8"), field_names(BoundResult)),
+    (("specialize", "--inequality", "ineq4", "--subs", "SUBS"),
+     ["expression", "dropped_constant", *field_names(BoundResult)]),
+    (("certify", "--inequality", "ineq1"), ["classical_bound", *field_names(Certificate), "gap"]),
+    (("simulate", "--inequality", "chsh8", "--state", "singlet", "--shots", "20", "--seed", "1"),
+     [*field_names(EstimateReport)[:1], "state", *field_names(EstimateReport)[1:]]),
+    (("colorability",), field_names(ColorabilityResult) + field_names(ParityStats)),
+    (("calibrate",), [name for name in field_names(CalibrationReport)
+                      if name not in ("paper_state_values", "best_product_state")]),
+], ids=["bound", "specialize", "certify", "simulate", "colorability", "calibrate"])
+def test_results_are_the_fields_of_their_objects(capsys, tmp_path, argv, keys):
+    subs = tmp_path / "subs.json"
+    subs.write_text(json.dumps({"P16": -1}))
+    results = run_json(capsys, *(str(subs) if a == "SUBS" else a for a in argv))["results"]
+    assert list(results) == keys
+    assert all(list(t) == field_names(TermEstimate) for t in results.get("terms", []))
 
 
 def test_calibrate(capsys):

@@ -68,7 +68,7 @@ def test_catalog_matches_golden(key):
 @pytest.mark.parametrize("id_,n", CATALOG_CASES)
 def test_recorded_bound_is_exact(id_, n):
     expr = catalog_get(id_, n)
-    assert expr.bound == classical_bound(expr).bound
+    assert expr.bound == classical_bound(expr).classical_bound
 
 
 def test_catalog_ids_and_recorded_bounds():

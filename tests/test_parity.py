@@ -62,7 +62,7 @@ def test_unsat_is_consistent_with_classical_bound(ks18_obs):
     # A coloring would give an assignment with all nine context products
     # equal to -1, pushing the sum inequality to 9; the exact bound of 7
     # independently confirms no such assignment exists.
-    assert classical_bound(catalog_get("ineq1")).bound < 9
+    assert classical_bound(catalog_get("ineq1")).classical_bound < 9
     assert not ks_colorable(ks18_obs).satisfiable
 
 

@@ -125,16 +125,16 @@ def test_certificates(id_, n, constant):
     expr = catalog_get(id_, n)
     obs = build_set(expr.set_id, expr.n)
     cert = certify_state_independence(obs, expr)
-    assert (cert.is_state_independent, cert.constant, cert.residual) == (True, constant, 0.0)
+    assert (cert.state_independent, cert.quantum_constant, cert.residual) == (True, constant, 0.0)
 
 
 def test_certificate_negative_case(ks18_obs):
     cert = certify_state_independence(ks18_obs, catalog_get("kcbs3"))
-    assert not cert.is_state_independent
+    assert not cert.state_independent
     assert cert.residual > 0.1
     # The rays' expansions are exact, so the pentagon's Bell operator is
     # traceless and its largest entry is 4 exactly.
-    assert (cert.constant, cert.residual) == (0.0, 4.0)
+    assert (cert.quantum_constant, cert.residual) == (0.0, 4.0)
     bell = bell_operator(ks18_obs, catalog_get("kcbs3"))
     assert cert.residual == np.abs(bell).max()
 

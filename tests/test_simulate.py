@@ -20,7 +20,6 @@ from ctxkit.simulate import (
     _walk,
     estimate_term,
     marginal_consistency,
-    report_to_json,
     run_protocol,
     sequential_measure,
 )
@@ -152,27 +151,25 @@ def test_estimate_term_matches_per_shot_replay(ks18_obs):
         record = sequential_measure(rho, ks18_obs, term.factors, rng)
         values[s] = term.sign * outcome_product(record)
     assert est.estimate == float(values.mean())
-    assert est.standard_error == float(values.std(ddof=1) / np.sqrt(shots))
-    assert est.shots == shots
+    assert est.stderr == float(values.std(ddof=1) / np.sqrt(shots))
 
 
 def test_estimate_term_exact_cases(pm_obs, ks18_obs):
     est = estimate_term(zero_product(2), pm_obs, Term(1, ("P14", "P15")), 50, seed=0)
     assert est.estimate == 1.0
-    assert est.standard_error == 0.0
+    assert est.stderr == 0.0
 
     # A full minus-identity context estimates its sign exactly.
     full_context = catalog_get("ineq1").terms[0]
     est = estimate_term(maximally_mixed(4), ks18_obs, full_context, 50, seed=0)
     assert est.estimate == 1.0
-    assert est.standard_error == 0.0
+    assert est.stderr == 0.0
 
 
 def test_estimate_term_constant_term(pm_obs):
     est = estimate_term(singlet(), pm_obs, Term(-1, ()), 10, seed=0)
     assert est.estimate == -1.0
-    assert est.standard_error == 0.0
-    assert est.shots == 10
+    assert est.stderr == 0.0
 
 
 def test_estimate_term_needs_two_shots(pm_obs):
@@ -274,22 +271,22 @@ def test_estimate_term_converges(pm_obs):
     rho = maximally_mixed(4)
     for shots in (100, 1000):
         est = estimate_term(rho, pm_obs, term, shots, seed=12)
-        assert est.standard_error > 0
-        assert abs(est.estimate) <= 5 * est.standard_error
-        assert est.standard_error <= 2 / np.sqrt(shots)
+        assert est.stderr > 0
+        assert abs(est.estimate) <= 5 * est.stderr
+        assert est.stderr <= 2 / np.sqrt(shots)
 
 
 def test_run_protocol_report(pm_obs):
     expr = catalog_get("cfrh6")
     report = run_protocol(maximally_mixed(4), pm_obs, expr, 200, seed=4)
-    assert report.inequality_id == "cfrh6"
+    assert report.inequality == "cfrh6"
     assert report.seed == 4
     assert report.shots_per_term == 200
     assert len(report.terms) == len(expr.terms)
     assert report.lhs_estimate == pytest.approx(sum(t.estimate for t in report.terms))
-    rss = np.sqrt(sum(t.standard_error**2 for t in report.terms))
-    assert report.lhs_standard_error == pytest.approx(float(rss))
-    assert report.lhs_standard_error > 0  # the pair terms fluctuate here
+    rss = np.sqrt(sum(t.stderr**2 for t in report.terms))
+    assert report.lhs_stderr == pytest.approx(float(rss))
+    assert report.lhs_stderr > 0  # the pair terms fluctuate here
 
 
 def test_run_protocol_repeatable(pm_obs):
@@ -307,9 +304,17 @@ def test_run_protocol_terms_use_independent_streams(pm_obs):
     assert len(set(estimates)) > 1
 
 
-def test_report_to_json_shape(pm_obs):
+def simulate_results(report, state):
+    """``report`` as the ``simulate`` command prints it: its fields, with
+    the ``--state`` argument echoed after ``inequality``, through JSON."""
+    fields = dataclasses.asdict(report)
+    return json.loads(json.dumps({"inequality": fields.pop("inequality"), "state": state,
+                                  **fields}))
+
+
+def test_simulate_results_shape(pm_obs):
     report = run_protocol(singlet(), pm_obs, catalog_get("chsh8"), 80, seed=6)
-    data = report_to_json(report, "singlet")
+    data = simulate_results(report, "singlet")
     assert list(data) == [
         "inequality", "state", "seed", "shots_per_term",
         "terms", "lhs_estimate", "lhs_stderr",
@@ -320,7 +325,7 @@ def test_report_to_json_shape(pm_obs):
     assert data["shots_per_term"] == 80
     assert [list(t) for t in data["terms"]] == [["estimate", "stderr"]] * 4
     assert data["lhs_estimate"] == report.lhs_estimate
-    assert data["lhs_stderr"] == report.lhs_standard_error
+    assert data["lhs_stderr"] == report.lhs_stderr
 
 
 def test_marginal_consistency_repeatable(ks18_obs):
@@ -522,7 +527,7 @@ def test_seeded_marginals_are_pinned(ks18_obs):
     assert (report.freq_plus_first, report.freq_plus_second) == (0.244, 0.242)
 
 
-# Full seeded outputs, pinned exactly: the report_to_json of run_protocol
+# Full seeded outputs, pinned exactly: the simulate_results of run_protocol
 # at 200 shots and seed 1 per "run_protocol/id[@n]/state", the marginal
 # check of A12 between 18-ray contexts 1 and 2 (200 shots, seed 1), and
 # ineq1's haar_sweep over 20 states (seed 1).
@@ -536,7 +541,7 @@ def test_protocol_report_matches_golden(key):
     expr = catalog_get(id_, int(n) if n else None)
     obs = build_set(expr.set_id, expr.n)
     report = run_protocol(make_state(state, dim=obs.dim), obs, expr, 200, seed=1)
-    assert report_to_json(report, state) == GOLDEN[key]
+    assert simulate_results(report, state) == GOLDEN[key]
 
 
 def test_marginal_and_sweep_match_golden(ks18_obs):

@@ -47,7 +47,7 @@ CATALOG_CASES = [
 @pytest.mark.parametrize("id_,n,bound,evaluations", CATALOG_CASES)
 def test_catalog_bounds(id_, n, bound, evaluations):
     result = classical_bound(catalog_get(id_, n))
-    assert result.bound == bound
+    assert result.classical_bound == bound
     assert result.evaluations == evaluations
 
 
@@ -60,7 +60,7 @@ def test_against_naive_enumeration(id_, n):
     expr = catalog_get(id_, n)
     expected_bound, expected_witness = naive_bound(expr)
     result = classical_bound(expr)
-    assert result.bound == expected_bound
+    assert result.classical_bound == expected_bound
     assert result.witness == expected_witness
 
 
@@ -96,7 +96,7 @@ def test_random_expressions_match_naive():
                            term_count=int(rng.integers(1, 7)))
         expected_bound, expected_witness = naive_bound(expr)
         result = classical_bound(expr)
-        assert result.bound == expected_bound
+        assert result.classical_bound == expected_bound
         assert result.witness == expected_witness
 
 
@@ -107,7 +107,7 @@ def test_constant_term_expression():
         bound=None,
     )
     result = classical_bound(expr)
-    assert result.bound == 2
+    assert result.classical_bound == 2
     assert result.witness == {"L0": -1}
 
 
@@ -119,7 +119,7 @@ def test_label_cap():
     labels = [f"L{i:02d}" for i in range(40)]
     one = InequalityExpr(id="one", set_id="test", terms=(Term(1, tuple(labels)),), bound=None)
     result = classical_bound(one)
-    assert (result.bound, result.evaluations) == (1, 2**40)
+    assert (result.classical_bound, result.evaluations) == (1, 2**40)
     assert result.witness == dict.fromkeys(labels, -1)
     # 70 labels in 70 groups are refused on the work alone, before a mask
     # past 64 bits is built.
@@ -145,7 +145,7 @@ def test_scan_work_cap(monkeypatch):
     four = InequalityExpr(id="four", set_id="test",
                           terms=tuple(Term(1, (lab,)) for lab in labels[:4]), bound=None)
     monkeypatch.setattr(solver, "MAX_SCAN_WORK", 64)
-    assert classical_bound(four).bound == 4
+    assert classical_bound(four).classical_bound == 4
     monkeypatch.setattr(solver, "MAX_SCAN_WORK", 63)
     with pytest.raises(ResourceLimitError, match="scan-work cap"):
         classical_bound(four)
@@ -176,7 +176,7 @@ def test_witness_is_lex_first_across_blocks():
     labels = [f"L{i:02d}" for i in range(17)]
     terms = (Term(1, (labels[0], labels[1])),) + tuple(Term(1, (lab,)) for lab in labels[2:])
     result = classical_bound(InequalityExpr(id="two-blocks", set_id="test", terms=terms, bound=None))
-    assert result.bound == 16
+    assert result.classical_bound == 16
     assert result.witness == {lab: (-1 if lab in labels[:2] else 1) for lab in labels}
 
 
@@ -191,7 +191,7 @@ def test_merged_witness_past_the_first_block():
              + tuple(Term(1, (lab,)) for lab in labels[4:]))
     expr = InequalityExpr(id="second-block", set_id="test", terms=terms, bound=None)
     result = classical_bound(expr)
-    assert result.bound == 17
+    assert result.classical_bound == 17
     assert result.witness == {lab: (-1 if lab in labels[1:4] else 1) for lab in labels}
     assert result.evaluations == 2**17
 
@@ -220,7 +220,7 @@ def repeated_incidence_exprs(draw):
 def test_merged_labels_match_naive(expr):
     expected_bound, expected_witness = naive_bound(expr)
     result = classical_bound(expr)
-    assert result.bound == expected_bound
+    assert result.classical_bound == expected_bound
     assert result.witness == expected_witness
     assert result.evaluations == 2 ** len(expr.labels)
 
@@ -235,4 +235,5 @@ def test_evaluate_assignment():
 def test_bound_sign_flip_invariance():
     # Negating one label is a bijection on assignments, so the bound holds.
     for expr, label in ((catalog_get("kcbs3"), "A12"), (catalog_get("mermin11", 3), "C1")):
-        assert classical_bound(absorb_sign_flip(expr, label)).bound == classical_bound(expr).bound
+        flipped = classical_bound(absorb_sign_flip(expr, label))
+        assert flipped.classical_bound == classical_bound(expr).classical_bound

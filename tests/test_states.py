@@ -269,9 +269,11 @@ def test_dm_entry_count_must_match_its_dim():
         make_state({"kind": "dm", "dim": 2, "entries": [[0.5, 0.0]] * 3})
 
 
-def test_haar_random_needs_a_positive_dimension():
-    with pytest.raises(ValueError, match="^dimension must be positive, got 0$"):
-        haar_random(0, 1)
+def test_state_builders_need_a_positive_dimension():
+    for d in (0, -1):
+        for build in (lambda: haar_random(d, 1), lambda: maximally_mixed(d)):
+            with pytest.raises(ValueError, match=f"^dimension must be positive, got {d}$"):
+                build()
 
 
 def test_declared_dim_is_checked_before_building():
