@@ -42,6 +42,7 @@ from .linalg import (
     tables,
 )
 from .observables import ObservableSet, compatible_expansions, label_group
+from .runtime import _checked, _integer
 from .states import haar_kets
 
 MAX_STATES = 10**6
@@ -149,12 +150,15 @@ def haar_sweep(
     the kets as columns, from ``tables`` compiled once per sweep.  Norms
     and inner products are taken per ket, so every value equals
     ``evaluate_inequality`` on ``haar_random(d, seed, i)`` bit for bit.
-    More than ``MAX_STATES`` states raise ResourceLimitError before any draw.
+    Before the Bell expansion is compiled or any state drawn, ``count``
+    is checked (an integer and at least one, else ValueError; more than
+    ``MAX_STATES`` raise ResourceLimitError), and then the seed.
     """
-    if count < 1:
+    if _integer("count", count) < 1:
         raise ValueError(f"sweep needs at least one state, got {count}")
     if count > MAX_STATES:
         raise ResourceLimitError(f"{count} states exceeds the cap of {MAX_STATES}")
+    _checked(seed)
     compiled = tables(_bell(obs, expr), obs.dim)
     block = max(1, SWEEP_BLOCK_ENTRIES // obs.dim)
     values = np.empty(count)

@@ -67,11 +67,17 @@ def _checked(*coordinates) -> list[int]:
     """The coordinates as plain ints; floats, bools, strings and values
     outside [0, 2**64) raise ValueError."""
     for name, value in zip(("seed", "lane", "index", "subindex"), coordinates):
-        if type(value) is not int and (isinstance(value, bool) or not hasattr(value, "__index__")):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= operator.index(value) <= _U64_MAX:
+        if not 0 <= _integer(name, value) <= _U64_MAX:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
     return [operator.index(value) for value in coordinates]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int: an int or a numpy integer passes, and a
+    float, bool or string raises ValueError naming ``name``."""
+    if type(value) is not int and (isinstance(value, bool) or not hasattr(value, "__index__")):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @functools.lru_cache(maxsize=64)

@@ -48,7 +48,7 @@ from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
 from .observables import ObservableSet, compatible_expansions, label_tuple
-from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, substream
+from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, _integer, substream
 
 _P_FLOOR = 1e-12
 MAX_SHOTS = 10**6
@@ -150,6 +150,7 @@ def sequential_measure(
 
 
 def _check_shots(shots: int) -> None:
+    _integer("shots", shots)
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
     if shots > MAX_SHOTS:

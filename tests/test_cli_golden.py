@@ -1,12 +1,20 @@
-"""Seeded stdout is byte-identical: every row of ``cli_golden.json`` (see
-``record_cli_golden.py`` for the rows and how to re-record them) prints
-exactly its recorded stdout and exits with its recorded code.
+"""The CLI contract: every row of ``cli_golden.json`` (see
+``record_cli_golden.py`` for the row fields and how to re-record them),
+run in-process through ``cli.main``, keeps its row by the one
+``compare`` that ``record_cli_golden.py --check`` also runs through the
+installed ``ctxkit`` script.  The row kinds: seeded stdout (the
+benchmark's tiny workloads, ``calibrate`` over nine seeds, 2000-shot
+``simulate`` runs and a 3000-state ``sweep``), exact results (``bound``,
+``specialize``, ``certify``, ``quantum``, ``maxval``), the
+``colorability`` verdict, ``--csv`` tables, and bad input (exit 2) and
+resource caps (exit 3) with their JSON error on stderr.
 
 Rows whose stdout depends on the BLAS thread count are not in the corpus
 (``maxval`` from 512 dimensions up, ``quantum`` on a dense random state
-from 128); CI runs this file once more with one BLAS thread, so a row
-that does depend on it fails there.  A few larger commands, outside the
-corpus, are compared at one and two BLAS threads in subprocesses.
+from 128); this file checks the corpus at the default thread count, and
+CI's ``--check`` run with one BLAS thread, so a row that does depend on
+it fails there.  A few larger commands, outside the corpus, are compared
+at one and two BLAS threads in subprocesses.
 """
 
 import json
@@ -15,18 +23,24 @@ import subprocess
 import sys
 
 import pytest
-from record_cli_golden import CORPUS, ROWS, run_row, write_inputs
+from record_cli_golden import FIELDS, INPUTS, compare, csv_path, load, run_row, write_inputs
 
 import ctxkit
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
 
-GOLDEN = json.loads(CORPUS.read_text(encoding="utf-8"))
+GOLDEN = load()
 
 
 def test_corpus_holds_every_row():
-    assert list(GOLDEN) == list(ROWS)
+    # Every row is recorded, with no field that compare would ignore and
+    # a csv exactly when it writes one; every input file is named by a row.
+    for row, want in GOLDEN.items():
+        assert {"exit", "stdout"} <= set(want) <= set(FIELDS)
+        assert ("csv" in want) == (csv_path(row) is not None)
+        assert want["stdout"] == "" or want["exit"] == 0
     assert {row["exit"] for row in GOLDEN.values()} == {0, 2, 3}
+    assert all(any(name in row.split() for row in GOLDEN) for name in INPUTS)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +50,31 @@ def inputs_dir(tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("row", ROWS)
+@pytest.mark.parametrize("row", list(GOLDEN))
 def test_row_is_byte_identical(row, inputs_dir, monkeypatch):
     monkeypatch.chdir(inputs_dir)
-    assert run_row(row) == GOLDEN[row]
+    assert compare(GOLDEN[row], run_row(row)) == []
+
+
+def test_compare_reports_each_planted_fault(inputs_dir, monkeypatch):
+    # A copy of one row with one fault of each kind planted in it: the
+    # compare that tier-1 and --check share reports each one.
+    row = ("simulate --inequality cfrh6 --state maximally_mixed --shots 2000 --seed 5 "
+           "--csv simulate.csv")
+    want = GOLDEN[row]
+    monkeypatch.chdir(inputs_dir)
+    run = run_row(row)
+    assert compare(want, run) == []
+
+    def flipped(text: str) -> str:
+        return text[:10] + chr(ord(text[10]) ^ 1) + text[11:]
+
+    plants = {"exit": 3, "stdout": flipped(want["stdout"]),
+              "stderr_contains": ["no such message"], "csv": flipped(want["csv"])}
+    for field, value in plants.items():
+        faults = compare({**want, field: value}, run)
+        assert len(faults) == 1 and faults[0].startswith(field.split("_")[0]), faults
+    assert len(compare({**want, **plants}, run)) == len(plants)
 
 
 @pytest.mark.parametrize("argv", [

@@ -228,6 +228,33 @@ def test_state_cap_comes_before_any_draw(monkeypatch, ks18_obs):
             haar_sweep(ks18_obs, catalog_get("kcbs3"), count, seed=9)
 
 
+
+@pytest.mark.parametrize("count", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_a_non_integer_sweep_count_is_refused(ks18_obs, count):
+    with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
+        haar_sweep(ks18_obs, catalog_get("kcbs3"), count, seed=1)
+    expr = catalog_get("kcbs3")
+    assert haar_sweep(ks18_obs, expr, np.int64(2), 1).tolist() == haar_sweep(
+        ks18_obs, expr, 2, 1).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past 2^64"])
+def test_a_bad_sweep_seed_is_refused_before_any_work(monkeypatch, ks18_obs, seed):
+    # Refused before the Bell expansion is built, as simulate and
+    # calibrate refuse theirs; it used to be refused at the first draw.
+    calls = []
+    bell = quantum._bell
+
+    def counted(*args):
+        calls.append(args)
+        return bell(*args)
+
+    monkeypatch.setattr(quantum, "_bell", counted)
+    with pytest.raises(ValueError, match=f"^seed must fit in an unsigned 64-bit integer, "
+                                         f"got {seed}$"):
+        haar_sweep(ks18_obs, catalog_get("kcbs3"), 2, seed)
+    assert calls == []
+
 @pytest.mark.parametrize("id_, n", [
     ("kcbs3", None), ("cfrh6", None), ("ineq4", None), ("ineq9", 5), ("mermin11", 7),
 ], ids=["kcbs3", "cfrh6", "ineq4", "ineq9-n5", "mermin11-n7"])

@@ -257,6 +257,26 @@ def test_a_bad_seed_is_refused_before_any_work(pm_obs, ks18_obs, work_calls, see
     assert work_calls == {"factor": 0, "substream": 0}
 
 
+
+@pytest.mark.parametrize("shots", [10.0, True, "10"], ids=["float", "bool", "str"])
+def test_a_non_integer_shot_count_is_refused_before_any_work(pm_obs, ks18_obs, work_calls,
+                                                             shots):
+    # A float count used to pass the range checks, certify the state and
+    # fail inside np.empty with a TypeError.
+    runs = [
+        lambda: estimate_term(singlet(), pm_obs, Term(1, ("P14",)), shots, 1),
+        lambda: run_protocol(singlet(), pm_obs, catalog_get("ineq4"), shots, 1),
+        lambda: marginal_consistency(maximally_mixed(4), ks18_obs, "A12", KS18_CONTEXTS[:2],
+                                     shots, 1),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^shots must be an integer, got {shots!r}$"):
+            run()
+    assert work_calls == {"factor": 0, "substream": 0}
+    term = Term(1, ("P14", "P15"))
+    assert estimate_term(singlet(), pm_obs, term, np.int64(10), 1) == estimate_term(
+        singlet(), pm_obs, term, 10, 1)
+
 def test_singlet_z_outcomes_anticorrelated(pm_obs):
     for shot in range(8):
         rng = substream(1, 1, 0, shot)
