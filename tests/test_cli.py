@@ -3,6 +3,8 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -493,3 +495,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("ctxkit ")
+
+
+def test_console_script():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctxkit.cli", "certify", "--inequality", "ineq4"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["results"]["quantum_constant"] == pytest.approx(6.0)
