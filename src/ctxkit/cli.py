@@ -19,8 +19,10 @@ import sys
 import time
 from dataclasses import asdict
 
+# Only what argument parsing and _resolve_inequality need is imported at
+# module level; each handler imports the modules it runs, so a command
+# loads no others.
 from . import __version__
-from .calibration import kcbs_calibration
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import (
     CATALOG_IDS,
@@ -32,16 +34,6 @@ from .inequalities import (
     specialize,
 )
 from .observables import ObservableSet, build_set
-from .parity import ks_colorable, parity_stats
-from .quantum import (
-    certify_state_independence,
-    evaluate_inequality,
-    haar_sweep,
-    max_quantum_value,
-)
-from .simulate import run_protocol
-from .solver import classical_bound
-from .states import NAMED_STATES, load_state, make_state
 
 
 def _resolve_inequality(ineq: str, n: int | None) -> InequalityExpr:
@@ -56,6 +48,8 @@ def _resolve_inequality(ineq: str, n: int | None) -> InequalityExpr:
 
 
 def _resolve_state(state: str, obs: ObservableSet):
+    from .states import NAMED_STATES, load_state, make_state
+
     if state in NAMED_STATES:
         return make_state(state, dim=obs.dim)
     if os.path.exists(state):
@@ -76,10 +70,14 @@ def _write_csv(fh, header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_bound(args) -> dict:
+    from .solver import classical_bound
+
     return asdict(classical_bound(_resolve_inequality(args.inequality, args.n)))
 
 
 def _cmd_quantum(args) -> dict:
+    from .quantum import evaluate_inequality
+
     expr = _resolve_inequality(args.inequality, args.n)
     obs = build_set(expr.set_id, expr.n)
     state = _resolve_state(args.state, obs)
@@ -87,6 +85,9 @@ def _cmd_quantum(args) -> dict:
 
 
 def _cmd_certify(args) -> dict:
+    from .quantum import certify_state_independence
+    from .solver import classical_bound
+
     expr = _resolve_inequality(args.inequality, args.n)
     obs = build_set(expr.set_id, expr.n)
     cert = certify_state_independence(obs, expr)
@@ -95,17 +96,23 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_maxval(args) -> dict:
+    from .quantum import max_quantum_value
+
     expr = _resolve_inequality(args.inequality, args.n)
     obs = build_set(expr.set_id, expr.n)
     return {"max_quantum_value": max_quantum_value(obs, expr)}
 
 
 def _cmd_colorability(args) -> dict:
+    from .parity import ks_colorable, parity_stats
+
     obs = build_set("ks18")
     return {**asdict(ks_colorable(obs)), **asdict(parity_stats(obs))}
 
 
 def _cmd_simulate(args) -> dict:
+    from .simulate import run_protocol
+
     expr = _resolve_inequality(args.inequality, args.n)
     obs = build_set(expr.set_id, expr.n)
     state = _resolve_state(args.state, obs)
@@ -125,6 +132,8 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
+    from .quantum import haar_sweep
+
     expr = _resolve_inequality(args.inequality, args.n)
     obs = build_set(expr.set_id, expr.n)
     with _csv_file(args.csv) as fh:
@@ -145,11 +154,13 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_specialize(args) -> dict:
+    from .solver import classical_bound
+
     expr = _resolve_inequality(args.inequality, args.n)
     raw = read_json(args.subs)
     if not isinstance(raw, dict):
         raise ValueError("substitution file must hold a JSON object of label: +-1")
-    specialized, dropped = specialize(expr, raw)
+    specialized, dropped = specialize(expr, raw, f"substitution file {args.subs}")
     return {
         "expression": expr_to_json(specialized),
         "dropped_constant": dropped,
@@ -158,6 +169,8 @@ def _cmd_specialize(args) -> dict:
 
 
 def _cmd_calibrate(args) -> dict:
+    from .calibration import kcbs_calibration
+
     results = asdict(kcbs_calibration(seed=args.seed))
     # The per-relabeling values and the product ket stay in the library.
     del results["paper_state_values"], results["best_product_state"]

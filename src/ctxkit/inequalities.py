@@ -115,8 +115,14 @@ def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
     raise UnknownInequalityError(id)
 
 
+def _unknown_label(source: str, label: str, set_id: str, n: int | None) -> UnknownLabelError:
+    """The error for a label outside its set, naming the input it came from."""
+    family = set_id if n is None else f"{set_id} n={n}"
+    return UnknownLabelError(f"{source}: unknown label {label!r}, not in set {family}")
+
+
 def specialize(
-    expr: InequalityExpr, subs: Mapping[str, int]
+    expr: InequalityExpr, subs: Mapping[str, int], source: str = "substitution"
 ) -> tuple[InequalityExpr, int]:
     """Substitute the integer 1 or -1 (``parse_sign``) for some labels.
 
@@ -125,12 +131,13 @@ def specialize(
     constants: they are dropped from the expression and their signed sum
     is returned as the second element.  The recorded bound is not
     transferred (substitution preserves validity, not tightness), so the
-    result's bound is None.
+    result's bound is None.  A label outside the expression's set raises
+    UnknownLabelError naming ``source``, the input that holds ``subs``.
     """
     universe = set(set_labels(expr.set_id, expr.n))
     for label, value in subs.items():
         if label not in universe:
-            raise UnknownLabelError(label)
+            raise _unknown_label(source, label, expr.set_id, expr.n)
         parse_sign(value, f"substitution for {label}")
 
     new_terms = []
@@ -240,11 +247,13 @@ def _term_from_json(data) -> Term:
     return Term(data["sign"], factors)
 
 
-def expr_from_json(data: Mapping) -> InequalityExpr:
+def expr_from_json(data: Mapping, source: str = "inequality JSON") -> InequalityExpr:
     """Parse the JSON form strictly: no unknown keys, id and set_id JSON
     strings, every term an object with a +-1 integer sign and a list of
     distinct label strings, bound and n JSON integers, and the labels and
-    n checked against the set (only the star family takes n)."""
+    n checked against the set (only the star family takes n).  An unknown
+    set_id or label raises UnknownLabelError naming ``source``, the input
+    that holds ``data``."""
     check_keys(data, ("id", "set_id", "terms"), "inequality JSON", optional=("bound", "n"))
     id_, set_id, raw_terms = data["id"], data["set_id"], data["terms"]
     for what, value in (("id", id_), ("set_id", set_id)):
@@ -260,12 +269,14 @@ def expr_from_json(data: Mapping) -> InequalityExpr:
         bound=None if bound is None else parse_int(bound, "bound"),
         n=None if n is None else parse_int(n, "n"),
     )
-    universe = set(set_labels(set_id, expr.n))
-    unknown = [f for f in expr.labels if f not in universe]
-    if unknown:
-        raise UnknownLabelError(unknown[0])
+    try:
+        universe = set(set_labels(set_id, expr.n))
+    except UnknownLabelError as exc:  # the set_id
+        raise UnknownLabelError(f"{source}: {exc.args[0]}") from None
+    if unknown := [f for f in expr.labels if f not in universe]:
+        raise _unknown_label(source, unknown[0], set_id, expr.n)
     return expr
 
 
 def load_expr(path: str) -> InequalityExpr:
-    return expr_from_json(read_json(path))
+    return expr_from_json(read_json(path), f"inequality file {path}")

@@ -227,7 +227,9 @@ def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...],
             return KS18_RAYS, KS18_CONTEXTS
         return PERES_MERMIN_WORDS, PERES_MERMIN_CONTEXTS
     if set_id != "mermin_star":
-        raise UnknownLabelError(set_id)
+        raise UnknownLabelError(
+            f"unknown set_id {set_id!r}, not one of ks18, peres_mermin, mermin_star"
+        )
     if n is None or n < 3 or n % 2 == 0:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
     if n > MERMIN_STAR_MAX_QUBITS:

@@ -73,6 +73,10 @@ INPUTS = {
     "subs.json": {"P16": -1, "P26": -1, "P36": -1},
     "subs-float.json": {"P16": -1.0},
     "subs-unknown.json": {"P99": 1},
+    "set-unknown.json": {"id": "x", "set_id": "foo", "bound": None,
+                         "terms": [{"sign": 1, "factors": ["P14"]}]},
+    "label-unknown.json": {"id": "x", "set_id": "peres_mermin", "bound": None,
+                           "terms": [{"sign": 1, "factors": ["P14", "Q99"]}]},
     "ket-without-dim.json": {"kind": "ket"},
     # One term whose factors do not commute.
     "pair.json": {"id": "pair", "set_id": "peres_mermin", "bound": None,

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctxkit import cli
+from ctxkit import cli, quantum, simulate
 from ctxkit.calibration import CalibrationReport
 from ctxkit.cli import main
 from ctxkit.exceptions import NumericError
@@ -394,10 +394,13 @@ def test_os_error_message_names_the_error_and_the_path(capsys, tmp_path):
     assert json.loads(err)["error"] == {"type": "IsADirectoryError", "message": str(expected)}
 
 
+# command -> (the module that owns its runner, the runner, argv); the
+# handler imports the runner from that module when it runs.
 CSV_COMMANDS = {
-    "simulate": ("run_protocol", ["simulate", "--inequality", "kcbs3", "--state",
-                                  "maximally_mixed", "--shots", "60", "--seed", "1"]),
-    "sweep": ("haar_sweep", ["sweep", "--inequality", "ineq4", "--states", "5", "--seed", "2"]),
+    "simulate": (simulate, "run_protocol", ["simulate", "--inequality", "kcbs3", "--state",
+                                            "maximally_mixed", "--shots", "60", "--seed", "1"]),
+    "sweep": (quantum, "haar_sweep",
+              ["sweep", "--inequality", "ineq4", "--states", "5", "--seed", "2"]),
 }
 
 
@@ -406,8 +409,8 @@ def test_unwritable_csv_path_exits_2_before_the_run(capsys, tmp_path, monkeypatc
     def not_reached(*args):
         raise AssertionError("the run started before --csv was opened")
 
-    runner, argv = CSV_COMMANDS[command]
-    monkeypatch.setattr(cli, runner, not_reached)
+    module, runner, argv = CSV_COMMANDS[command]
+    monkeypatch.setattr(module, runner, not_reached)
     path = tmp_path / "missing" / "out.csv"
     rc, _, err = run_cli(capsys, *argv, "--csv", str(path))
     assert rc == 2

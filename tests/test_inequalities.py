@@ -182,8 +182,12 @@ def test_specialize_keeps_all_terms_when_nothing_vanishes():
 
 def test_specialize_validation():
     expr = catalog_get("chsh8")
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(UnknownLabelError) as excinfo:
         specialize(expr, {"A12": 1})  # wrong family
+    assert excinfo.value.args == ("substitution: unknown label 'A12', not in set peres_mermin",)
+    with pytest.raises(UnknownLabelError) as excinfo:
+        specialize(catalog_get("ineq9", 5), {"B6": 1}, "subs.json")
+    assert excinfo.value.args == ("subs.json: unknown label 'B6', not in set mermin_star n=5",)
     for value in (0,) + NOT_INTEGER_SIGNS:
         with pytest.raises(ValueError, match="^substitution for P14 must be the integer 1 or -1"):
             specialize(expr, {"P14": value})
@@ -268,8 +272,14 @@ def test_json_validation():
         expr_from_json([expr_to_json(catalog_get("chsh8"))])  # not an object
     bad = expr_to_json(catalog_get("chsh8"))
     bad["terms"][0]["factors"] = ["P14", "Q99"]
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(UnknownLabelError) as excinfo:
         expr_from_json(bad)
+    assert excinfo.value.args == ("inequality JSON: unknown label 'Q99', not in set peres_mermin",)
+    with pytest.raises(UnknownLabelError) as excinfo:
+        expr_from_json({**bad, "set_id": "foo"}, "ineq.json")
+    assert excinfo.value.args == (
+        "ineq.json: unknown set_id 'foo', not one of ks18, peres_mermin, mermin_star",
+    )
     # id and set_id are JSON strings, never coerced; only the star family
     # takes n.
     chsh = expr_to_json(catalog_get("chsh8"))

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 import subprocess
@@ -146,41 +147,47 @@ def test_substream_draws_no_os_entropy(monkeypatch):
     assert substream(2**64 - 1, 1, 5, 7).random(3).shape == (3,)
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    probe = "import sys, ctxkit.cli; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+# Modules every command loads: argument parsing and _resolve_inequality.
+CLI_MODULES = {"ctxkit", "ctxkit.cli", "ctxkit.exceptions", "ctxkit.inequalities",
+               "ctxkit.observables", "ctxkit.linalg"}
+STATE_MODULES = {"ctxkit.runtime", "ctxkit.states"}
+QUANTUM_MODULES = {"ctxkit.quantum", *STATE_MODULES}
 
 
-def test_importing_the_cli_leaves_hashlib_unloaded():
-    # Only marginal checks hash; hashlib would load OpenSSL in every process.
-    probe = "import sys, ctxkit.cli; print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+# argv ("": import ctxkit.cli only) -> the ctxkit modules the process
+# loads beyond CLI_MODULES, and whether it loads numpy.random and hashlib.
+# numpy.random raises a process's peak memory by several MB, and hashlib
+# loads OpenSSL; only the commands that draw load them.
+LOADED = {
+    "": (set(), False),
+    "bound --inequality ineq1": ({"ctxkit.solver"}, False),
+    "specialize --inequality ineq4 --subs SUBS": ({"ctxkit.solver"}, False),
+    "quantum --inequality cfrh6 --state singlet": (QUANTUM_MODULES, False),
+    "maxval --inequality kcbs3": (QUANTUM_MODULES, False),
+    "certify --inequality ineq1": ({"ctxkit.solver", *QUANTUM_MODULES}, False),
+    "colorability": ({"ctxkit.parity", "ctxkit.solver", *QUANTUM_MODULES}, False),
+    "simulate --inequality kcbs3 --state singlet --shots 5 --seed 1":
+        ({"ctxkit.simulate", *STATE_MODULES}, True),
+    "sweep --inequality ineq4 --states 3 --seed 1": (QUANTUM_MODULES, True),
+    "calibrate --seed 0": ({"ctxkit.calibration", *QUANTUM_MODULES}, True),
+}
 
 
-def test_commands_that_draw_nothing_leave_numpy_random_and_hashlib_unloaded(tmp_path):
-    # Loading numpy.random raises a process's peak memory by several MB.
+@pytest.mark.parametrize("argv", list(LOADED), ids=lambda argv: argv.split()[0] if argv else "import")
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv):
     subs = tmp_path / "subs.json"
     subs.write_text('{"P16": -1}')
-    commands = [
-        "bound --inequality ineq1",
-        "certify --inequality ineq1",
-        "maxval --inequality kcbs3",
-        "quantum --inequality cfrh6 --state singlet",
-        "colorability",
-        f"specialize --inequality ineq4 --subs {subs}",
-    ]
     probe = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from ctxkit.cli import main\n"
-        f"for argv in {commands!r}:\n"
+        f"argv = {argv.replace('SUBS', str(subs))!r}\n"
+        "if argv:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv.split()) == 0, argv\n"
-        "print('numpy.random' in sys.modules, 'hashlib' in sys.modules)\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'ctxkit'),\n"
+        "                  'numpy.random' in sys.modules, 'hashlib' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    modules, draws = LOADED[argv]
+    assert json.loads(proc.stdout) == [sorted(CLI_MODULES | modules), draws, draws]

@@ -54,9 +54,13 @@ def test_module_imports_are_used(path):
 
 
 def test_star_import_binds_exactly_all():
-    # A name left in __all__ after its import is deleted breaks the star
-    # import, and unused_imports counts that string as used.
+    # A name left in __all__ after it leaves its module breaks the star
+    # import, and unused_imports counts that string as used.  The package
+    # resolves exactly the names of __all__, each from one module.
     assert len(set(ctxkit.__all__)) == len(ctxkit.__all__)
+    assert sorted(ctxkit._MODULE_OF) == sorted(ctxkit.__all__)
+    assert sum(map(len, ctxkit._EXPORTS.values())) == len(ctxkit.__all__)
+    assert set(ctxkit.__all__) <= set(dir(ctxkit))
     ns = {}
     exec("from ctxkit import *", ns)
     del ns["__builtins__"]
