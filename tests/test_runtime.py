@@ -147,6 +147,21 @@ def test_substream_draws_no_os_entropy(monkeypatch):
     assert substream(2**64 - 1, 1, 5, 7).random(3).shape == (3,)
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    probe = "import sys, ctxkit.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # Only marginal checks hash; hashlib would load OpenSSL in every process.
+    probe = "import sys, ctxkit.cli; print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False False"
+
+
 # Modules every command loads: argument parsing and _resolve_inequality.
 CLI_MODULES = {"ctxkit", "ctxkit.cli", "ctxkit.exceptions", "ctxkit.inequalities",
                "ctxkit.observables", "ctxkit.linalg"}
