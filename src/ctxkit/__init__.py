@@ -13,7 +13,8 @@ name of ``__all__``.
 
 from importlib import import_module
 
-# The module that defines each public name.
+# The module that defines each public name: the one list of them, which
+# ``__all__`` holds sorted.
 _EXPORTS = {
     "calibration": (
         "CalibrationReport", "incidence_automorphisms", "kcbs_calibration", "relabel_expr",
@@ -48,6 +49,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -63,63 +65,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundResult",
-    "CATALOG_IDS",
-    "CalibrationReport",
-    "Certificate",
-    "ColorabilityResult",
-    "EstimateReport",
-    "IncompatibleContextError",
-    "InequalityExpr",
-    "MarginalReport",
-    "MeasurementRecord",
-    "NAMED_STATES",
-    "NumericError",
-    "ObservableSet",
-    "ParityStats",
-    "ResourceLimitError",
-    "Term",
-    "TermEstimate",
-    "UnknownInequalityError",
-    "UnknownLabelError",
-    "absorb_sign_flip",
-    "as_ket",
-    "bell_operator",
-    "build_ks18",
-    "build_mermin_star",
-    "build_peres_mermin",
-    "build_set",
-    "catalog_get",
-    "certify_state_independence",
-    "classical_bound",
-    "compatible",
-    "context_product",
-    "estimate_term",
-    "evaluate_assignment",
-    "evaluate_inequality",
-    "expr_from_json",
-    "expr_to_json",
-    "ghz",
-    "haar_random",
-    "haar_sweep",
-    "incidence_automorphisms",
-    "kcbs_calibration",
-    "ks_colorable",
-    "load_expr",
-    "make_state",
-    "marginal_consistency",
-    "max_quantum_value",
-    "maximally_mixed",
-    "paper_kcbs_product",
-    "parity_stats",
-    "relabel_expr",
-    "run_protocol",
-    "sequential_measure",
-    "singlet",
-    "specialize",
-    "substream",
-    "y_plus_pair",
-    "zero_product",
-]

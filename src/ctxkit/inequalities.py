@@ -7,12 +7,13 @@ of distinct labels; its ``bound`` is the recorded noncontextual bound
 The catalog holds the eight inequalities the package is built around,
 defined the way Cabello (arXiv:0808.2456) derives them, by two tables:
 
-* ``_CONTEXT_SUMS``: the state-independent ones (ineq1, ineq4, ineq9),
-  each a signed sum over the contexts of one family, in the family's
-  context order;
-* ``_SPECIAL_CASES``: the state-dependent ones (kcbs3, cfrh6, nambu7,
-  chsh8, mermin11), each its parent under a +-1 substitution, as
-  ``specialize`` performs it, with terms, factor order and signs kept.
+* ``_CONTEXT_SUMS``: the three state-independent ones, each a signed sum
+  over the contexts of one family, in the family's context order;
+* ``_SPECIAL_CASES``: the five state-dependent ones, each its parent
+  under a +-1 substitution, as ``specialize`` performs it, with terms,
+  factor order and signs kept.
+
+``CATALOG_IDS`` is their ids, the context sums first.
 
 Term compatibility is not checked here: the quantum side checks every
 term it measures (``observables.compatible_expansions``).  Every JSON input
@@ -28,13 +29,11 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
-from .observables import label_group, set_contexts, set_labels
+from .observables import family_name, label_group, set_contexts, set_labels
 
 # Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
 # full-precision [re, im] pair as json.dumps writes it (at most 227 MB).
 MAX_INPUT_BYTES = 2**28
-
-CATALOG_IDS = ("ineq1", "kcbs3", "ineq4", "cfrh6", "nambu7", "chsh8", "ineq9", "mermin11")
 
 
 def parse_sign(value, what: str) -> int:
@@ -96,6 +95,8 @@ _SPECIAL_CASES: dict[str, tuple[str, dict[str, int], int]] = {
     "mermin11": ("ineq9", {"ACAL1": 1, "ACAL2": 1, "ACAL3": 1, "ACAL4": -1}, 2),
 }
 
+CATALOG_IDS = (*_CONTEXT_SUMS, *_SPECIAL_CASES)
+
 
 def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
     """Look up a catalog inequality by id.
@@ -117,8 +118,9 @@ def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
 
 def _unknown_label(source: str, label: str, set_id: str, n: int | None) -> UnknownLabelError:
     """The error for a label outside its set, naming the input it came from."""
-    family = set_id if n is None else f"{set_id} n={n}"
-    return UnknownLabelError(f"{source}: unknown label {label!r}, not in set {family}")
+    return UnknownLabelError(
+        f"{source}: unknown label {label!r}, not in set {family_name(set_id, n)}"
+    )
 
 
 def specialize(
@@ -207,8 +209,9 @@ def read_json(path: str):
     """The JSON document in a regular file of at most ``MAX_INPUT_BYTES``
     bytes, checked before the file is opened: a larger one raises
     ResourceLimitError, a device or FIFO (no size; a FIFO blocks on open)
-    ValueError, and ``open`` refuses a directory.  Malformed or too deeply
-    nested JSON raises ValueError."""
+    ValueError, and ``open`` refuses a directory.  Text that is not UTF-8,
+    malformed JSON and too deeply nested JSON raise ValueError.  Every
+    message names the path."""
     info = os.stat(path)
     if not (stat.S_ISREG(info.st_mode) or stat.S_ISDIR(info.st_mode)):
         raise ValueError(f"{path} is not a regular file")
@@ -219,11 +222,16 @@ def read_json(path: str):
         raw = fh.read(MAX_INPUT_BYTES + 1)
     if len(raw) > MAX_INPUT_BYTES:
         raise too_big
-    raw = raw.decode("utf-8")  # rebound, so the bytes are freed before parsing
+    try:
+        raw = raw.decode("utf-8")  # rebound, so the bytes are freed before parsing
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     try:
         return json.loads(raw)
     except RecursionError:
         raise ValueError(f"{path} nests its JSON too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def check_keys(data, required: tuple[str, ...], what: str, optional: tuple[str, ...] = ()) -> None:
@@ -252,8 +260,9 @@ def expr_from_json(data: Mapping, source: str = "inequality JSON") -> Inequality
     strings, every term an object with a +-1 integer sign and a list of
     distinct label strings, bound and n JSON integers, and the labels and
     n checked against the set (only the star family takes n).  An unknown
-    set_id or label raises UnknownLabelError naming ``source``, the input
-    that holds ``data``."""
+    set_id or label (UnknownLabelError) and an n the set refuses
+    (ValueError, or ResourceLimitError past the star's cap) name
+    ``source``, the input that holds ``data``."""
     check_keys(data, ("id", "set_id", "terms"), "inequality JSON", optional=("bound", "n"))
     id_, set_id, raw_terms = data["id"], data["set_id"], data["terms"]
     for what, value in (("id", id_), ("set_id", set_id)):
@@ -271,8 +280,8 @@ def expr_from_json(data: Mapping, source: str = "inequality JSON") -> Inequality
     )
     try:
         universe = set(set_labels(set_id, expr.n))
-    except UnknownLabelError as exc:  # the set_id
-        raise UnknownLabelError(f"{source}: {exc.args[0]}") from None
+    except (UnknownLabelError, ValueError, ResourceLimitError) as exc:  # the set_id or n
+        raise type(exc)(f"{source}: {exc.args[0]}") from None
     if unknown := [f for f in expr.labels if f not in universe]:
         raise _unknown_label(source, unknown[0], set_id, expr.n)
     return expr

@@ -28,8 +28,9 @@ exactly when it is constructed, and it freezes what it checked, so no
 set with an unchecked context exists.  ``build_ks18`` also returns the
 rays themselves, read-only, next to the set.  ``label_group`` is the one
 check of a group of distinct labels, ``incidence`` the one map from a
-label to the groups that hold it, and ``compatible_expansions`` the one
-check that a group of labels can be measured jointly.
+label to the groups that hold it, ``compatible_expansions`` the one
+check that a group of labels can be measured jointly, and
+``check_own_set`` the one check that an expression is on the set.
 """
 
 from __future__ import annotations
@@ -210,6 +211,23 @@ def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[n
     if not any(set(labels) <= set(ctx) for ctx in obs.contexts):
         _check_joint(obs, labels)
     return expansions
+
+
+def family_name(set_id: str, n: int | None) -> str:
+    """A family as messages name it: the set_id, and n when given."""
+    return set_id if n is None else f"{set_id} n={n}"
+
+
+def check_own_set(obs: ObservableSet, expr) -> None:
+    """An expression is measured only on its own set: ``obs`` has the
+    expression's ``set_id`` and, when the expression has an ``n``,
+    dimension 2^n (ValueError naming both otherwise).  Only those two
+    fields of ``expr`` are read."""
+    if expr.set_id != obs.set_id or (expr.n is not None and obs.dim != 2**expr.n):
+        raise ValueError(
+            f"expression on set {family_name(expr.set_id, expr.n)} cannot be evaluated "
+            f"on set {obs.set_id} (dimension {obs.dim})"
+        )
 
 
 def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...], ...]]:

@@ -41,7 +41,7 @@ from .linalg import (
     multiply,
     tables,
 )
-from .observables import ObservableSet, compatible_expansions, label_group
+from .observables import ObservableSet, check_own_set, compatible_expansions, label_group
 from .runtime import _checked, _integer
 from .states import haar_kets
 
@@ -79,7 +79,9 @@ def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityE
 
 
 def _bell(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
-    """The Bell operator's expansion, checked Hermitian exactly."""
+    """The Bell operator's expansion, of an expression on its own set
+    (``check_own_set``), checked Hermitian exactly."""
+    check_own_set(obs, expr)
     total = combine((term.sign, _product(obs, term.factors)) for term in expr.terms)
     if not np.array_equal(adjoint(total), total):
         raise NumericError("Bell operator is not Hermitian")

@@ -31,11 +31,12 @@ a branch that holds shots.  A branch probability further than
 ``STRUCT_TOL`` outside [0, 1] raises NumericError; only rounding error
 inside that tolerance is clamped.  More than ``MAX_SHOTS`` shots raise
 ResourceLimitError before any draw, and before the state is certified;
-so does a term or context that is not jointly measurable
+so does, checked after the shot cap, an expression on another set
+(ValueError from ``observables.check_own_set``, ``run_protocol`` only)
+and a term or context that is not jointly measurable
 (IncompatibleContextError from ``observables.compatible_expansions``),
-checked after the shot cap, and a seed outside [0, 2^64) (ValueError,
-``runtime``'s coordinate rule), checked after both, even when no term
-draws.
+and a seed outside [0, 2^64) (ValueError, ``runtime``'s coordinate
+rule), checked after those, even when no term draws.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
-from .observables import ObservableSet, compatible_expansions, label_tuple
+from .observables import ObservableSet, check_own_set, compatible_expansions, label_tuple
 from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, _integer, substream
 
 _P_FLOOR = 1e-12
@@ -221,11 +222,13 @@ def run_protocol(
     are the ``simulate`` command's results in order, with the command's
     ``--state`` echoed after ``inequality``.  ``lhs_stderr`` is the
     root-sum-square of the terms' ``stderr`` (independent subensembles).
-    Every term is checked jointly measurable after the shot cap and
-    before any term's work; the seed is checked next, by the first term,
-    before the state is certified.
+    After the shot cap, the expression is checked to be on ``obs``
+    (``check_own_set``) and then every term jointly measurable, before
+    any term's work; the seed is checked next, by the first term, before
+    the state is certified.
     """
     _check_shots(shots_per_term)
+    check_own_set(obs, expr)
     for term in expr.terms:
         compatible_expansions(obs, term.factors)
     estimates = [

@@ -6,14 +6,8 @@ mixed states are dense density matrices, capped at
 ``linalg.MAX_DENSE_DIM`` before they are built.  An array or a dm file
 passes ``linalg.checked_state`` here; ``linalg.factor`` certifies a
 density matrix (Hermitian, unit trace, positive semidefinite) once per
-computation that uses it.  Named states:
-
-* ``singlet``: (|01> - |10>)/sqrt(2), dimension 4,
-* ``y_plus_pair``: the +1 eigenstate of Y on each of two qubits,
-* ``zero_product``: |0...0> (any power-of-two dimension),
-* ``paper_kcbs_product``: (cos 0.3, sin 0.3) x (cos 0.7, -sin 0.7),
-* ``ghz``: (|0...0> + |1...1>)/sqrt(2) (any power-of-two dimension),
-* ``maximally_mixed``: identity/d (any dimension).
+computation that uses it.  The named states, ``NAMED_STATES``, are the
+names of one table, ``_NAMED``, which also builds them.
 
 Haar-random states are normalized complex-Gaussian vectors drawn from
 substream (seed, lane 0, index), so a sweep's i-th state is the same no
@@ -104,32 +98,38 @@ def haar_random(d: int, seed: int, index: int = 0) -> np.ndarray:
     return haar_kets(d, seed, (index,))[0]
 
 
-def _qubits_for(dim: int, name: str) -> int:
-    n = int(dim).bit_length() - 1
+def _target(dim: int | None, name: str) -> int:
+    if dim is None:
+        raise ValueError(f"state {name!r} needs a target dimension")
+    return dim
+
+
+def _qubits_for(dim: int | None, name: str) -> int:
+    n = int(_target(dim, name)).bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"named state {name!r} needs a power-of-two dimension, got {dim}")
     return n
 
 
+# Each named state's builder, called with its name and the target
+# dimension (None when there is none): the first three are fixed and
+# ignore it (make_state checks their dimension), the others are built
+# for it.
+_NAMED = {
+    "singlet": lambda name, dim: singlet(),
+    "y_plus_pair": lambda name, dim: y_plus_pair(),
+    "paper_kcbs_product": lambda name, dim: paper_kcbs_product(),
+    "ghz": lambda name, dim: ghz(_qubits_for(dim, name)),
+    "zero_product": lambda name, dim: zero_product(_qubits_for(dim, name)),
+    "maximally_mixed": lambda name, dim: maximally_mixed(_target(dim, name)),
+}
+NAMED_STATES = tuple(_NAMED)
+
+
 def _named_state(name: str, dim: int | None) -> np.ndarray:
-    fixed = {
-        "singlet": singlet,
-        "y_plus_pair": y_plus_pair,
-        "paper_kcbs_product": paper_kcbs_product,
-    }
-    if name in fixed:
-        return fixed[name]()  # make_state checks its dimension
-    if name in ("ghz", "zero_product", "maximally_mixed"):
-        if dim is None:
-            raise ValueError(f"state {name!r} needs a target dimension")
-        if name == "maximally_mixed":
-            return maximally_mixed(dim)
-        n = _qubits_for(dim, name)
-        return ghz(n) if name == "ghz" else zero_product(n)
-    raise ValueError(f"unknown named state {name!r}")
-
-
-NAMED_STATES = ("singlet", "y_plus_pair", "paper_kcbs_product", "ghz", "zero_product", "maximally_mixed")
+    if name not in _NAMED:
+        raise ValueError(f"unknown named state {name!r}")
+    return _NAMED[name](name, dim)
 
 
 _STATE_KEYS = {

@@ -84,6 +84,10 @@ INPUTS = {
     # One term that draws nothing, so no substream call would see the seed.
     "const.json": {"id": "const", "set_id": "peres_mermin", "bound": None,
                    "terms": [{"sign": 1, "factors": []}]},
+    "mermin11-n3.json": expr_to_json(catalog_get("mermin11", 3)),
+    # An n that the file's set refuses: any n on peres_mermin, past the cap on the star.
+    "chsh8-n3.json": {**expr_to_json(catalog_get("chsh8")), "n": 3},
+    "ineq9-n15.json": {**expr_to_json(catalog_get("ineq9", 5)), "n": 15},
 }
 
 FIELDS = ("exit", "stdout", "stderr_contains", "csv")

@@ -272,12 +272,19 @@ def test_deeply_nested_json_files_exit_2(capsys, tmp_path, argv, text):
         "type": "ValueError", "message": f"{path} nests its JSON too deeply"}
 
 
-def test_inequality_file_n_conflict(capsys, tmp_path):
-    path = tmp_path / "star.json"
-    path.write_text(json.dumps(expr_to_json(catalog_get("mermin11", 3))))
-    rc, _, err = run_cli(capsys, "bound", "--inequality", str(path), "--n", "5")
-    assert rc == 2
-    assert json.loads(err)["error"]["type"] == "ValueError"
+@pytest.mark.parametrize("raw,message", [
+    (b'{"id":', "is not valid JSON: Expecting value: line 1 column 7 (char 6)"),
+    (b"\xff{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"),
+], ids=["syntax", "not_utf8"])
+def test_json_files_that_do_not_parse_exit_2_naming_the_path(capsys, tmp_path, raw, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    for argv in (("bound", "--inequality"), ("quantum", "--inequality", "chsh8", "--state"),
+                 ("specialize", "--inequality", "ineq4", "--subs")):
+        rc, out, err = run_cli(capsys, *argv, str(path))
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"] == {"type": "ValueError", "message": f"{path} {message}"}
 
 
 def field_names(cls) -> list[str]:
@@ -310,19 +317,6 @@ def test_calibrate(capsys):
     assert results["pentagon_count"] == 36
     assert results["qualitative_violation"] is True
     assert results["target_matched"] is False
-
-
-def test_exit_code_unknown_inequality(capsys):
-    rc, out, err = run_cli(capsys, "bound", "--inequality", "nonsense")
-    assert rc == 2
-    assert out == ""
-    assert json.loads(err)["error"]["type"] == "ValueError"
-
-
-def test_exit_code_missing_n(capsys):
-    rc, _, err = run_cli(capsys, "bound", "--inequality", "ineq9")
-    assert rc == 2
-    assert "n" in json.loads(err)["error"]["message"]
 
 
 def test_exit_code_resource_limit(capsys):
@@ -429,21 +423,6 @@ def test_run_that_fails_leaves_an_empty_csv(capsys, tmp_path, argv):
     rc, _, _ = run_cli(capsys, *argv, "--csv", str(path))
     assert rc == 3
     assert path.read_text() == ""
-
-
-def test_exit_code_unknown_state(capsys):
-    rc, _, err = run_cli(
-        capsys, "quantum", "--inequality", "kcbs3", "--state", "no_such_state"
-    )
-    assert rc == 2
-
-
-def test_exit_code_dimension_mismatch(capsys):
-    rc, _, err = run_cli(
-        capsys, "quantum", "--inequality", "ineq9", "--n", "3", "--state", "singlet"
-    )
-    assert rc == 2
-    assert "dimension" in json.loads(err)["error"]["message"]
 
 
 def _dm_file(path, rho) -> str:

@@ -16,6 +16,7 @@ from ctxkit.quantum import (
     haar_sweep,
     max_quantum_value,
 )
+from ctxkit.simulate import MAX_SHOTS, run_protocol
 from ctxkit.states import haar_random, maximally_mixed, singlet, y_plus_pair, zero_product
 
 
@@ -65,6 +66,30 @@ def test_compatible_expansions_names_incompatible_pair(ks18_obs):
     with pytest.raises(IncompatibleContextError) as info:
         compatible_expansions(ks18_obs, ("A12", "A34"))
     assert "[('A12', 'A34')]" in str(info.value)
+
+
+@pytest.mark.parametrize("set_args, expr_args, message", [
+    (("mermin_star", 7), ("ineq9", 5),
+     "expression on set mermin_star n=5 cannot be evaluated on set mermin_star (dimension 128)"),
+    (("ks18",), ("chsh8",),
+     "expression on set peres_mermin cannot be evaluated on set ks18 (dimension 4)"),
+], ids=["star_n5_on_n7", "peres_mermin_on_ks18"])
+def test_expression_is_evaluated_only_on_its_own_set(set_args, expr_args, message):
+    # Every n = 5 star label also names an operator of the n = 7 set, so
+    # without the set check ineq9 at n = 5 certifies there as constant 1.
+    obs, expr = build_set(*set_args), catalog_get(*expr_args)
+    state = maximally_mixed(obs.dim)
+    for run in (lambda: certify_state_independence(obs, expr),
+                lambda: evaluate_inequality(state, obs, expr),
+                lambda: max_quantum_value(obs, expr),
+                lambda: haar_sweep(obs, expr, 2, 1),
+                lambda: run_protocol(state, obs, expr, 2, 1)):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
+    # The protocol checks its shot cap first.
+    with pytest.raises(ResourceLimitError):
+        run_protocol(state, obs, expr, MAX_SHOTS + 1, 1)
 
 
 def test_expectation_term_dimension_check(ks18_obs):

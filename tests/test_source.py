@@ -14,7 +14,8 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ctxkit").glob("
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by a module-level import that the module never reads
-    and does not list in ``__all__``."""
+    and does not list in a literal ``__all__``.  A computed ``__all__``
+    (``sorted(...)``) marks no name as used."""
     tree = ast.parse(source)
     bound = set()
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -23,7 +24,7 @@ def unused_imports(source: str) -> list[str]:
             bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound |= {alias.asname or alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign) and any(
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= set(ast.literal_eval(node.value))
@@ -42,6 +43,8 @@ def test_scan_finds_unused_imports():
         "    return numpy.linalg.norm(pi)\n"
     )
     assert unused_imports(source) == ["os", "osp"]
+    computed = source.replace("__all__ = ['tau']", "__all__ = sorted({'tau': 0})")
+    assert unused_imports(computed) == ["os", "osp", "tau"]
 
 
 def test_every_package_module_is_scanned():
@@ -54,9 +57,10 @@ def test_module_imports_are_used(path):
 
 
 def test_star_import_binds_exactly_all():
-    # A name left in __all__ after it leaves its module breaks the star
-    # import, and unused_imports counts that string as used.  The package
-    # resolves exactly the names of __all__, each from one module.
+    # A name left in _EXPORTS after it leaves its module breaks the star
+    # import.  The package resolves exactly the names of __all__, each
+    # from one module: the sum catches a name listed under two modules,
+    # which _MODULE_OF alone would hide.
     assert len(set(ctxkit.__all__)) == len(ctxkit.__all__)
     assert sorted(ctxkit._MODULE_OF) == sorted(ctxkit.__all__)
     assert sum(map(len, ctxkit._EXPORTS.values())) == len(ctxkit.__all__)
