@@ -30,12 +30,12 @@ _EXPORTS = {
     "linalg": ("as_ket",),
     "observables": (
         "ObservableSet", "build_ks18", "build_mermin_star", "build_peres_mermin", "build_set",
-        "compatible",
+        "compatible", "context_product",
     ),
     "parity": ("ColorabilityResult", "ParityStats", "ks_colorable", "parity_stats"),
     "quantum": (
-        "Certificate", "bell_operator", "certify_state_independence", "context_product",
-        "evaluate_inequality", "haar_sweep", "max_quantum_value",
+        "Certificate", "bell_operator", "certify_state_independence", "evaluate_inequality",
+        "haar_sweep", "max_quantum_value",
     ),
     "runtime": ("substream",),
     "simulate": (

@@ -170,9 +170,11 @@ def specialize(
 
 def absorb_sign_flip(expr: InequalityExpr, label: str) -> InequalityExpr:
     """Relabel one observable by its negation: every term containing the
-    label has its sign flipped (the label itself stays in place)."""
+    label has its sign flipped (the label itself stays in place).  A
+    label the expression does not hold raises UnknownLabelError naming
+    the label and the expression."""
     if label not in expr.labels:
-        raise UnknownLabelError(label)
+        raise UnknownLabelError(f"unknown label {label!r}, not in expression {expr.id}")
     return replace(
         expr,
         terms=tuple(

@@ -28,14 +28,17 @@ exactly when it is constructed, and it freezes what it checked, so no
 set with an unchecked context exists.  ``build_ks18`` also returns the
 rays themselves, read-only, next to the set.  ``label_group`` is the one
 check of a group of distinct labels, ``incidence`` the one map from a
-label to the groups that hold it, ``compatible_expansions`` the one
-check that a group of labels can be measured jointly, and
-``check_own_set`` the one check that an expression is on the set.
+label to the groups that hold it, ``ObservableSet.expansion`` the one
+lookup of a label, ``compatible_expansions`` the one check that a group
+of labels can be measured jointly, ``term_expansions`` the one gate from
+an expression on the set to its terms' operators, and
+``context_product`` the sign of a context's product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
@@ -176,7 +179,9 @@ class ObservableSet:
         try:
             return self.observables[label]
         except KeyError:
-            raise UnknownLabelError(label) from None
+            raise UnknownLabelError(
+                f"unknown label {label!r}, not in set {self.set_id} (dimension {self.dim})"
+            ) from None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -218,16 +223,32 @@ def family_name(set_id: str, n: int | None) -> str:
     return set_id if n is None else f"{set_id} n={n}"
 
 
-def check_own_set(obs: ObservableSet, expr) -> None:
-    """An expression is measured only on its own set: ``obs`` has the
-    expression's ``set_id`` and, when the expression has an ``n``,
-    dimension 2^n (ValueError naming both otherwise).  Only those two
-    fields of ``expr`` are read."""
+def term_expansions(obs: ObservableSet, expr) -> list[list[np.ndarray]]:
+    """The one gate from an expression to its operators: each term's
+    ``compatible_expansions``, in order, once ``obs`` is checked to be the
+    expression's own set: its ``set_id`` and, when the expression has an
+    ``n``, dimension 2^n (ValueError naming both otherwise)."""
     if expr.set_id != obs.set_id or (expr.n is not None and obs.dim != 2**expr.n):
         raise ValueError(
             f"expression on set {family_name(expr.set_id, expr.n)} cannot be evaluated "
             f"on set {obs.set_id} (dimension {obs.dim})"
         )
+    return [compatible_expansions(obs, term.factors) for term in expr.terms]
+
+
+def context_product(obs: ObservableSet, context) -> int:
+    """Sign s with product(context operators) = s*1 exactly.
+
+    Raises ValueError when the context is not distinct labels
+    (``label_group``), IncompatibleContextError for non-commuting labels
+    and ValueError when the product is not proportional to the identity.
+    """
+    labels = label_group(context, "context")
+    prod = reduce(multiply, compatible_expansions(obs, labels), IDENTITY)
+    for s in (1, -1):
+        if np.array_equal(prod, combine([(s, IDENTITY)])):
+            return s
+    raise ValueError(f"product over context {labels} is not proportional to identity")
 
 
 def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...], ...]]:

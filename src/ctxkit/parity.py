@@ -8,7 +8,9 @@ admit); it takes a set whose contexts are bases, as the 18-ray set's are.
 even number of contexts, the product of all context outcome products is
 forced to +1 for any fixed +-1 assignment, while quantum mechanics gives
 (-1)^(number of minus-identity contexts), each computed exactly from the
-observables; an odd number of minus-identity contexts is a contradiction.
+observables' Pauli expansions (``observables.context_product``, so no
+state or Bell operator is built); an odd number of minus-identity
+contexts is a contradiction.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import ObservableSet, incidence
-from .quantum import context_product
+from .observables import ObservableSet, context_product, incidence
 from .solver import decode, label_masks, lex_first_max
 
 

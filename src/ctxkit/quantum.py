@@ -14,9 +14,9 @@ compiles B once and applies it once per block of
 ``SWEEP_BLOCK_ENTRIES`` complex entries, and every value equals
 ``evaluate_inequality`` on that state alone bit for bit.
 
-Every product of factors goes through ``observables.compatible_expansions``:
-factors inside one declared context were checked to commute when the set
-was built, and any other group is checked pairwise when used.
+Every Bell operator is built from ``observables.term_expansions``, the
+one gate from an expression on its own set to the jointly measurable
+factors of each term.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .linalg import (
     multiply,
     tables,
 )
-from .observables import ObservableSet, check_own_set, compatible_expansions, label_group
+from .observables import ObservableSet, term_expansions
 from .runtime import _checked, _integer
 from .states import haar_kets
 
@@ -51,10 +51,6 @@ MAX_STATES = 10**6
 # sweep's peak memory where one ket at a time had it (2**12 entries
 # raised it by 0.3-0.5 MB), while per-block calls cost little per ket.
 SWEEP_BLOCK_ENTRIES = 2**10
-
-
-def _product(obs: ObservableSet, labels: tuple[str, ...]) -> np.ndarray:
-    return reduce(multiply, compatible_expansions(obs, labels), IDENTITY)
 
 
 def _real(value) -> float:
@@ -79,10 +75,10 @@ def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityE
 
 
 def _bell(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
-    """The Bell operator's expansion, of an expression on its own set
-    (``check_own_set``), checked Hermitian exactly."""
-    check_own_set(obs, expr)
-    total = combine((term.sign, _product(obs, term.factors)) for term in expr.terms)
+    """The Bell operator's expansion (``term_expansions``), checked
+    Hermitian exactly."""
+    products = (reduce(multiply, e, IDENTITY) for e in term_expansions(obs, expr))
+    total = combine((term.sign, prod) for term, prod in zip(expr.terms, products))
     if not np.array_equal(adjoint(total), total):
         raise NumericError("Bell operator is not Hermitian")
     return total
@@ -114,21 +110,6 @@ def certify_state_independence(obs: ObservableSet, expr: InequalityExpr) -> Cert
     return Certificate(
         quantum_constant=constant, residual=residual, state_independent=residual == 0.0
     )
-
-
-def context_product(obs: ObservableSet, context) -> int:
-    """Sign s with product(context operators) = s*1 exactly.
-
-    Raises ValueError when the context is not distinct labels
-    (``label_group``), IncompatibleContextError for non-commuting labels
-    and ValueError when the product is not proportional to the identity.
-    """
-    labels = label_group(context, "context")
-    prod = _product(obs, labels)
-    for s in (1, -1):
-        if np.array_equal(prod, combine([(s, IDENTITY)])):
-            return s
-    raise ValueError(f"product over context {labels} is not proportional to identity")
 
 
 def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> float:

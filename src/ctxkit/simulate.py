@@ -32,11 +32,12 @@ a branch that holds shots.  A branch probability further than
 inside that tolerance is clamped.  More than ``MAX_SHOTS`` shots raise
 ResourceLimitError before any draw, and before the state is certified;
 so does, checked after the shot cap, an expression on another set
-(ValueError from ``observables.check_own_set``, ``run_protocol`` only)
-and a term or context that is not jointly measurable
-(IncompatibleContextError from ``observables.compatible_expansions``),
-and a seed outside [0, 2^64) (ValueError, ``runtime``'s coordinate
-rule), checked after those, even when no term draws.
+(ValueError, ``run_protocol`` only) and a term or context that is not
+jointly measurable (IncompatibleContextError), both from the one gate
+``observables.term_expansions`` or ``compatible_expansions``, and a
+seed outside [0, 2^64) (ValueError, ``runtime``'s coordinate rule),
+checked after those, even when no term draws.  The state is certified
+last, even for an expression with no terms.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
-from .observables import ObservableSet, check_own_set, compatible_expansions, label_tuple
+from .observables import ObservableSet, compatible_expansions, label_tuple, term_expansions
 from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, _integer, substream
 
 _P_FLOOR = 1e-12
@@ -222,15 +223,16 @@ def run_protocol(
     are the ``simulate`` command's results in order, with the command's
     ``--state`` echoed after ``inequality``.  ``lhs_stderr`` is the
     root-sum-square of the terms' ``stderr`` (independent subensembles).
-    After the shot cap, the expression is checked to be on ``obs``
-    (``check_own_set``) and then every term jointly measurable, before
-    any term's work; the seed is checked next, by the first term, before
-    the state is certified.
+    After the shot cap, ``term_expansions`` checks that the expression is
+    on ``obs`` and every term jointly measurable, before any term's work;
+    the seed is checked next, and then the state is certified: by each
+    term, or here when the expression has no terms.
     """
     _check_shots(shots_per_term)
-    check_own_set(obs, expr)
-    for term in expr.terms:
-        compatible_expansions(obs, term.factors)
+    term_expansions(obs, expr)
+    _checked(seed)
+    if not expr.terms:
+        factor(state, obs.dim)
     estimates = [
         estimate_term(state, obs, term, shots_per_term, seed, term_index=t)
         for t, term in enumerate(expr.terms)

@@ -72,6 +72,13 @@ INPUTS = {
     "ineq4.json": expr_to_json(catalog_get("ineq4")),
     "subs.json": {"P16": -1, "P26": -1, "P36": -1},
     "subs-float.json": {"P16": -1.0},
+    # Substitution values that are not the integer 1 or -1, and a file
+    # that is not a JSON object.
+    "subs-fraction.json": {"P16": -1.9},
+    "subs-one-float.json": {"P16": 1.0},
+    "subs-bool.json": {"P16": True},
+    "subs-str.json": {"P16": "1"},
+    "subs-list.json": [["P16", -1]],
     "subs-unknown.json": {"P99": 1},
     "set-unknown.json": {"id": "x", "set_id": "foo", "bound": None,
                          "terms": [{"sign": 1, "factors": ["P14"]}]},
@@ -84,6 +91,9 @@ INPUTS = {
     # One term that draws nothing, so no substream call would see the seed.
     "const.json": {"id": "const", "set_id": "peres_mermin", "bound": None,
                    "terms": [{"sign": 1, "factors": []}]},
+    # No terms at all, as when specialize substitutes every label.
+    "empty.json": {"id": "empty", "set_id": "peres_mermin", "bound": None, "terms": []},
+    "dm-trace0.json": {"kind": "dm", "dim": 4, "entries": [[0, 0]] * 16},
     "mermin11-n3.json": expr_to_json(catalog_get("mermin11", 3)),
     # An n that the file's set refuses: any n on peres_mermin, past the cap on the star.
     "chsh8-n3.json": {**expr_to_json(catalog_get("chsh8")), "n": 3},

@@ -206,6 +206,13 @@ def test_absorb_sign_flip():
         absorb_sign_flip(expr, "P35")
 
 
+@pytest.mark.parametrize("label", ["P35", "Q9"], ids=["substituted", "in_no_set"])
+def test_absorb_sign_flip_names_the_label_and_the_expression(label):
+    with pytest.raises(UnknownLabelError) as info:
+        absorb_sign_flip(catalog_get("chsh8"), label)
+    assert info.value.args == (f"unknown label {label!r}, not in expression chsh8",)
+
+
 def test_json_round_trip():
     expr = catalog_get("chsh8")
     data = expr_to_json(expr)

@@ -26,13 +26,14 @@ from ctxkit.observables import (
     build_set,
     compatible,
     compatible_expansions,
+    context_product,
     incidence,
     set_contexts,
     set_labels,
 )
-from ctxkit.quantum import context_product, evaluate_inequality
+from ctxkit.quantum import evaluate_inequality
 from ctxkit.runtime import substream
-from ctxkit.simulate import estimate_term, sequential_measure
+from ctxkit.simulate import estimate_term, run_protocol, sequential_measure
 from ctxkit.solver import label_masks
 from ctxkit.states import singlet
 
@@ -143,6 +144,24 @@ def test_one_commutation_rule_names_set_labels_and_pairs(pm_obs, measure):
         "peres_mermin: labels ('P14', 'P25') cannot be measured jointly, "
         "non-commuting pairs [('P14', 'P25')]"
     )
+
+
+Q9 = InequalityExpr(id="x", set_id="peres_mermin", terms=(Term(1, ("Q9",)),), bound=None)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda obs: evaluate_inequality(singlet(), obs, Q9),
+    lambda obs: run_protocol(singlet(), obs, Q9, 2, seed=1),
+    lambda obs: estimate_term(singlet(), obs, Q9.terms[0], 2, seed=1),
+    lambda obs: sequential_measure(singlet(), obs, ("Q9",), substream(1, 1)),
+    lambda obs: context_product(obs, ("P14", "Q9")),
+], ids=["evaluate_inequality", "run_protocol", "estimate_term", "sequential_measure",
+        "context_product"])
+def test_one_label_lookup_names_the_label_and_the_set(pm_obs, measure):
+    # Every label group reaches its operators through ObservableSet.expansion.
+    with pytest.raises(UnknownLabelError) as info:
+        measure(pm_obs)
+    assert info.value.args == ("unknown label 'Q9', not in set peres_mermin (dimension 4)",)
 
 
 def test_observable_set_freezes_its_contexts():

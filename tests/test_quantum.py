@@ -6,12 +6,11 @@ from ctxkit import quantum, states
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
 from ctxkit.linalg import MAX_DENSE_DIM, pauli
-from ctxkit.observables import ObservableSet, build_set, compatible_expansions
+from ctxkit.observables import ObservableSet, build_set, compatible_expansions, context_product
 from ctxkit.quantum import (
     MAX_STATES,
     bell_operator,
     certify_state_independence,
-    context_product,
     evaluate_inequality,
     haar_sweep,
     max_quantum_value,

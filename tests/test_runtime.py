@@ -180,7 +180,7 @@ LOADED = {
     "quantum --inequality cfrh6 --state singlet": (QUANTUM_MODULES, False),
     "maxval --inequality kcbs3": (QUANTUM_MODULES, False),
     "certify --inequality ineq1": ({"ctxkit.solver", *QUANTUM_MODULES}, False),
-    "colorability": ({"ctxkit.parity", "ctxkit.solver", *QUANTUM_MODULES}, False),
+    "colorability": ({"ctxkit.parity", "ctxkit.solver"}, False),
     "simulate --inequality kcbs3 --state singlet --shots 5 --seed 1":
         ({"ctxkit.simulate", *STATE_MODULES}, True),
     "sweep --inequality ineq4 --states 3 --seed 1": (QUANTUM_MODULES, True),

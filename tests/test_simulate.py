@@ -11,7 +11,7 @@ import pytest
 from dense_oracle import ket_density, ray_operator, star_operators
 from ctxkit import linalg, quantum, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
-from ctxkit.inequalities import InequalityExpr, Term, catalog_get
+from ctxkit.inequalities import InequalityExpr, Term, catalog_get, specialize
 from ctxkit.linalg import expand, pauli
 from ctxkit.observables import KS18_CONTEXTS, KS18_RAYS, ObservableSet, build_set
 from ctxkit.runtime import substream
@@ -256,6 +256,21 @@ def test_a_bad_seed_is_refused_before_any_work(pm_obs, ks18_obs, work_calls, see
             run()
     assert work_calls == {"factor": 0, "substream": 0}
 
+
+
+def test_an_expression_with_no_terms_checks_the_seed_then_the_state(pm_obs):
+    # No term is left to check them once specialize substitutes every label.
+    empty, dropped = specialize(catalog_get("ineq4"), dict.fromkeys(pm_obs.labels, 1))
+    assert (empty.terms, dropped) == ((), 4)
+    trace_zero = np.zeros((4, 4))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"^seed must fit in an unsigned 64-bit integer, "
+                                             f"got {seed}$"):
+            run_protocol(trace_zero, pm_obs, empty, 2, seed)
+    with pytest.raises(ValueError, match=r"^density matrix trace 0j is not 1$"):
+        run_protocol(trace_zero, pm_obs, empty, 2, 1)
+    report = run_protocol(singlet(), pm_obs, empty, 2, 1)
+    assert (report.terms, report.lhs_estimate, report.lhs_stderr) == ((), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("shots", [10.0, True, "10"], ids=["float", "bool", "str"])

@@ -1,6 +1,7 @@
 """Source hygiene the test suite can check without a linter: every
-module-level import of the package is used by its module, and the
-package's star import binds exactly its ``__all__``."""
+import of the package, at module level or at the top of a function, is
+used where it is bound, and the package's star import binds exactly its
+``__all__``."""
 
 import ast
 from pathlib import Path
@@ -13,22 +14,28 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ctxkit").glob("
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by a module-level import that the module never reads
-    and does not list in a literal ``__all__``.  A computed ``__all__``
-    (``sorted(...)``) marks no name as used."""
+    """Names bound by an import in the body of the module, or of a
+    function, that the module, or that function, never reads.  A
+    module's literal ``__all__`` marks its names as read; a computed
+    ``__all__`` (``sorted(...)``) marks none."""
     tree = ast.parse(source)
-    bound = set()
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound |= {alias.asname or alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
-    return sorted(bound - used)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = []
+    for scope in (tree, *functions):
+        bound = set()
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        for node in scope.body:
+            if isinstance(node, ast.Import):
+                bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused += bound - used
+    return sorted(unused)
 
 
 def test_scan_finds_unused_imports():
@@ -42,9 +49,14 @@ def test_scan_finds_unused_imports():
         "    import json\n"
         "    return numpy.linalg.norm(pi)\n"
     )
-    assert unused_imports(source) == ["os", "osp"]
+    assert unused_imports(source) == ["json", "os", "osp"]
     computed = source.replace("__all__ = ['tau']", "__all__ = sorted({'tau': 0})")
-    assert unused_imports(computed) == ["os", "osp", "tau"]
+    assert unused_imports(computed) == ["json", "os", "osp", "tau"]
+    # An import in a function is read in that function, not elsewhere.
+    used_in_f = source.replace("return numpy", "return json, numpy")
+    assert unused_imports(used_in_f) == ["os", "osp"]
+    elsewhere = used_in_f.replace("import json\n", "pass\n") + "def g():\n    import json\n"
+    assert unused_imports(elsewhere) == ["json", "os", "osp"]
 
 
 def test_every_package_module_is_scanned():
