@@ -20,9 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .families import incidence
 from .inequalities import InequalityExpr, Term, catalog_get
 from .linalg import row_norms
-from .observables import ObservableSet, build_set, incidence
+from .observables import ObservableSet, build_set
 from .quantum import bell_operator
 from .runtime import ASCENT_LANE, _checked, substream
 from .states import paper_kcbs_product

@@ -20,8 +20,9 @@ import time
 from dataclasses import asdict
 
 # Only what argument parsing and _resolve_inequality need is imported at
-# module level; each handler imports the modules it runs, so a command
-# loads no others.
+# module level, and none of it loads numpy; each handler imports the
+# modules it runs, so a command loads no others, and `bound` and
+# `specialize` never build a set.
 from . import __version__
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import (
@@ -33,7 +34,6 @@ from .inequalities import (
     read_json,
     specialize,
 )
-from .observables import ObservableSet, build_set
 
 
 def _resolve_inequality(ineq: str, n: int | None) -> InequalityExpr:
@@ -47,13 +47,21 @@ def _resolve_inequality(ineq: str, n: int | None) -> InequalityExpr:
     raise ValueError(f"unknown inequality {ineq!r} (not a catalog id or readable file)")
 
 
-def _resolve_state(state: str, obs: ObservableSet):
+def _resolve_with_set(args):
+    """The expression of ``--inequality``/``--n`` and its built set."""
+    from .observables import build_set
+
+    expr = _resolve_inequality(args.inequality, args.n)
+    return expr, build_set(expr.set_id, expr.n)
+
+
+def _resolve_state(state: str, dim: int):
     from .states import NAMED_STATES, load_state, make_state
 
     if state in NAMED_STATES:
-        return make_state(state, dim=obs.dim)
+        return make_state(state, dim=dim)
     if os.path.exists(state):
-        return load_state(state, dim=obs.dim)
+        return load_state(state, dim=dim)
     raise ValueError(f"unknown state {state!r} (not a named state or readable file)")
 
 
@@ -78,9 +86,8 @@ def _cmd_bound(args) -> dict:
 def _cmd_quantum(args) -> dict:
     from .quantum import evaluate_inequality
 
-    expr = _resolve_inequality(args.inequality, args.n)
-    obs = build_set(expr.set_id, expr.n)
-    state = _resolve_state(args.state, obs)
+    expr, obs = _resolve_with_set(args)
+    state = _resolve_state(args.state, obs.dim)
     return {"value": evaluate_inequality(state, obs, expr)}
 
 
@@ -88,8 +95,7 @@ def _cmd_certify(args) -> dict:
     from .quantum import certify_state_independence
     from .solver import classical_bound
 
-    expr = _resolve_inequality(args.inequality, args.n)
-    obs = build_set(expr.set_id, expr.n)
+    expr, obs = _resolve_with_set(args)
     cert = certify_state_independence(obs, expr)
     bound = classical_bound(expr).classical_bound
     return {"classical_bound": bound, **asdict(cert), "gap": cert.quantum_constant - bound}
@@ -98,12 +104,12 @@ def _cmd_certify(args) -> dict:
 def _cmd_maxval(args) -> dict:
     from .quantum import max_quantum_value
 
-    expr = _resolve_inequality(args.inequality, args.n)
-    obs = build_set(expr.set_id, expr.n)
+    expr, obs = _resolve_with_set(args)
     return {"max_quantum_value": max_quantum_value(obs, expr)}
 
 
 def _cmd_colorability(args) -> dict:
+    from .observables import build_set
     from .parity import ks_colorable, parity_stats
 
     obs = build_set("ks18")
@@ -113,9 +119,8 @@ def _cmd_colorability(args) -> dict:
 def _cmd_simulate(args) -> dict:
     from .simulate import run_protocol
 
-    expr = _resolve_inequality(args.inequality, args.n)
-    obs = build_set(expr.set_id, expr.n)
-    state = _resolve_state(args.state, obs)
+    expr, obs = _resolve_with_set(args)
+    state = _resolve_state(args.state, obs.dim)
     with _csv_file(args.csv) as fh:
         report = run_protocol(state, obs, expr, args.shots, args.seed)
         if fh:
@@ -134,8 +139,7 @@ def _cmd_simulate(args) -> dict:
 def _cmd_sweep(args) -> dict:
     from .quantum import haar_sweep
 
-    expr = _resolve_inequality(args.inequality, args.n)
-    obs = build_set(expr.set_id, expr.n)
+    expr, obs = _resolve_with_set(args)
     with _csv_file(args.csv) as fh:
         values = haar_sweep(obs, expr, args.states, args.seed)
         if fh:

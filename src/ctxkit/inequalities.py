@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
-from .observables import family_name, label_group, set_contexts, set_labels
+from .families import family_name, label_group, set_contexts, set_labels
 
 # Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
 # full-precision [re, im] pair as json.dumps writes it (at most 227 MB).

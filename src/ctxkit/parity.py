@@ -1,9 +1,11 @@
 """The two contradiction arguments behind the inequalities.
 
-``ks_colorable`` searches every 0/1 assignment to a set's labels, on the
-bound solver's enumeration kernel, for one with exactly one 1 in every
-context (the noncontextual coloring the 18-ray set famously does not
-admit); it takes a set whose contexts are bases, as the 18-ray set's are.
+``ks_colorable`` searches every 0/1 assignment to a set's labels for one
+with exactly one 1 in every context (the noncontextual coloring the
+18-ray set famously does not admit), on the bound solver's bit-sliced
+enumeration kernel with one "exactly one 1" indicator column per
+context; it takes a set whose contexts are bases, as the 18-ray set's
+are.
 ``parity_stats`` exposes the counting argument: with every label in an
 even number of contexts, the product of all context outcome products is
 forced to +1 for any fixed +-1 assignment, while quantum mechanics gives
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .observables import ObservableSet, context_product, incidence
-from .solver import decode, label_masks, lex_first_max
+from .families import incidence
+from .observables import ObservableSet, context_product
+from .solver import decode, label_masks, lex_first_max, mask_bits
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ def ks_colorable(obs: ObservableSet) -> ColorabilityResult:
     Every context must be a basis, ``obs.dim`` labels (ValueError
     otherwise, so the Peres-Mermin set and the star are refused).
     Exhaustive scan on the bound solver's kernel: each 0/1 assignment to
-    the sorted labels scores the number of contexts holding exactly one 1,
-    and the set is colorable when the best score counts every context.
+    the sorted labels counts the contexts holding exactly one 1, and the
+    set is colorable when the best count is every context.
     UNSAT verdicts are therefore proofs, and the witness is the
     lexicographically first coloring (0 < 1).  Raises ResourceLimitError
     past the solver's one limit, ``MAX_SCAN_WORK``, for 2^labels
@@ -46,15 +47,19 @@ def ks_colorable(obs: ObservableSet) -> ColorabilityResult:
     if short := [ctx for ctx in obs.contexts if len(ctx) != obs.dim]:
         raise ValueError(f"{obs.set_id}: context {short[0]} is not a basis of {obs.dim} labels")
     labels = sorted(obs.labels)
-    masks = label_masks(labels, obs.contexts)
+    contexts = [mask_bits(mask) for mask in label_masks(labels, obs.contexts)]
 
-    def score(ks: np.ndarray) -> np.ndarray:
-        hits = np.zeros(len(ks), dtype=np.int64)
-        for mask in masks:
-            hits += np.bitwise_count(ks & mask) == 1
-        return hits
+    def indicators(columns, ones):
+        # A column is in ``twice`` once it has met two 1s, so twice is
+        # within once and their XOR is "exactly one 1".
+        for bits in contexts:
+            once = twice = 0
+            for p in bits:
+                twice |= once & columns[p]
+                once |= columns[p]
+            yield once ^ twice
 
-    best, k = lex_first_max(len(labels), score)
+    best, k = lex_first_max(len(labels), indicators)
     if best == len(obs.contexts):
         return ColorabilityResult(satisfiable=True, witness=decode(k, labels, (0, 1)))
     return ColorabilityResult(satisfiable=False, witness=None)

@@ -47,9 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericError, ResourceLimitError
+from .families import label_tuple
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
-from .observables import ObservableSet, compatible_expansions, label_tuple, term_expansions
+from .observables import ObservableSet, compatible_expansions, term_expansions
 from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, _integer, substream
 
 _P_FLOOR = 1e-12

@@ -4,16 +4,22 @@ the one enumeration kernel behind them.
 Every distinct label in the expression becomes one +-1 variable; the
 maximum of sum(sign * product of values) over all 2^m assignments is the
 noncontextual bound.  ``parity.ks_colorable`` runs the same kernel with
-0/1 values and a different score.
+0/1 values and a different indicator.
 
 Canonical enumeration order: with labels sorted, assignment k (an integer
 in [0, 2^m)) gives label j its upper value (+1, or 1 for a coloring) when
 bit (m-1-j) of k is set and its lower value (-1, or 0) otherwise.
 Ascending k is then exactly lexicographic order over assignment tuples,
-and ``lex_first_max`` scans k in blocks of ``_BLOCK``, scoring a whole
-block at once with vectorized popcounts, and reports the first maximizer
-in that order.  ``label_masks`` and ``decode`` are the only places that
-convention is written.
+and ``lex_first_max`` reports the first maximizer in that order.
+``label_masks`` and ``decode`` are the only places that convention is
+written.
+
+The kernel is bit-sliced on Python ints (Biham, FSE 1997): a block of
+2^16 assignments is one int per bit of k, with bit i standing for
+assignment lo + i, so one integer operation evaluates a whole block.  The
+caller turns those columns into one indicator column per scored group
+(a term's sign, or a context's "exactly one 1"), and the kernel adds the
+indicators with a bit-sliced counter.  No array library is loaded.
 
 Label merging.  Labels with the same term incidence (the tuple of terms
 they appear in) enter the value only through their product, so
@@ -34,19 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .exceptions import ResourceLimitError
+from .families import incidence, label_group
 from .inequalities import InequalityExpr
-from .observables import incidence, label_group
 
 # The one limit on a scan: assignments x scored groups (terms, or
 # contexts for a coloring), counting at least one group.  The kernel
-# scores 2.4-2.9e8 of them per second on a 2-vCPU box, so a scan at the
-# cap (say 2^27 assignments x 32 terms) takes about 15 s; 30 one-label
-# terms (2^30 x 30) would take about two minutes.
+# counts 0.8-1.3e10 of them per second on a 2-vCPU box, so a scan at the
+# cap (say 2^27 assignments x 32 terms) takes 0.3-0.5 s.
 MAX_SCAN_WORK = 1 << 32
-_BLOCK = 1 << 16
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,12 @@ class BoundResult:
     evaluations: int
 
 
-def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.ndarray:
+def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> list[int]:
     """Bitmask of each group of (sorted) labels under the canonical
     convention.  Raises ValueError when a group is not distinct labels
     (``label_group``), and ResourceLimitError, before any mask is built,
     when the scan's work, 2^labels assignments x max(1, groups), is more
-    than ``MAX_SCAN_WORK``; within it a mask fits in a uint64."""
+    than ``MAX_SCAN_WORK``."""
     groups = [label_group(g, "group") for g in groups]
     m, scored = len(labels), max(1, len(groups))
     if (1 << m) * scored > MAX_SCAN_WORK:
@@ -70,7 +73,12 @@ def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> np.nd
             f"{MAX_SCAN_WORK} (2^{MAX_SCAN_WORK.bit_length() - 1})"
         )
     bit = {label: m - 1 - j for j, label in enumerate(labels)}
-    return np.array([sum(1 << bit[f] for f in g) for g in groups], dtype=np.uint64)
+    return [sum(1 << bit[f] for f in g) for g in groups]
+
+
+def mask_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, ascending."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def decode(k: int, labels: Sequence[str], values: tuple[int, int]) -> dict[str, int]:
@@ -79,23 +87,59 @@ def decode(k: int, labels: Sequence[str], values: tuple[int, int]) -> dict[str, 
     return {label: values[(k >> (m - 1 - j)) & 1] for j, label in enumerate(labels)}
 
 
-def _best_in_block(lo: int, hi: int, score: Callable) -> tuple[int, int]:
-    # Reduced to Python ints here, so no block's scores outlive the block.
-    totals = score(np.arange(lo, hi, dtype=np.uint64))
-    i = int(np.argmax(totals))
-    return int(totals[i]), lo + i
+def _bit_column(p: int, b: int) -> int:
+    """Bit p of i for i in [0, 2^b), as one int: runs of 2^p zeros, then
+    2^p ones, doubled up to 2^b bits."""
+    column, width = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+    while width < 1 << b:
+        column |= column << width
+        width <<= 1
+    return column
 
 
-def lex_first_max(m: int, score: Callable[[np.ndarray], np.ndarray]) -> tuple[int, int]:
-    """Largest integer score over the assignments k in [0, 2^m), and the
-    first k that attains it.  ``score`` maps a uint64 array of ks to
-    their integer scores."""
-    total = 1 << m
-    best, best_k = _best_in_block(0, min(_BLOCK, total), score)
-    for lo in range(_BLOCK, total, _BLOCK):
-        value, k = _best_in_block(lo, min(lo + _BLOCK, total), score)
+def _block_max(planes: list[int], ones: int) -> tuple[int, int]:
+    # The largest count, taken one plane at a time from the top, and the
+    # lowest bit among the columns that reach it.
+    best, reach = 0, ones
+    for p in range(len(planes) - 1, -1, -1):
+        if hit := reach & planes[p]:
+            best, reach = best | 1 << p, hit
+    return best, (reach ^ (reach - 1)).bit_length() - 1
+
+
+def lex_first_max(
+    m: int, indicators: Callable[[Sequence[int], int], Iterable[int]]
+) -> tuple[int, int]:
+    """Largest number of indicators that hold at one assignment k in
+    [0, 2^m), and the first k that attains it.
+
+    Bit-sliced: k runs in blocks of 2^``_BLOCK_BITS``, and a block is
+    held as Python ints, one bit per k, bit i standing for k = lo + i.
+    ``indicators(columns, ones)`` is given the block's column of each bit
+    of k (columns[p] has bit i set when bit p of lo + i is) and its
+    all-ones column, and returns one column per indicator.  A ripple-carry
+    counter adds them into count planes, the block's maximum is read off
+    the planes from the top, and a later block replaces the best only on
+    a strictly higher count, so ties go to the first k.
+    """
+    b = min(_BLOCK_BITS, m)
+    ones = (1 << (1 << b)) - 1
+    low = [_bit_column(p, b) for p in range(b)]
+    best = best_k = -1
+    for lo in range(0, 1 << m, 1 << b):
+        columns = low + [ones if lo >> p & 1 else 0 for p in range(b, m)]
+        planes: list[int] = []
+        for carry in indicators(columns, ones):
+            p = 0
+            while carry:
+                if p == len(planes):
+                    planes.append(carry)
+                    break
+                planes[p], carry = planes[p] ^ carry, planes[p] & carry
+                p += 1
+        value, i = _block_max(planes, ones)
         if value > best:
-            best, best_k = value, k
+            best, best_k = value, lo + i
     return best, best_k
 
 
@@ -111,8 +155,10 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
 
     With the non-last labels at -1, a term's product at assignment k of
     the last labels is (-1)^(|factors| - popcount(k & mask)), so folding
-    sign * (-1)^|factors| into a coefficient leaves
-    value(k) = sum_t coeff_t * (-1)^popcount(k & mask_t).
+    sign * (-1)^|factors| into a coefficient c leaves each term worth
+    c * (-1)^popcount(k & mask), +1 or -1.  Its indicator is the parity
+    of its columns, complemented when c = +1, and with T terms the value
+    is 2 * (indicators that hold) - T.
     """
     labels = expr.labels
     terms_of = incidence(t.factors for t in expr.terms)
@@ -120,21 +166,22 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
     merged = sorted(last.values())
     kept = set(merged)
     masks = label_masks(merged, ([f for f in t.factors if f in kept] for t in expr.terms))
-    coeff = np.array(
-        [t.sign * (-1 if len(t.factors) & 1 else 1) for t in expr.terms], dtype=np.int64
-    )
-    offset = int(coeff.sum())
+    parities = [
+        (mask_bits(mask), t.sign * (-1 if len(t.factors) & 1 else 1) == 1)
+        for mask, t in zip(masks, expr.terms)
+    ]
 
-    def score(ks: np.ndarray) -> np.ndarray:
-        flips = np.zeros(len(ks), dtype=np.int64)
-        for mask, c in zip(masks, coeff):
-            flips += c * (np.bitwise_count(ks & mask) & 1)
-        return offset - 2 * flips
+    def indicators(columns: Sequence[int], ones: int) -> Iterable[int]:
+        for bits, complement in parities:
+            column = ones if complement else 0
+            for p in bits:
+                column ^= columns[p]
+            yield column
 
-    best, best_k = lex_first_max(len(merged), score)
+    best, best_k = lex_first_max(len(merged), indicators)
     values = decode(best_k, merged, (-1, 1))
     return BoundResult(
-        classical_bound=best,
+        classical_bound=2 * best - len(expr.terms),
         witness={label: values.get(label, -1) for label in labels},
         evaluations=1 << len(labels),
     )

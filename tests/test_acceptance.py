@@ -14,8 +14,9 @@ import numpy as np
 
 from ctxkit.calibration import kcbs_calibration
 from ctxkit.cli import main
+from ctxkit.families import KS18_CONTEXTS, set_labels
 from ctxkit.inequalities import absorb_sign_flip, catalog_get, specialize
-from ctxkit.observables import KS18_CONTEXTS, build_set, set_labels
+from ctxkit.observables import build_set
 from ctxkit.parity import ks_colorable, parity_stats
 from ctxkit.quantum import (
     certify_state_independence,

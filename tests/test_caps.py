@@ -1,8 +1,8 @@
 """Cap matrix: each row is one CLI process under a 1 GiB address-space
 limit and a wall budget.  Rows inside the caps run at the star's largest
-size, n = 13, and must exit 0; rows just past a cap must exit 3 at once,
-before anything large is built, and an input that is not a regular file
-must exit 2 at once."""
+size, n = 13, or for a bound at the scan-work cap, and must exit 0; rows
+just past a cap must exit 3 at once, before anything large is built, and
+an input that is not a regular file must exit 2 at once."""
 
 import json
 import os
@@ -14,9 +14,10 @@ import time
 import pytest
 
 import ctxkit
+from ctxkit.families import set_labels
 from ctxkit.inequalities import MAX_INPUT_BYTES
 from ctxkit.linalg import MAX_DENSE_DIM
-from ctxkit.observables import set_labels
+from ctxkit.solver import MAX_SCAN_WORK
 
 GIB = 1 << 30
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
@@ -61,6 +62,26 @@ def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
     rc, report, err, _ = run_capped(argv, budget_s)
     assert rc == 0, err
     assert abs(report["results"][key] - want) <= 1e-9
+
+
+def test_bound_at_the_scan_work_cap_runs_within_a_gib(tmp_path):
+    # 27 of the n = 13 star's labels, each in its own one-label term, and
+    # five three-label terms over the first 15 of them: no two labels
+    # share a term incidence, so 2^27 assignments x 32 terms, all +1, is
+    # exactly the scan-work cap.
+    labels = sorted(set_labels("mermin_star", 13))[:27]
+    groups = [[label] for label in labels] + [labels[i:i + 3] for i in range(0, 15, 3)]
+    assert (1 << len(labels)) * len(groups) == MAX_SCAN_WORK
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({
+        "id": "cap", "set_id": "mermin_star", "n": 13, "bound": None,
+        "terms": [{"sign": 1, "factors": group} for group in groups],
+    }))
+    rc, report, err, _ = run_capped(["bound", "--inequality", str(path)], 5.0)
+    assert rc == 0, err
+    assert report["results"] == {
+        "classical_bound": 32, "witness": dict.fromkeys(labels, 1), "evaluations": 1 << 27,
+    }
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from ctxkit.cli import main
 from ctxkit.exceptions import ResourceLimitError
+from ctxkit.families import KS18_RAYS, PERES_MERMIN_WORDS
 from ctxkit.inequalities import InequalityExpr, expr_from_json
-from ctxkit.observables import KS18_RAYS, PERES_MERMIN_WORDS
 from ctxkit.states import NAMED_STATES, make_state
 
 BOUNDARY_ERRORS = (ValueError, KeyError, ResourceLimitError)

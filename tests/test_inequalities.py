@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ctxkit.calibration import incidence_automorphisms, relabel_expr
 from ctxkit.exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
+from ctxkit.families import KS18_CONTEXTS, set_labels
 from ctxkit.inequalities import (
     CATALOG_IDS,
     InequalityExpr,
@@ -19,7 +20,6 @@ from ctxkit.inequalities import (
     load_expr,
     specialize,
 )
-from ctxkit.observables import KS18_CONTEXTS, set_labels
 from ctxkit.solver import classical_bound
 
 # expr_to_json of every catalog entry, star family at n = 3 and 5, keyed

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import LETTERS, PAULI_X, PAULI_Y, PAULI_Z, ray_operator, word_matrix
 from ctxkit.exceptions import ResourceLimitError
+from ctxkit.families import KS18_RAYS
 from ctxkit.linalg import (
     EXPANSION,
     MAX_DENSE_DIM,
@@ -21,7 +22,6 @@ from ctxkit.linalg import (
     pauli,
     tables,
 )
-from ctxkit.observables import KS18_RAYS
 
 
 def test_paulis_are_involutions():

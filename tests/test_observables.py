@@ -18,18 +18,14 @@ from dense_oracle import (
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
 from ctxkit.inequalities import InequalityExpr, Term
 from ctxkit.linalg import combine, expand, pauli
+from ctxkit.families import KS18_CONTEXTS, KS18_RAYS, incidence, set_contexts, set_labels
 from ctxkit.observables import (
-    KS18_CONTEXTS,
-    KS18_RAYS,
     ObservableSet,
     build_mermin_star,
     build_set,
     compatible,
     compatible_expansions,
     context_product,
-    incidence,
-    set_contexts,
-    set_labels,
 )
 from ctxkit.quantum import evaluate_inequality
 from ctxkit.runtime import substream

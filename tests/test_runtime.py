@@ -164,27 +164,30 @@ def test_importing_the_cli_leaves_hashlib_unloaded():
 
 # Modules every command loads: argument parsing and _resolve_inequality.
 CLI_MODULES = {"ctxkit", "ctxkit.cli", "ctxkit.exceptions", "ctxkit.inequalities",
-               "ctxkit.observables", "ctxkit.linalg"}
-STATE_MODULES = {"ctxkit.runtime", "ctxkit.states"}
+               "ctxkit.families"}
+SET_MODULES = {"ctxkit.observables", "ctxkit.linalg"}
+STATE_MODULES = {"ctxkit.runtime", "ctxkit.states", *SET_MODULES}
 QUANTUM_MODULES = {"ctxkit.quantum", *STATE_MODULES}
 
 
 # argv ("": import ctxkit.cli only) -> the ctxkit modules the process
-# loads beyond CLI_MODULES, and whether it loads numpy.random and hashlib.
-# numpy.random raises a process's peak memory by several MB, and hashlib
-# loads OpenSSL; only the commands that draw load them.
+# loads beyond CLI_MODULES, whether it loads numpy, and whether it loads
+# numpy.random and hashlib.  numpy is most of a short command's start and
+# exit, so the commands that build no set (bound, specialize) never load
+# it; numpy.random raises a process's peak memory by several MB, and
+# hashlib loads OpenSSL; only the commands that draw load them.
 LOADED = {
-    "": (set(), False),
-    "bound --inequality ineq1": ({"ctxkit.solver"}, False),
-    "specialize --inequality ineq4 --subs SUBS": ({"ctxkit.solver"}, False),
-    "quantum --inequality cfrh6 --state singlet": (QUANTUM_MODULES, False),
-    "maxval --inequality kcbs3": (QUANTUM_MODULES, False),
-    "certify --inequality ineq1": ({"ctxkit.solver", *QUANTUM_MODULES}, False),
-    "colorability": ({"ctxkit.parity", "ctxkit.solver"}, False),
+    "": (set(), False, False),
+    "bound --inequality ineq1": ({"ctxkit.solver"}, False, False),
+    "specialize --inequality ineq4 --subs SUBS": ({"ctxkit.solver"}, False, False),
+    "quantum --inequality cfrh6 --state singlet": (QUANTUM_MODULES, True, False),
+    "maxval --inequality kcbs3": (QUANTUM_MODULES, True, False),
+    "certify --inequality ineq1": ({"ctxkit.solver", *QUANTUM_MODULES}, True, False),
+    "colorability": ({"ctxkit.parity", "ctxkit.solver", *SET_MODULES}, True, False),
     "simulate --inequality kcbs3 --state singlet --shots 5 --seed 1":
-        ({"ctxkit.simulate", *STATE_MODULES}, True),
-    "sweep --inequality ineq4 --states 3 --seed 1": (QUANTUM_MODULES, True),
-    "calibrate --seed 0": ({"ctxkit.calibration", *QUANTUM_MODULES}, True),
+        ({"ctxkit.simulate", *STATE_MODULES}, True, True),
+    "sweep --inequality ineq4 --states 3 --seed 1": (QUANTUM_MODULES, True, True),
+    "calibrate --seed 0": ({"ctxkit.calibration", *QUANTUM_MODULES}, True, True),
 }
 
 
@@ -200,9 +203,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv.split()) == 0, argv\n"
         "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'ctxkit'),\n"
-        "                  'numpy.random' in sys.modules, 'hashlib' in sys.modules]))\n"
+        "                  'numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
+        "                  'hashlib' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    modules, draws = LOADED[argv]
-    assert json.loads(proc.stdout) == [sorted(CLI_MODULES | modules), draws, draws]
+    modules, numpy, draws = LOADED[argv]
+    assert json.loads(proc.stdout) == [sorted(CLI_MODULES | modules), numpy, draws, draws]

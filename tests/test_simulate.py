@@ -11,9 +11,10 @@ import pytest
 from dense_oracle import ket_density, ray_operator, star_operators
 from ctxkit import linalg, quantum, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
+from ctxkit.families import KS18_CONTEXTS, KS18_RAYS
 from ctxkit.inequalities import InequalityExpr, Term, catalog_get, specialize
 from ctxkit.linalg import expand, pauli
-from ctxkit.observables import KS18_CONTEXTS, KS18_RAYS, ObservableSet, build_set
+from ctxkit.observables import ObservableSet, build_set
 from ctxkit.runtime import substream
 from ctxkit.simulate import (
     MAX_SHOTS,

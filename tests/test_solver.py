@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_scan_work_cap(monkeypatch):
 def test_label_masks_refuse_a_repeated_label(monkeypatch):
     # A repeat would carry its bit into one that belongs to no label; the
     # group is refused before any scan, even one past the caps.
-    assert solver.label_masks(["a", "b", "c"], [("a", "b"), ("c",)]).tolist() == [6, 1]
+    assert solver.label_masks(["a", "b", "c"], [("a", "b"), ("c",)]) == [6, 1]
     with pytest.raises(ValueError, match=r"group \('a', 'a'\) repeats a label"):
         solver.label_masks(["a", "b", "c"], [("a", "a")])
     monkeypatch.setattr(solver, "MAX_SCAN_WORK", 1)
@@ -164,9 +165,78 @@ def test_label_masks_refuse_a_repeated_label(monkeypatch):
 
 def test_label_masks_refuse_a_string_group():
     # "ab" would be read as the group (a, b), mask 3.
-    assert solver.label_masks(["a", "b"], [["a", "b"]]).tolist() == [3]
+    assert solver.label_masks(["a", "b"], [["a", "b"]]) == [3]
     with pytest.raises(ValueError, match="sequence of str"):
         solver.label_masks(["a", "b"], ["ab"])
+
+
+def random_formula(rng, m, depth=3):
+    """A random predicate on the m bits of k, as a nested tuple: a bit
+    ("bit", p), a constant ("const", b), or not/and/or/xor of formulas."""
+    if m == 0 or rng.random() < 0.1:
+        return ("const", rng.random() < 0.5)
+    if depth == 0 or rng.random() < 0.3:
+        return ("bit", rng.randrange(m))
+    op = rng.choice(["not", "and", "or", "xor"])
+    args = [random_formula(rng, m, depth - 1) for _ in range(1 if op == "not" else 2)]
+    return (op, *args)
+
+
+def formula_column(formula, columns, ones):
+    """The formula on a block, through the kernel's bit columns."""
+    op, *args = formula
+    if op == "const":
+        return ones if args[0] else 0
+    if op == "bit":
+        return columns[args[0]]
+    a, *rest = (formula_column(f, columns, ones) for f in args)
+    if op == "not":
+        return ones ^ a
+    return {"and": a & rest[0], "or": a | rest[0], "xor": a ^ rest[0]}[op]
+
+
+def formula_holds(formula, k):
+    """The formula at one k, bit by bit."""
+    op, *args = formula
+    if op == "const":
+        return args[0]
+    if op == "bit":
+        return bool(k >> args[0] & 1)
+    a, *rest = (formula_holds(f, k) for f in args)
+    if op == "not":
+        return not a
+    return {"and": a and rest[0], "or": a or rest[0], "xor": a != rest[0]}[op]
+
+
+def brute_lex_first_max(m, formulas):
+    counts = [sum(formula_holds(f, k) for f in formulas) for k in range(1 << m)]
+    best = max(counts)
+    return best, counts.index(best)
+
+
+def test_kernel_matches_brute_force_argmax(monkeypatch):
+    # Blocks of 4 assignments, so from m = 3 on the scan spans many
+    # blocks and most bits of k are constant within a block.
+    monkeypatch.setattr(solver, "_BLOCK_BITS", 2)
+    rng = random.Random(35)
+    for m in range(11):
+        for _ in range(12):
+            formulas = [random_formula(rng, m) for _ in range(rng.randrange(10))]
+            got = solver.lex_first_max(
+                m, lambda columns, ones: [formula_column(f, columns, ones) for f in formulas]
+            )
+            assert got == brute_lex_first_max(m, formulas), (m, formulas)
+
+
+def test_kernel_ties_go_to_the_first_k(monkeypatch):
+    monkeypatch.setattr(solver, "_BLOCK_BITS", 2)
+    # No indicators: every k counts 0, and the first is 0.
+    assert solver.lex_first_max(5, lambda columns, ones: []) == (0, 0)
+    # bit0 and not bit1 and bit2 == bit3 holds at k = 1 (block 0) and at
+    # k = 13 (block 3): the later block's equal count does not replace it.
+    def one_and_thirteen(columns, ones):
+        return [columns[0] & (ones ^ columns[1]) & (ones ^ columns[2] ^ columns[3])]
+    assert solver.lex_first_max(4, one_and_thirteen) == (1, 1)
 
 
 def test_witness_is_lex_first_across_blocks():
