@@ -50,8 +50,8 @@ def ks_colorable(obs: ObservableSet) -> ColorabilityResult:
     contexts = [mask_bits(mask) for mask in label_masks(labels, obs.contexts)]
 
     def indicators(columns, ones):
-        # A column is in ``twice`` once it has met two 1s, so twice is
-        # within once and their XOR is "exactly one 1".
+        # A bit of ``twice`` is set once its assignment has met two 1s,
+        # so twice lies within once and their XOR is "exactly one 1".
         for bits in contexts:
             once = twice = 0
             for p in bits:
