@@ -16,6 +16,9 @@ from importlib import import_module
 # The module that defines each public name: the one list of them, which
 # ``__all__`` holds sorted.
 _EXPORTS = {
+    "bell": (
+        "Certificate", "QuantumMaximum", "certify_state_independence", "max_quantum_value",
+    ),
     "calibration": (
         "CalibrationReport", "incidence_automorphisms", "kcbs_calibration", "relabel_expr",
     ),
@@ -33,10 +36,7 @@ _EXPORTS = {
         "compatible", "context_product",
     ),
     "parity": ("ColorabilityResult", "ParityStats", "ks_colorable", "parity_stats"),
-    "quantum": (
-        "Certificate", "bell_operator", "certify_state_independence", "evaluate_inequality",
-        "haar_sweep", "max_quantum_value",
-    ),
+    "quantum": ("bell_operator", "evaluate_inequality", "haar_sweep"),
     "runtime": ("substream",),
     "simulate": (
         "EstimateReport", "MarginalReport", "MeasurementRecord", "TermEstimate",

@@ -21,8 +21,9 @@ from dataclasses import asdict
 
 # Only what argument parsing and _resolve_inequality need is imported at
 # module level, and none of it loads numpy; each handler imports the
-# modules it runs, so a command loads no others, and `bound` and
-# `specialize` never build a set.
+# modules it runs, so a command loads no others: `bound` and
+# `specialize` never build a set, and `certify`, `colorability` and
+# `maxval` (but for its dense fallback) run on the exact Pauli layer.
 from . import __version__
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import (
@@ -92,7 +93,7 @@ def _cmd_quantum(args) -> dict:
 
 
 def _cmd_certify(args) -> dict:
-    from .quantum import certify_state_independence
+    from .bell import certify_state_independence
     from .solver import classical_bound
 
     expr, obs = _resolve_with_set(args)
@@ -102,10 +103,10 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_maxval(args) -> dict:
-    from .quantum import max_quantum_value
+    from .bell import max_quantum_value
 
     expr, obs = _resolve_with_set(args)
-    return {"max_quantum_value": max_quantum_value(obs, expr)}
+    return asdict(max_quantum_value(obs, expr))
 
 
 def _cmd_colorability(args) -> dict:

@@ -86,6 +86,7 @@ PERES_MERMIN_CONTEXTS: tuple[tuple[str, ...], ...] = (
 )
 
 MERMIN_STAR_MAX_QUBITS = 13
+FAMILY_IDS = ("ks18", "peres_mermin", "mermin_star")
 
 
 def label_tuple(labels) -> tuple[str, ...]:
@@ -140,9 +141,7 @@ def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...],
             return KS18_RAYS, KS18_CONTEXTS
         return PERES_MERMIN_WORDS, PERES_MERMIN_CONTEXTS
     if set_id != "mermin_star":
-        raise UnknownLabelError(
-            f"unknown set_id {set_id!r}, not one of ks18, peres_mermin, mermin_star"
-        )
+        raise UnknownLabelError(f"unknown set_id {set_id!r}, not one of {', '.join(FAMILY_IDS)}")
     if n is None or n < 3 or n % 2 == 0:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
     if n > MERMIN_STAR_MAX_QUBITS:

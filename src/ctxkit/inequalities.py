@@ -15,8 +15,10 @@ defined the way Cabello (arXiv:0808.2456) derives them, by two tables:
 
 ``CATALOG_IDS`` is their ids, the context sums first.
 
-Term compatibility is not checked here: the quantum side checks every
-term it measures (``observables.compatible_expansions``).  Every JSON input
+An expression on one of the three families checks its n and labels
+against the family when it is built.  Term compatibility is not checked
+here: the quantum side checks every term it measures
+(``observables.compatible_expansions``).  Every JSON input
 file, here and in ``states`` and the CLI, is read by ``read_json``.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .exceptions import ResourceLimitError, UnknownInequalityError, UnknownLabelError
-from .families import family_name, label_group, set_contexts, set_labels
+from .families import FAMILY_IDS, family_name, label_group, set_contexts, set_labels
 
 # Holds a density-matrix file at linalg.MAX_DENSE_DIM with every entry a
 # full-precision [re, im] pair as json.dumps writes it (at most 227 MB).
@@ -60,11 +62,25 @@ class Term:
 
 @dataclass(frozen=True)
 class InequalityExpr:
+    """A signed sum of terms on one set.  When ``set_id`` is a family id
+    (``families.FAMILY_IDS``), construction checks that n suits the
+    family (ValueError, or ResourceLimitError past the star's cap) and
+    that every label is in its universe (UnknownLabelError naming the
+    label and the set); any other ``set_id`` names a caller's own set."""
+
     id: str
     set_id: str
     terms: tuple[Term, ...]
     bound: int | None
     n: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.set_id in FAMILY_IDS:
+            universe = set(set_labels(self.set_id, self.n))
+            if unknown := [f for f in self.labels if f not in universe]:
+                raise UnknownLabelError(
+                    f"unknown label {unknown[0]!r}, not in set {family_name(self.set_id, self.n)}"
+                )
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -116,13 +132,6 @@ def catalog_get(id: str, n: int | None = None) -> InequalityExpr:
     raise UnknownInequalityError(id)
 
 
-def _unknown_label(source: str, label: str, set_id: str, n: int | None) -> UnknownLabelError:
-    """The error for a label outside its set, naming the input it came from."""
-    return UnknownLabelError(
-        f"{source}: unknown label {label!r}, not in set {family_name(set_id, n)}"
-    )
-
-
 def specialize(
     expr: InequalityExpr, subs: Mapping[str, int], source: str = "substitution"
 ) -> tuple[InequalityExpr, int]:
@@ -139,7 +148,9 @@ def specialize(
     universe = set(set_labels(expr.set_id, expr.n))
     for label, value in subs.items():
         if label not in universe:
-            raise _unknown_label(source, label, expr.set_id, expr.n)
+            raise UnknownLabelError(
+                f"{source}: unknown label {label!r}, not in set {family_name(expr.set_id, expr.n)}"
+            )
         parse_sign(value, f"substitution for {label}")
 
     new_terms = []
@@ -272,21 +283,15 @@ def expr_from_json(data: Mapping, source: str = "inequality JSON") -> Inequality
             raise ValueError(f"inequality {what} must be a JSON string, got {value!r}")
     if not isinstance(raw_terms, list):
         raise ValueError(f"inequality terms must be a list, got {raw_terms!r}")
+    terms = tuple(_term_from_json(t) for t in raw_terms)
     bound, n = data.get("bound"), data.get("n")
-    expr = InequalityExpr(
-        id=id_,
-        set_id=set_id,
-        terms=tuple(_term_from_json(t) for t in raw_terms),
-        bound=None if bound is None else parse_int(bound, "bound"),
-        n=None if n is None else parse_int(n, "n"),
-    )
+    bound = None if bound is None else parse_int(bound, "bound")
+    n = None if n is None else parse_int(n, "n")
     try:
-        universe = set(set_labels(set_id, expr.n))
-    except (UnknownLabelError, ValueError, ResourceLimitError) as exc:  # the set_id or n
+        set_labels(set_id, n)  # a caller's own set_id is refused here
+        return InequalityExpr(id=id_, set_id=set_id, terms=terms, bound=bound, n=n)
+    except (UnknownLabelError, ValueError, ResourceLimitError) as exc:  # set_id, n or a label
         raise type(exc)(f"{source}: {exc.args[0]}") from None
-    if unknown := [f for f in expr.labels if f not in universe]:
-        raise _unknown_label(source, unknown[0], set_id, expr.n)
-    return expr
 
 
 def load_expr(path: str) -> InequalityExpr:

@@ -1,14 +1,11 @@
-"""Exact Pauli expansions of observables, and state certification.
+"""The numeric half of the operator layer: expansions compiled into
+arrays, and state certification.
 
-An observable is a read-only record array of ``EXPANSION`` terms
-(x, z, c), each c * X^x Z^z with qubit 1 in the masks' top bit, sorted
-by (x, z) with distinct masks and nonzero c: equal operators are equal
-arrays.  X^x1 Z^z1 X^x2 Z^z2 = (-1)^|z1 & x2| X^(x1^x2) Z^(z1^z2) and
-dyadic coefficients keep the algebra exact.  ``tables`` compiles an
-expansion for one dimension into the one form every consumer reads:
+``tables`` compiles an exact Pauli expansion (``pauli.Expansion``) for
+one dimension into the one form every state-side consumer reads:
 ``apply`` multiplies a 2-D operand, a factor or a block of kets, by it,
-and ``dense`` (only for the eigensolver and the 4x4 calibration) and
-``max_entry`` read the same tables.
+and ``dense`` (only for the eigensolver and the 4x4 calibration) reads
+the same tables.
 
 A state is a ket (1-D complex vector) or a density matrix, checked
 within 1e-9.  ``checked_state`` is the one rule for a state array, and
@@ -24,61 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ResourceLimitError
+from .pauli import Expansion
 
 STRUCT_TOL = 1e-9
 KET_NORM_SLACK = 1e-6
 MAX_DENSE_DIM = 2**11
-
-EXPANSION = np.dtype([("x", np.uint64), ("z", np.uint64), ("c", np.complex128)])
-
-
-def _collect(terms) -> np.ndarray:
-    """The expansion of a sum of (x, z, c) terms: equal masks merged,
-    zero coefficients dropped."""
-    acc: dict[tuple[int, int], complex] = {}
-    for x, z, c in terms:
-        acc[x, z] = acc.get((x, z), 0) + c
-    out = np.array([(x, z, c) for (x, z), c in sorted(acc.items()) if c != 0], dtype=EXPANSION)
-    out.flags.writeable = False
-    return out
-
-
-def pauli(word: str) -> np.ndarray:
-    """The expansion of a Pauli word over "IXYZ", qubit 1 first (Y = iXZ).
-    The empty word is the identity in every dimension."""
-    x = z = ys = 0
-    for ch in word:
-        if ch not in "IXYZ":
-            raise ValueError(f"Pauli word {word!r} has a letter outside IXYZ")
-        x = (x << 1) | (ch in "XY")
-        z = (z << 1) | (ch in "YZ")
-        ys += ch == "Y"
-    return _collect([(x, z, 1j**ys)])
-
-
-IDENTITY = pauli("")
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The expansion of the operator product a b."""
-    return _collect(
-        (xa ^ xb, za ^ zb, -ca * cb if (za & xb).bit_count() & 1 else ca * cb)
-        for xa, za, ca in a.tolist()
-        for xb, zb, cb in b.tolist()
-    )
-
-
-def combine(weighted) -> np.ndarray:
-    """The expansion of sum(w * e) over (weight, expansion) pairs."""
-    return _collect((x, z, w * c) for w, e in weighted for x, z, c in e.tolist())
-
-
-def adjoint(e: np.ndarray) -> np.ndarray:
-    """The expansion of the adjoint: (X^x Z^z)^dagger = (-1)^|x & z| X^x Z^z."""
-    return _collect(
-        (x, z, -c.conjugate() if (x & z).bit_count() & 1 else c.conjugate())
-        for x, z, c in e.tolist()
-    )
 
 
 def _signs(z, j: np.ndarray) -> np.ndarray:
@@ -92,16 +39,17 @@ def check_dense(dim: int, what: str) -> None:
         raise ResourceLimitError(f"{what} of dimension {dim} exceeds the dense cap {MAX_DENSE_DIM}")
 
 
-def tables(e: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def tables(e: Expansion, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The expansion compiled for dimension ``dim``, as (cols, values) of
     shape (terms, dim): X^x Z^z maps |j> to (-1)^|z & j| |j ^ x>, so per
     term, row i of the product takes row i ^ x, times c (-1)^|z & (i ^ x)|."""
-    x, z = (e[f].astype(np.int64)[:, None] for f in "xz")
+    x, z = (np.array([t[f] for t in e], dtype=np.int64).reshape(-1, 1) for f in (0, 1))
+    c = np.array([t[2] for t in e], dtype=complex).reshape(-1, 1)
     cols = np.arange(dim) ^ x
-    return cols, e["c"][:, None] * _signs(z, cols)
+    return cols, c * _signs(z, cols)
 
 
-def dense(e: np.ndarray, dim: int) -> np.ndarray:
+def dense(e: Expansion, dim: int) -> np.ndarray:
     """The read-only dim x dim matrix of an expansion."""
     check_dense(dim, "dense operator")
     cols, values = tables(e, dim)
@@ -124,27 +72,6 @@ def apply(compiled: tuple[np.ndarray, np.ndarray], m: np.ndarray) -> np.ndarray:
         moved = m[c]
         out += np.multiply(v, moved, out=moved)
     return out
-
-
-def max_entry(e: np.ndarray, dim: int) -> float:
-    """Largest |entry| of ``dense(e, dim)``, without a dim x dim array:
-    terms with equal x-masks fill the same entries, others disjoint ones,
-    so one length-dim vector per distinct x-mask holds every entry."""
-    xs, group = np.unique(e["x"], return_inverse=True)
-    out = np.zeros((xs.size, dim), dtype=complex)
-    np.add.at(out, (group[:, None], np.arange(dim)), tables(e, dim)[1])
-    return float(np.abs(out).max(initial=0.0))
-
-
-def expand(matrix) -> np.ndarray:
-    """The expansion of a 2^n x 2^n matrix M:
-    c(x, z) = Tr((X^x Z^z)^dagger M) / d = sum_j (-1)^|z & j| M[j ^ x, j] / d."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or not m.shape[0] == m.shape[1] > 0 or m.shape[0] & (m.shape[0] - 1):
-        raise ValueError(f"matrix must be square with a power-of-two side, got shape {m.shape}")
-    j = np.arange(m.shape[0])
-    coefficients = _signs(j[:, None], j) @ m[j ^ j[:, None], j].T / j.size  # [z, x]
-    return _collect((x, z, c) for (z, x), c in np.ndenumerate(coefficients))
 
 
 def row_norms(kets: np.ndarray) -> np.ndarray:

@@ -9,18 +9,20 @@ which needs no numpy; this module builds their operators:
 * the two-qubit Peres-Mermin square and the n-qubit star (n odd, 3 to
   13): Pauli words.
 
-Every observable is stored as its exact Pauli expansion (``linalg``):
-Pauli words for Peres-Mermin and the star, and multiples of 1/8 for the
-integer rays.  ``ObservableSet`` is the one checked structure for every
-family and for a caller's own sets: it checks its own involutions, that
-each context is distinct labels of the set, and context-wise commutation
-exactly when it is constructed, and it freezes what it checked, so no
-set with an unchecked context exists.  ``build_ks18`` also returns the
-rays themselves, read-only, next to the set.  ``ObservableSet.expansion``
-is the one lookup of a label, ``compatible_expansions`` the one check
-that a group of labels can be measured jointly, ``term_expansions`` the
-one gate from an expression on the set to its terms' operators, and
-``context_product`` the sign of a context's product.
+Every observable is stored as its exact Pauli expansion
+(``pauli.Expansion``): Pauli words for Peres-Mermin and the star, and
+multiples of 1/8 for the integer rays, so nothing here loads numpy.
+``ObservableSet`` is the one checked structure for every family and for
+a caller's own sets: it checks its own involutions, that each context is
+distinct labels of the set, and context-wise commutation exactly when it
+is constructed, and it freezes what it checked, so no set with an
+unchecked context exists.  ``build_ks18`` also returns the rays
+themselves, integer tuples in a read-only mapping, next to the set.
+``ObservableSet.expansion`` is the one lookup of a label,
+``compatible_expansions`` the one check that a group of labels can be
+measured jointly, ``term_expansions`` the one gate from an expression on
+the set to its terms' operators, ``_bell`` an expression's Bell operator
+and ``context_product`` the sign of a context's product.
 """
 
 from __future__ import annotations
@@ -31,11 +33,9 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from .exceptions import IncompatibleContextError, UnknownLabelError
+from .exceptions import IncompatibleContextError, NumericError, UnknownLabelError
 from .families import _family, family_name, label_group
-from .linalg import EXPANSION, IDENTITY, adjoint, combine, expand, multiply, pauli
+from .pauli import IDENTITY, Expansion, adjoint, combine, multiply, pauli, ray
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,19 @@ class ObservableSet:
 
     set_id: str
     dim: int
-    observables: Mapping[str, np.ndarray] = field(repr=False)
+    observables: Mapping[str, Expansion] = field(repr=False)
     contexts: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.dim & (self.dim - 1):
             raise ValueError(f"{self.set_id}: dimension {self.dim} is not a power of two")
         for label, e in self.observables.items():
-            if getattr(e, "dtype", None) != EXPANSION or np.any((e["x"] | e["z"]) >= self.dim):
+            if not isinstance(e, Expansion) or not all(0 <= x | z < self.dim for x, z, _ in e):
                 raise ValueError(f"{self.set_id}: {label} is not an expansion in dim {self.dim}")
         frozen = MappingProxyType({k: combine([(1, e)]) for k, e in self.observables.items()})
         object.__setattr__(self, "observables", frozen)
         for label, e in frozen.items():
-            if not (np.array_equal(adjoint(e), e) and np.array_equal(multiply(e, e), IDENTITY)):
+            if not (adjoint(e) == e and multiply(e, e) == IDENTITY):
                 raise ValueError(f"{self.set_id}: {label} is not a +-1 observable")
         contexts = tuple(label_group(ctx, f"{self.set_id}: context") for ctx in self.contexts)
         object.__setattr__(self, "contexts", contexts)
@@ -76,7 +76,7 @@ class ObservableSet:
                 raise ValueError(f"{self.set_id}: context {ctx} has unknown label {unknown[0]}")
             _check_joint(self, ctx)
 
-    def expansion(self, label: str) -> np.ndarray:
+    def expansion(self, label: str) -> Expansion:
         try:
             return self.observables[label]
         except KeyError:
@@ -93,7 +93,7 @@ def compatible(obs: ObservableSet, a: str, b: str) -> bool:
     """Whether two observables of the set are jointly measurable: their
     expansions commute exactly."""
     ea, eb = obs.expansion(a), obs.expansion(b)
-    return np.array_equal(multiply(ea, eb), multiply(eb, ea))
+    return multiply(ea, eb) == multiply(eb, ea)
 
 
 def _check_joint(obs: ObservableSet, labels: tuple[str, ...]) -> None:
@@ -106,7 +106,7 @@ def _check_joint(obs: ObservableSet, labels: tuple[str, ...]) -> None:
         )
 
 
-def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[np.ndarray]:
+def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[Expansion]:
     """Expansions of labels that must be jointly measurable, in order.
 
     Labels inside one of ``obs.contexts`` need no check here, because
@@ -119,7 +119,7 @@ def compatible_expansions(obs: ObservableSet, labels: tuple[str, ...]) -> list[n
     return expansions
 
 
-def term_expansions(obs: ObservableSet, expr) -> list[list[np.ndarray]]:
+def term_expansions(obs: ObservableSet, expr) -> list[list[Expansion]]:
     """The one gate from an expression to its operators: each term's
     ``compatible_expansions``, in order, once ``obs`` is checked to be the
     expression's own set: its ``set_id`` and, when the expression has an
@@ -142,23 +142,28 @@ def context_product(obs: ObservableSet, context) -> int:
     labels = label_group(context, "context")
     prod = reduce(multiply, compatible_expansions(obs, labels), IDENTITY)
     for s in (1, -1):
-        if np.array_equal(prod, combine([(s, IDENTITY)])):
+        if prod == combine([(s, IDENTITY)]):
             return s
     raise ValueError(f"product over context {labels} is not proportional to identity")
 
 
-def build_ks18() -> tuple[Mapping[str, np.ndarray], ObservableSet]:
-    """The embedded 18-ray set's rays, as a read-only mapping of read-only
-    integer vectors, and its observables A = 2|v><v| - 1."""
-    table, contexts = _family("ks18", None)
-    rays = {label: np.array(v, dtype=np.int64) for label, v in table.items()}
-    for v in rays.values():
-        v.flags.writeable = False
-    observables = {
-        label: expand(2 * np.outer(v, v) / int(v @ v) - np.eye(4)) for label, v in rays.items()
-    }
+def _bell(obs: ObservableSet, expr) -> Expansion:
+    """The Bell operator's expansion, sum(sign * ordered product of the
+    term's ``term_expansions``), checked Hermitian exactly."""
+    products = (reduce(multiply, e, IDENTITY) for e in term_expansions(obs, expr))
+    total = combine((term.sign, prod) for term, prod in zip(expr.terms, products))
+    if adjoint(total) != total:
+        raise NumericError("Bell operator is not Hermitian")
+    return total
+
+
+def build_ks18() -> tuple[Mapping[str, tuple[int, ...]], ObservableSet]:
+    """The embedded 18-ray set's rays, as a read-only mapping of integer
+    tuples, and its observables A = 2|v><v|/|v|^2 - 1."""
+    rays, contexts = _family("ks18", None)
+    observables = {label: ray(v) for label, v in rays.items()}
     obs = ObservableSet(set_id="ks18", dim=4, observables=observables, contexts=contexts)
-    return MappingProxyType(rays), obs
+    return MappingProxyType(dict(rays)), obs
 
 
 def _build_pauli(set_id: str, n: int | None = None) -> ObservableSet:

@@ -1,47 +1,25 @@
-"""Quantum-side evaluation: expectation values, Bell operators,
-state-independence certificates, extremal values, and Haar sweeps.
+"""Quantum-side evaluation: expectation values, the dense Bell operator,
+and Haar sweeps.
 
-The Bell operator B of an expression, sum(sign * ordered product of
-factor observables), is formed exactly as a Pauli expansion; it is the
-one compiled form of the expression.  ``certify_state_independence``
-reads it directly: constant = the identity coefficient, residual =
-max |B - c*1|, certified when the residual is exactly 0.  A state's
-value is Re vdot(K, B K) on its factor K (``linalg.factor``), with B
-compiled once per evaluation (``linalg.tables``) and no dense B; a
-dense B is built only for the eigensolver (the maximal quantum value,
-up to ``linalg.MAX_DENSE_DIM``) and the calibration.  A Haar sweep
-compiles B once and applies it once per block of
+The Bell operator's exact expansion (``observables._bell``) is the one
+compiled form of an expression.  A state's value is Re vdot(K, B K) on
+its factor K (``linalg.factor``), with B compiled once per evaluation
+(``linalg.tables``) and no dense B; a dense B is built only for the
+calibration and ``bell.max_quantum_value``'s eigensolver fallback.  A
+Haar sweep compiles B once and applies it once per block of
 ``SWEEP_BLOCK_ENTRIES`` complex entries, and every value equals
 ``evaluate_inequality`` on that state alone bit for bit.
-
-Every Bell operator is built from ``observables.term_expansions``, the
-one gate from an expression on its own set to the jointly measurable
-factors of each term.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .exceptions import NumericError, ResourceLimitError
 from .inequalities import InequalityExpr
-from .linalg import (
-    IDENTITY,
-    STRUCT_TOL,
-    adjoint,
-    apply,
-    as_kets,
-    combine,
-    dense,
-    factor,
-    max_entry,
-    multiply,
-    tables,
-)
-from .observables import ObservableSet, term_expansions
+from .linalg import STRUCT_TOL, apply, as_kets, dense, factor, tables
+from .observables import ObservableSet, _bell
+from .pauli import Expansion
 from .runtime import _checked, _integer
 from .states import haar_kets
 
@@ -61,7 +39,7 @@ def _real(value) -> float:
     return value.real
 
 
-def _value(k: np.ndarray, bell: np.ndarray) -> float:
+def _value(k: np.ndarray, bell: Expansion) -> float:
     """<B> in the state K K^dagger: Re Tr(K^dagger B K) = Re vdot(K, B K)."""
     return _real(np.vdot(k, apply(tables(bell, len(k)), k)))
 
@@ -74,50 +52,9 @@ def evaluate_inequality(state: np.ndarray, obs: ObservableSet, expr: InequalityE
     return _value(factor(state, obs.dim), bell)
 
 
-def _bell(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
-    """The Bell operator's expansion (``term_expansions``), checked
-    Hermitian exactly."""
-    products = (reduce(multiply, e, IDENTITY) for e in term_expansions(obs, expr))
-    total = combine((term.sign, prod) for term, prod in zip(expr.terms, products))
-    if not np.array_equal(adjoint(total), total):
-        raise NumericError("Bell operator is not Hermitian")
-    return total
-
-
 def bell_operator(obs: ObservableSet, expr: InequalityExpr) -> np.ndarray:
     """sum(sign * ordered product of factor operators), read-only dense."""
     return dense(_bell(obs, expr), obs.dim)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    quantum_constant: float
-    residual: float
-    state_independent: bool
-
-
-def certify_state_independence(obs: ObservableSet, expr: InequalityExpr) -> Certificate:
-    """Whether the Bell operator is a constant multiple of the identity.
-
-    quantum_constant = identity coefficient; residual = max-magnitude
-    entry of B - quantum_constant*1, exact, so a state-independent
-    expression (residual 0) takes ``quantum_constant`` in every state.
-    """
-    bell = _bell(obs, expr)
-    identity = (bell["x"] == 0) & (bell["z"] == 0)
-    constant = float(bell["c"][identity].sum().real)
-    residual = max_entry(bell[~identity], obs.dim)
-    return Certificate(
-        quantum_constant=constant, residual=residual, state_independent=residual == 0.0
-    )
-
-
-def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> float:
-    """Largest eigenvalue of the Bell operator (the maximal quantum value
-    of the expression over all states), by dense Hermitian eigensolver.
-    ``dense`` raises ResourceLimitError past ``linalg.MAX_DENSE_DIM``
-    before building anything."""
-    return float(np.linalg.eigvalsh(bell_operator(obs, expr))[-1])
 
 
 def haar_sweep(

@@ -143,6 +143,21 @@ def lex_first_max(
     return best, best_k
 
 
+def parity_max(m: int, parities: Sequence[tuple[Sequence[int], bool]]) -> tuple[int, int]:
+    """``lex_first_max`` over parity indicators: (bits, complement) holds
+    at k when the XOR of k's bits at positions ``bits`` is 1, or 0 when
+    ``complement``."""
+
+    def indicators(columns: Sequence[int], ones: int) -> Iterable[int]:
+        for bits, complement in parities:
+            column = ones if complement else 0
+            for p in bits:
+                column ^= columns[p]
+            yield column
+
+    return lex_first_max(m, indicators)
+
+
 def classical_bound(expr: InequalityExpr) -> BoundResult:
     """Exact maximum of the expression over all +-1 label assignments.
 
@@ -170,15 +185,7 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
         (mask_bits(mask), t.sign * (-1 if len(t.factors) & 1 else 1) == 1)
         for mask, t in zip(masks, expr.terms)
     ]
-
-    def indicators(columns: Sequence[int], ones: int) -> Iterable[int]:
-        for bits, complement in parities:
-            column = ones if complement else 0
-            for p in bits:
-                column ^= columns[p]
-            yield column
-
-    best, best_k = lex_first_max(len(merged), indicators)
+    best, best_k = parity_max(len(merged), parities)
     values = decode(best_k, merged, (-1, 1))
     return BoundResult(
         classical_bound=2 * best - len(expr.terms),

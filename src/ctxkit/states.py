@@ -20,7 +20,9 @@ imaginary parts, the same numbers as two successive
 
 from __future__ import annotations
 
+import contextlib
 import math
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -140,30 +142,38 @@ _STATE_KEYS = {
 }
 
 
-def _checked_floats(values, what: str):
-    """re, im of each [re, im] pair of finite JSON numbers, in order; a
-    bool, string, bare number or pair of any other length is rejected,
-    not coerced."""
+def _first_bad_pair(values, what: str) -> str:
+    """The message for the first item, in order, that is not an [re, im]
+    pair of finite JSON numbers (a bool, string, bare number or pair of
+    any other length is rejected, not coerced)."""
     for pair in values:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(x) in (int, float) for x in pair)):
-            raise ValueError(f"{what} must be [re, im] pairs of JSON numbers, got {pair!r}")
+            return f"{what} must be [re, im] pairs of JSON numbers, got {pair!r}"
         try:
             re, im = float(pair[0]), float(pair[1])
         except OverflowError:
-            raise ValueError(f"{what} entry {pair!r} is too large") from None
+            return f"{what} entry {pair!r} is too large"
         if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"{what} entry {pair!r} is not finite")
-        yield re
-        yield im
+            return f"{what} entry {pair!r} is not finite"
+    raise AssertionError(f"{what}: no bad pair")
 
 
 def _complex_entries(values, what: str) -> np.ndarray:
-    """A JSON list of [re, im] pairs as complex entries: the checked
-    floats fill one flat float buffer, viewed as complex."""
+    """A JSON list of [re, im] pairs as complex entries: the types are
+    checked in one pass over the items' types and lengths, the floats
+    fill one flat buffer, viewed as complex, and one ``np.isfinite``
+    checks it.  Any failure is named by ``_first_bad_pair``."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of [re, im] pairs, got {values!r}")
-    floats = np.fromiter(_checked_floats(values, what), dtype=float, count=2 * len(values))
+    floats = None
+    if (all(issubclass(t, list) for t in set(map(type, values)))
+            and set(map(len, values)) <= {2}
+            and set(map(type, chain.from_iterable(values))) <= {int, float}):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            floats = np.fromiter(chain.from_iterable(values), dtype=float, count=2 * len(values))
+    if floats is None or not np.isfinite(floats).all():
+        raise ValueError(_first_bad_pair(values, what))
     return floats.view(complex)
 
 

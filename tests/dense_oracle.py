@@ -1,11 +1,12 @@
 """Dense references the library is tested against: Kronecker-product
 builders of the Peres-Mermin and star observables for n <= 7 qubits, an
-observable's dense matrix, a ket's density matrix, and a term's
-expectation as a trace."""
+observable's dense matrix, a dense matrix's Pauli expansion, a ket's
+density matrix, and a term's expectation as a trace."""
 
 import numpy as np
 
-from ctxkit.linalg import as_ket, dense, factor
+from ctxkit.linalg import _signs, as_ket, dense, factor
+from ctxkit.pauli import combine
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -68,6 +69,18 @@ def ray_operator(v) -> np.ndarray:
     so every entry is exact."""
     v = np.asarray(v, dtype=np.int64)
     return 2 * np.outer(v, v) / int(v @ v) - np.eye(len(v))
+
+
+def expand(matrix):
+    """The Pauli expansion of a 2^n x 2^n matrix M:
+    c(x, z) = Tr((X^x Z^z)^dagger M) / d = sum_j (-1)^|z & j| M[j ^ x, j] / d."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or not m.shape[0] == m.shape[1] > 0 or m.shape[0] & (m.shape[0] - 1):
+        raise ValueError(f"matrix must be square with a power-of-two side, got shape {m.shape}")
+    j = np.arange(m.shape[0])
+    coefficients = _signs(j[:, None], j) @ m[j ^ j[:, None], j].T / j.size  # [z, x]
+    terms = [(int(x), int(z), complex(c)) for (z, x), c in np.ndenumerate(coefficients)]
+    return combine([(1, terms)])
 
 
 def operator(obs, label: str) -> np.ndarray:

@@ -31,14 +31,16 @@ The rows:
   ``simulate``, ``sweep`` and ``calibrate`` runs (2000 shots on a 128 x 128
   state, a 3000-state sweep);
 - exact results: ``bound``, ``specialize``, ``certify`` (star n = 13
-  included), ``quantum`` and ``maxval``;
+  included), ``quantum`` and ``maxval`` (its exact routes up to star
+  n = 13, and its dense route at d = 4);
 - verdicts: ``colorability`` (unsatisfiable, with a parity contradiction);
 - ``--csv`` tables, byte for byte;
 - bad input (exit 2) and resource caps (exit 3), each with its message.
 
-Commands whose stdout depends on the BLAS thread count (``maxval`` from
-512 dimensions up, a ``quantum`` value on a dense random state from 128)
-are left out.
+Commands whose stdout depends on the BLAS thread count (``maxval`` on its
+dense eigensolver route from 512 dimensions up, a ``quantum`` value on a
+dense random state from 128) are left out; ``maxval``'s exact routes
+(a certified constant, or commuting Pauli strings) do not depend on it.
 
 To add a row, add its command line to the corpus with ``{}``, or with its
 ``stderr_contains`` only, and re-record.  Re-recording runs every row
@@ -85,6 +87,16 @@ INPUTS = {
     "label-unknown.json": {"id": "x", "set_id": "peres_mermin", "bound": None,
                            "terms": [{"sign": 1, "factors": ["P14", "Q99"]}]},
     "ket-without-dim.json": {"kind": "ket"},
+    # A state or expression file that lacks one required key.
+    "dm-without-dim.json": {"kind": "dm"},
+    "ket-without-amplitudes.json": {"kind": "ket", "dim": 4},
+    "dm-without-entries.json": {"kind": "dm", "dim": 4},
+    "haar-without-seed.json": {"kind": "haar", "dim": 4},
+    "named-without-name.json": {"kind": "named"},
+    "term-without-factors.json": {"id": "x", "set_id": "peres_mermin", "terms": [{"sign": 1}]},
+    "term-without-sign.json": {"id": "x", "set_id": "peres_mermin",
+                               "terms": [{"factors": ["P14"]}]},
+    "expr-without-terms.json": {"id": "x", "set_id": "peres_mermin"},
     # One term whose factors do not commute.
     "pair.json": {"id": "pair", "set_id": "peres_mermin", "bound": None,
                   "terms": [{"sign": 1, "factors": ["P14", "P25"]}]},
@@ -98,6 +110,10 @@ INPUTS = {
     # An n that the file's set refuses: any n on peres_mermin, past the cap on the star.
     "chsh8-n3.json": {**expr_to_json(catalog_get("chsh8")), "n": 3},
     "ineq9-n15.json": {**expr_to_json(catalog_get("ineq9", 5)), "n": 15},
+    # X and Z on qubit 1 of the n = 13 star anticommute, so only the
+    # dense eigensolver can take this expression's maximum.
+    "xz-n13.json": {"id": "xz", "set_id": "mermin_star", "n": 13, "bound": None,
+                    "terms": [{"sign": 1, "factors": ["B1"]}, {"sign": 1, "factors": ["C1"]}]},
 }
 
 FIELDS = ("exit", "stdout", "stderr_contains", "csv")

@@ -12,18 +12,14 @@ import time
 
 import numpy as np
 
+from ctxkit.bell import certify_state_independence, max_quantum_value
 from ctxkit.calibration import kcbs_calibration
 from ctxkit.cli import main
 from ctxkit.families import KS18_CONTEXTS, set_labels
 from ctxkit.inequalities import absorb_sign_flip, catalog_get, specialize
 from ctxkit.observables import build_set
 from ctxkit.parity import ks_colorable, parity_stats
-from ctxkit.quantum import (
-    certify_state_independence,
-    evaluate_inequality,
-    haar_sweep,
-    max_quantum_value,
-)
+from ctxkit.quantum import evaluate_inequality, haar_sweep
 from ctxkit.runtime import substream
 from ctxkit.simulate import marginal_consistency, run_protocol, sequential_measure
 from ctxkit.solver import classical_bound
@@ -113,7 +109,8 @@ def test_criterion_4_named_state_spot_checks(capfd):
     singlet_val = evaluate_inequality(make_state("singlet", dim=4), pm, catalog_get("cfrh6"))
     yplus_val = evaluate_inequality(make_state("y_plus_pair", dim=4), pm, catalog_get("nambu7"))
     zero_val = evaluate_inequality(make_state("zero_product", dim=4), ks, catalog_get("kcbs3"))
-    star_max = max_quantum_value(build_set("mermin_star", 3), catalog_get("mermin11", 3))
+    star_max = max_quantum_value(
+        build_set("mermin_star", 3), catalog_get("mermin11", 3)).max_quantum_value
     checks = [
         abs(singlet_val - 5.0) <= 1e-9,
         abs(yplus_val - 6.0) <= 1e-9,

@@ -10,7 +10,7 @@ from ctxkit.calibration import (
     relabel_expr,
 )
 from ctxkit.inequalities import catalog_get
-from ctxkit.linalg import pauli
+from ctxkit.pauli import pauli
 from ctxkit.observables import ObservableSet
 from ctxkit.quantum import bell_operator, evaluate_inequality
 from ctxkit.runtime import substream

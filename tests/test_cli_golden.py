@@ -10,8 +10,9 @@ benchmark's tiny workloads, ``calibrate`` over nine seeds, 2000-shot
 resource caps (exit 3) with their JSON error on stderr.
 
 Rows whose stdout depends on the BLAS thread count are not in the corpus
-(``maxval`` from 512 dimensions up, ``quantum`` on a dense random state
-from 128); this file checks the corpus at the default thread count, and
+(``maxval`` on its dense eigensolver route from 512 dimensions up,
+``quantum`` on a dense random state from 128); this file checks the
+corpus at the default thread count, and
 CI's ``--check`` run with one BLAS thread, so a row that does depend on
 it fails there.  A few larger commands, outside the corpus, are compared
 at one and two BLAS threads in subprocesses.
@@ -85,21 +86,24 @@ def test_compare_reports_each_planted_fault(inputs_dir, monkeypatch):
     "quantum --inequality mermin11 --n 13 --state ghz",
     "quantum --inequality mermin11 --n 13 --state HAAR_FILE",
     "sweep --inequality mermin11 --n 13 --states 8 --seed 1",
+    "maxval --inequality mermin11 --n 9",
 ], ids=["simulate_haar_n13", "simulate_ghz_n13", "sweep_n9", "simulate_dm_n7", "quantum_ghz_n13",
-        "quantum_haar_n13", "sweep_n13"])
+        "quantum_haar_n13", "sweep_n13", "maxval_n9"])
 def test_stdout_does_not_depend_on_blas_threads(argv, tmp_path):
     """Each command prints the same bytes with one and with two OpenBLAS
     threads, set only in the child's environment.  The largest ket size,
     2^13, is checked with state-dependent values too: on a Haar-random
     ket file and over a seeded Haar sweep.
 
-    Two outputs are known to differ and are not tested here: ``maxval
-    --inequality mermin11 --n 9`` prints 4.000000000000011 at one thread
-    and 4.000000000000006 at two (the dense eigensolver), and ``quantum
-    --inequality mermin11 --n 7`` on a random d = 128 dm file moves in its
-    last digits (-0.021846844051311307 against -0.021846844051311286 for
-    one such file), because the value is read through the density
-    matrix's eigendecomposition.
+    ``maxval --inequality mermin11 --n 9`` takes the exact commuting
+    route and prints 4.0 at both; on the dense eigensolver route it
+    printed 4.000000000000011 at one thread and 4.000000000000006 at two.
+    Two outputs are known to differ and are not tested here: ``maxval`` on
+    its dense route from 512 dimensions up, and ``quantum --inequality
+    mermin11 --n 7`` on a random d = 128 dm file, which moves in its last
+    digits (-0.021846844051311307 against -0.021846844051311286 for one
+    such file), because the value is read through the density matrix's
+    eigendecomposition.
     """
     haar = tmp_path / "haar.json"
     haar.write_text(json.dumps({"kind": "haar", "dim": 8192, "seed": 3}))

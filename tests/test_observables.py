@@ -8,6 +8,7 @@ from dense_oracle import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    expand,
     kron_all,
     operator,
     peres_mermin_operators,
@@ -17,7 +18,7 @@ from dense_oracle import (
 
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError, UnknownLabelError
 from ctxkit.inequalities import InequalityExpr, Term
-from ctxkit.linalg import combine, expand, pauli
+from ctxkit.pauli import combine, pauli
 from ctxkit.families import KS18_CONTEXTS, KS18_RAYS, incidence, set_contexts, set_labels
 from ctxkit.observables import (
     ObservableSet,
@@ -94,8 +95,8 @@ def test_operators_are_frozen(ks18_obs, pm_obs):
         op = operator(obs, obs.labels[0])
         with pytest.raises(ValueError):
             op[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            obs.expansion(obs.labels[0])["c"] = 5.0
+        with pytest.raises(TypeError):
+            obs.expansion(obs.labels[0])[0] = (0, 0, 5.0)
 
 
 def test_observable_set_checks_contexts_at_construction(pm_obs):
@@ -142,7 +143,9 @@ def test_one_commutation_rule_names_set_labels_and_pairs(pm_obs, measure):
     )
 
 
-Q9 = InequalityExpr(id="x", set_id="peres_mermin", terms=(Term(1, ("Q9",)),), bound=None)
+# An expression on a family refuses a label outside it when it is built,
+# so the lookup is seen on a caller's own copy of the square.
+Q9 = InequalityExpr(id="x", set_id="own", terms=(Term(1, ("Q9",)),), bound=None)
 
 
 @pytest.mark.parametrize("measure", [
@@ -155,9 +158,10 @@ Q9 = InequalityExpr(id="x", set_id="peres_mermin", terms=(Term(1, ("Q9",)),), bo
         "context_product"])
 def test_one_label_lookup_names_the_label_and_the_set(pm_obs, measure):
     # Every label group reaches its operators through ObservableSet.expansion.
+    own = ObservableSet("own", pm_obs.dim, dict(pm_obs.observables), pm_obs.contexts)
     with pytest.raises(UnknownLabelError) as info:
-        measure(pm_obs)
-    assert info.value.args == ("unknown label 'Q9', not in set peres_mermin (dimension 4)",)
+        measure(own)
+    assert info.value.args == ("unknown label 'Q9', not in set own (dimension 4)",)
 
 
 def test_observable_set_freezes_its_contexts():
@@ -212,9 +216,9 @@ def test_ks18_rays_are_read_only(ks18_rays):
         ks18_rays["A12"] = np.array([1, 0, 0, 0])
     with pytest.raises(TypeError):
         del ks18_rays["A12"]
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ks18_rays["A12"][0] = 5
-    assert len(ks18_rays) == 18 and np.array_equal(ks18_rays["A12"], [0, 1, 0, 0])
+    assert len(ks18_rays) == 18 and ks18_rays["A12"] == (0, 1, 0, 0)
 
 
 def test_observable_set_rejects_non_involutions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctxkit.exceptions import ResourceLimitError
-from ctxkit.linalg import combine, pauli
+from ctxkit.pauli import combine, pauli
 from ctxkit.observables import ObservableSet
 from ctxkit.parity import ks_colorable, parity_stats
 from ctxkit import solver

@@ -2,19 +2,14 @@ import numpy as np
 import pytest
 
 from dense_oracle import expectation_term, ket_density, operator
-from ctxkit import quantum, states
+from ctxkit import bell, quantum, states
+from ctxkit.bell import QuantumMaximum, certify_state_independence, max_quantum_value
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
-from ctxkit.linalg import MAX_DENSE_DIM, pauli
+from ctxkit.linalg import MAX_DENSE_DIM
 from ctxkit.observables import ObservableSet, build_set, compatible_expansions, context_product
-from ctxkit.quantum import (
-    MAX_STATES,
-    bell_operator,
-    certify_state_independence,
-    evaluate_inequality,
-    haar_sweep,
-    max_quantum_value,
-)
+from ctxkit.pauli import pauli
+from ctxkit.quantum import MAX_STATES, bell_operator, evaluate_inequality, haar_sweep
 from ctxkit.simulate import MAX_SHOTS, run_protocol
 from ctxkit.states import haar_random, maximally_mixed, singlet, y_plus_pair, zero_product
 
@@ -193,40 +188,92 @@ def test_all_context_products_are_exact(pm_obs, ks18_obs, star3_obs):
             assert np.array_equal(prod, s * np.eye(obs.dim))
 
 
+# Each catalog id's route: the state-independent ones are certified
+# constants, the star and Peres-Mermin ids whose terms commute take the
+# GF(2) route, and the rays and CHSH the eigensolver.
+ROUTES = {"ineq1": "constant", "ineq4": "constant", "ineq9": "constant",
+          "cfrh6": "commuting", "nambu7": "commuting", "mermin11": "commuting",
+          "kcbs3": "dense", "chsh8": "dense"}
+
+
 @pytest.mark.parametrize("id_,n", [
     ("ineq1", None), ("kcbs3", None), ("ineq4", None), ("cfrh6", None),
     ("nambu7", None), ("chsh8", None), ("ineq9", 3), ("mermin11", 3),
+    ("ineq9", 5), ("mermin11", 5), ("ineq9", 7), ("mermin11", 7),
 ])
 def test_max_quantum_value_matches_dense_solver(id_, n):
+    # The exact routes against the eigensolver, within its rounding.
     expr = catalog_get(id_, n)
     obs = build_set(expr.set_id, expr.n)
     dense_top = float(np.linalg.eigvalsh(bell_operator(obs, expr))[-1])
-    assert max_quantum_value(obs, expr) == pytest.approx(dense_top, abs=1e-6)
+    top = max_quantum_value(obs, expr)
+    assert top.route == ROUTES[id_]
+    assert abs(top.max_quantum_value - dense_top) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 11, 13])
+def test_exact_routes_are_exact_at_any_star_size(n):
+    # Mermin's 4 and Cabello's 5 exactly, with no eigensolver.
+    for id_, want in (("mermin11", 4.0), ("ineq9", 5.0)):
+        expr = catalog_get(id_, n)
+        top = max_quantum_value(build_set(expr.set_id, n), expr)
+        assert (top.max_quantum_value, top.route) == (want, ROUTES[id_])
+
+
+def test_a_wrong_sign_in_a_basis_rewrite_moves_the_maximum(monkeypatch):
+    # mermin11's four strings have rank 3, so one of them is rewritten as
+    # a product of the other three.  With that sign flipped, the route
+    # reads 2 where the operator's maximum is 4.
+    expr = catalog_get("mermin11", 5)
+    obs = build_set(expr.set_id, expr.n)
+    want = float(np.linalg.eigvalsh(bell_operator(obs, expr))[-1])
+    rewrite = bell._rewrite
+
+    def flipped(*args):
+        return [(-s if len(positions) > 1 else s, positions)
+                for s, positions in rewrite(*args)]
+
+    monkeypatch.setattr(bell, "_rewrite", flipped)
+    top = max_quantum_value(obs, expr)
+    assert top.route == "commuting"
+    assert (top.max_quantum_value, want) == (2.0, pytest.approx(4.0, abs=1e-12))
 
 
 def test_chsh8_reaches_tsirelson(pm_obs):
-    assert max_quantum_value(pm_obs, catalog_get("chsh8")) == pytest.approx(
+    assert max_quantum_value(pm_obs, catalog_get("chsh8")).max_quantum_value == pytest.approx(
         2 * np.sqrt(2), abs=1e-12
     )
-    # Mermin's maximum 4 for the star family, exact to rounding rather
-    # than to a convergence tolerance.
+    # Mermin's maximum 4 for the star family, exactly.
     star = catalog_get("mermin11", 7)
-    assert abs(max_quantum_value(build_set(star.set_id, star.n), star) - 4.0) <= 1e-12
+    assert max_quantum_value(build_set(star.set_id, star.n), star).max_quantum_value == 4.0
 
 
 def test_max_value_dominates_states(ks18_obs):
     expr = catalog_get("kcbs3")
-    top = max_quantum_value(ks18_obs, expr)
+    top = max_quantum_value(ks18_obs, expr).max_quantum_value
     for i in range(5):
         value = evaluate_inequality(haar_random(4, seed=2, index=i), ks18_obs, expr)
         assert value <= top + 1e-6
 
 
-def test_max_value_dimension_cap():
-    hollow = ObservableSet(set_id="big", dim=2 * MAX_DENSE_DIM, observables={}, contexts=())
-    expr = InequalityExpr(id="none", set_id="big", terms=(), bound=None)
-    with pytest.raises(ResourceLimitError):
-        max_quantum_value(hollow, expr)
+def test_max_value_dimension_cap(monkeypatch):
+    # X and Z on one qubit of 12 anticommute, so only the eigensolver can
+    # take this maximum, and it is refused past the dense cap before any
+    # array is built.  (A set with no terms is the constant 0 now.)
+    n = 2 * MAX_DENSE_DIM
+    obs = ObservableSet(set_id="big", dim=n, contexts=(),
+                        observables={"x": pauli("X" + "I" * 11), "z": pauli("Z" + "I" * 11)})
+    expr = InequalityExpr(id="xz", set_id="big", terms=(Term(1, ("x",)), Term(1, ("z",))),
+                          bound=None)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense array past the cap")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ResourceLimitError, match="dense cap"):
+        max_quantum_value(obs, expr)
+    empty = InequalityExpr(id="none", set_id="big", terms=(), bound=None)
+    assert max_quantum_value(obs, empty) == QuantumMaximum(0.0, "constant")
 
 
 def test_haar_sweep_deterministic(ks18_obs):

@@ -165,33 +165,40 @@ def test_importing_the_cli_leaves_hashlib_unloaded():
 # Modules every command loads: argument parsing and _resolve_inequality.
 CLI_MODULES = {"ctxkit", "ctxkit.cli", "ctxkit.exceptions", "ctxkit.inequalities",
                "ctxkit.families"}
-SET_MODULES = {"ctxkit.observables", "ctxkit.linalg"}
-STATE_MODULES = {"ctxkit.runtime", "ctxkit.states", *SET_MODULES}
+SET_MODULES = {"ctxkit.observables", "ctxkit.pauli"}
+EXACT_MODULES = {"ctxkit.bell", "ctxkit.gf2", "ctxkit.solver", *SET_MODULES}
+STATE_MODULES = {"ctxkit.runtime", "ctxkit.states", "ctxkit.linalg", *SET_MODULES}
 QUANTUM_MODULES = {"ctxkit.quantum", *STATE_MODULES}
 
 
 # argv ("": import ctxkit.cli only) -> the ctxkit modules the process
 # loads beyond CLI_MODULES, whether it loads numpy, and whether it loads
 # numpy.random and hashlib.  numpy is most of a short command's start and
-# exit, so the commands that build no set (bound, specialize) never load
-# it; numpy.random raises a process's peak memory by several MB, and
-# hashlib loads OpenSSL; only the commands that draw load them.
+# exit, so the commands that need no state or dense operator (bound,
+# specialize, certify, colorability, and maxval on its exact routes)
+# never load it; numpy.random raises a process's peak memory by several
+# MB, and hashlib loads OpenSSL; only the commands that draw load them.
 LOADED = {
     "": (set(), False, False),
     "bound --inequality ineq1": ({"ctxkit.solver"}, False, False),
     "specialize --inequality ineq4 --subs SUBS": ({"ctxkit.solver"}, False, False),
     "quantum --inequality cfrh6 --state singlet": (QUANTUM_MODULES, True, False),
-    "maxval --inequality kcbs3": (QUANTUM_MODULES, True, False),
-    "certify --inequality ineq1": ({"ctxkit.solver", *QUANTUM_MODULES}, True, False),
-    "colorability": ({"ctxkit.parity", "ctxkit.solver", *SET_MODULES}, True, False),
+    "maxval --inequality kcbs3": ({"ctxkit.linalg", *EXACT_MODULES}, True, False),
+    "maxval --inequality mermin11 --n 7": (EXACT_MODULES, False, False),
+    "certify --inequality ineq1": (EXACT_MODULES, False, False),
+    "colorability": ({"ctxkit.parity", "ctxkit.solver", *SET_MODULES}, False, False),
     "simulate --inequality kcbs3 --state singlet --shots 5 --seed 1":
         ({"ctxkit.simulate", *STATE_MODULES}, True, True),
     "sweep --inequality ineq4 --states 3 --seed 1": (QUANTUM_MODULES, True, True),
     "calibrate --seed 0": ({"ctxkit.calibration", *QUANTUM_MODULES}, True, True),
 }
+# The test id of each argv: its command, or a name of its own where a
+# command has two rows.
+LOADED_IDS = {"": "import", "maxval --inequality mermin11 --n 7": "maxval_exact"}
 
 
-@pytest.mark.parametrize("argv", list(LOADED), ids=lambda argv: argv.split()[0] if argv else "import")
+@pytest.mark.parametrize("argv", list(LOADED),
+                         ids=lambda argv: LOADED_IDS.get(argv) or argv.split()[0])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv):
     subs = tmp_path / "subs.json"
     subs.write_text('{"P16": -1}')

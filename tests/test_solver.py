@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ctxkit.exceptions import ResourceLimitError
 from ctxkit.inequalities import InequalityExpr, Term, absorb_sign_flip, catalog_get
-from ctxkit.linalg import pauli
+from ctxkit.pauli import pauli
 from ctxkit.observables import ObservableSet
 from ctxkit.parity import ks_colorable
 from ctxkit import solver
