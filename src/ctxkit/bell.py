@@ -54,7 +54,7 @@ def certify_state_independence(obs: ObservableSet, expr: InequalityExpr) -> Cert
     expression (residual 0) takes ``quantum_constant`` in every state.
     """
     constant, rest = split_identity(_bell(obs, expr))
-    residual = max_entry(rest, obs.dim)
+    residual = max_entry(rest)
     return Certificate(
         quantum_constant=constant, residual=residual, state_independent=residual == 0.0
     )

@@ -14,6 +14,8 @@ runs here.
 
 from __future__ import annotations
 
+from .gf2 import eliminate
+
 
 class Expansion(tuple):
     """A sorted tuple of (x, z, c) terms (see the module docstring)."""
@@ -106,19 +108,26 @@ def split_identity(e: Expansion) -> tuple[float, Expansion]:
     return 0.0, e
 
 
-def max_entry(e: Expansion, dim: int) -> float:
-    """Largest |entry| of the dim x dim matrix of an expansion: terms with
-    equal x-masks fill the same entries, others disjoint ones, so each
-    distinct x-mask's entries are sum c (-1)^|z & j| over its terms, added
-    in term order, for j in range(dim)."""
+def max_entry(e: Expansion) -> float:
+    """Largest |entry| of the matrix of an expansion: terms with equal
+    x-masks fill the same entries, others disjoint ones, so each distinct
+    x-mask's entries are sum c (-1)^|z & j| over its terms, added in term
+    order.  An entry depends on j only through the parities |z & j| of a
+    basis of the group's z-masks (``gf2.eliminate``), and every pattern of
+    those r parities occurs at some j, so each group's entries are its sums
+    over the 2^r patterns: a term's parity is that of the pattern's bits at
+    the basis masks that XOR to its own."""
     groups: dict[int, list[tuple[int, complex]]] = {}
     for x, z, c in e:
         groups.setdefault(x, []).append((z, c))
     best = 0.0
     for terms in groups.values():
-        for j in range(dim):
+        kept, dependent = eliminate([z for z, _ in terms])
+        at = {i: b for b, i in enumerate(kept)}
+        combos = [sum(1 << at[k] for k in dependent.get(i, [i])) for i in range(len(terms))]
+        for pattern in range(1 << len(kept)):
             entry = 0j
-            for z, c in terms:
-                entry += -c if (z & j).bit_count() & 1 else c
+            for combo, (_, c) in zip(combos, terms):
+                entry += -c if (pattern & combo).bit_count() & 1 else c
             best = max(best, abs(entry))
     return best

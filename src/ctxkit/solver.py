@@ -21,18 +21,16 @@ caller turns those columns into one indicator column per scored group
 (a term's sign, or a context's "exactly one 1"), and the kernel adds the
 indicators with a bit-sliced counter.  No array library is loaded.
 
-Label merging.  Labels with the same term incidence (the tuple of terms
-they appear in) enter the value only through their product, so
-``classical_bound`` scans one variable per such group, named by the
-group's last label in sorted order, and sets every other label of the
-group to -1.  The maximum over the merged variables is the maximum over
-all 2^m assignments, and the witness stays the lexicographically first
-maximizer: flipping a +1 non-last label together with its group's last
-label keeps the value and makes the tuple smaller, so the first
-maximizer has every non-last label at -1, and on that face
-lexicographic order is the canonical order over the last labels.  The
-star inequalities shrink to a fixed number of variables at every n
-(ineq9 to 10, mermin11 to 6).
+Basis scan.  A value depends on an assignment only through its term
+parities, a GF(2)-linear image whose dimension r is the rank of the
+term x label incidence.  ``classical_bound`` walks the sorted labels
+last to first, keeps each one whose column (its terms) is independent
+of the columns kept after it (``gf2.eliminate``), scans those r labels
+and sets the others to -1.  A dropped column is a sum of later kept
+columns, so flipping a +1 dropped label with those labels keeps the
+value and makes the tuple smaller: the first maximizer has every
+dropped label at -1, and on that face lexicographic order is the
+canonical order over the kept labels (ineq9 has 4 at every n).
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .exceptions import ResourceLimitError
-from .families import incidence, label_group
+from .families import label_group
+from .gf2 import eliminate
 from .inequalities import InequalityExpr
 
 # The one limit on a scan: assignments x scored groups (terms, or
@@ -163,33 +162,34 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
 
     Returns the bound, the lexicographically smallest maximizing
     assignment, and the number of assignments covered (2^m).  Raises
-    ResourceLimitError when its scan, 2^(merged variables) x terms, is
-    past ``MAX_SCAN_WORK``, so the label count alone is no limit.  The
-    scan runs over the merged variables described in the module
-    docstring.
+    ResourceLimitError when its basis scan (module docstring), 2^r x
+    terms, is past ``MAX_SCAN_WORK``, so the label count alone is no
+    limit.  Its columns come from a basis of the terms' rows, which keeps
+    their dependencies in r bits a column instead of one bit a term.
 
-    With the non-last labels at -1, a term's product at assignment k of
-    the last labels is (-1)^(|factors| - popcount(k & mask)), so folding
+    With the dropped labels at -1, a term's product at assignment k of
+    the kept labels is (-1)^(|factors| - popcount(k & mask)), so folding
     sign * (-1)^|factors| into a coefficient c leaves each term worth
     c * (-1)^popcount(k & mask), +1 or -1.  Its indicator is the parity
     of its columns, complemented when c = +1, and with T terms the value
     is 2 * (indicators that hold) - T.
     """
     labels = expr.labels
-    terms_of = incidence(t.factors for t in expr.terms)
-    last = {terms_of[label]: label for label in labels}
-    merged = sorted(last.values())
-    kept = set(merged)
-    masks = label_masks(merged, ([f for f in t.factors if f in kept] for t in expr.terms))
+    bit = {label: j for j, label in enumerate(labels)}
+    rows = [sum(1 << bit[f] for f in t.factors) for t in expr.terms]
+    basis = [rows[i] for i in eliminate(rows)[0]]
+    columns = [sum(1 << r for r, row in enumerate(basis) if row >> j & 1) for j in bit.values()]
+    kept = {labels[~i] for i in eliminate(columns[::-1])[0]}
+    scanned = sorted(kept)
+    masks = label_masks(scanned, ([f for f in t.factors if f in kept] for t in expr.terms))
     parities = [
         (mask_bits(mask), t.sign * (-1 if len(t.factors) & 1 else 1) == 1)
         for mask, t in zip(masks, expr.terms)
     ]
-    best, best_k = parity_max(len(merged), parities)
-    values = decode(best_k, merged, (-1, 1))
+    best, best_k = parity_max(len(scanned), parities)
     return BoundResult(
         classical_bound=2 * best - len(expr.terms),
-        witness={label: values.get(label, -1) for label in labels},
+        witness=dict.fromkeys(labels, -1) | decode(best_k, scanned, (-1, 1)),
         evaluations=1 << len(labels),
     )
 

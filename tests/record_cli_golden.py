@@ -114,6 +114,13 @@ INPUTS = {
     # dense eigensolver can take this expression's maximum.
     "xz-n13.json": {"id": "xz", "set_id": "mermin_star", "n": 13, "bound": None,
                     "terms": [{"sign": 1, "factors": ["B1"]}, {"sign": 1, "factors": ["C1"]}]},
+    # Raw bytes, written as they are: JSON too deep for the parser's
+    # recursion, a syntax error, and a file that is not UTF-8.
+    "deep.json": b"[" * 100000 + b"]" * 100000,
+    "deep-amplitudes.json": b'{"kind": "ket", "dim": 4, "amplitudes": '
+                            + b"[" * 100000 + b"]" * 100000 + b"}",
+    "syntax.json": b'{"id":',
+    "not-utf8.json": b"\xff{}",
 }
 
 FIELDS = ("exit", "stdout", "stderr_contains", "csv")
@@ -125,7 +132,8 @@ def load() -> dict[str, dict]:
 
 def write_inputs(directory: Path) -> None:
     for name, content in INPUTS.items():
-        (directory / name).write_text(json.dumps(content), encoding="utf-8")
+        raw = content if isinstance(content, bytes) else json.dumps(content).encode("utf-8")
+        (directory / name).write_bytes(raw)
 
 
 def csv_path(row: str) -> str | None:

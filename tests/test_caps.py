@@ -1,9 +1,11 @@
 """Cap matrix: each row is one CLI process under a 1 GiB address-space
 limit and a wall budget.  Rows inside the caps run at the star's largest
-size, n = 13, or for a bound at the scan-work cap, and must exit 0; rows
-just past a cap must exit 3 at once, before anything large is built, and
-an input that is not a regular file must exit 2 at once."""
+size, n = 13, or for a bound at the scan-work cap or with more labels
+than the cap allows but a small rank, and must exit 0; rows just past a
+cap must exit 3 at once, before anything large is built, and an input
+that is not a regular file must exit 2 at once."""
 
+import itertools
 import json
 import os
 import resource
@@ -15,9 +17,9 @@ import pytest
 
 import ctxkit
 from ctxkit.families import set_labels
-from ctxkit.inequalities import MAX_INPUT_BYTES
+from ctxkit.inequalities import MAX_INPUT_BYTES, expr_from_json
 from ctxkit.linalg import MAX_DENSE_DIM
-from ctxkit.solver import MAX_SCAN_WORK
+from ctxkit.solver import MAX_SCAN_WORK, evaluate_assignment
 
 GIB = 1 << 30
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ctxkit.__file__)))
@@ -66,9 +68,9 @@ def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
 
 def test_bound_at_the_scan_work_cap_runs_within_a_gib(tmp_path):
     # 27 of the n = 13 star's labels, each in its own one-label term, and
-    # five three-label terms over the first 15 of them: no two labels
-    # share a term incidence, so 2^27 assignments x 32 terms, all +1, is
-    # exactly the scan-work cap.
+    # five three-label terms over the first 15 of them: each label's own
+    # term makes the 27 term columns independent (rank 27), so 2^27
+    # assignments x 32 terms, all +1, is exactly the scan-work cap.
     labels = sorted(set_labels("mermin_star", 13))[:27]
     groups = [[label] for label in labels] + [labels[i:i + 3] for i in range(0, 15, 3)]
     assert (1 << len(labels)) * len(groups) == MAX_SCAN_WORK
@@ -82,6 +84,31 @@ def test_bound_at_the_scan_work_cap_runs_within_a_gib(tmp_path):
     assert report["results"] == {
         "classical_bound": 32, "witness": dict.fromkeys(labels, 1), "evaluations": 1 << 27,
     }
+
+
+def test_bound_scans_the_rank_not_the_labels(tmp_path):
+    # All 30 labels of the n = 13 star over 6 terms, with 30 distinct term
+    # incidences: the 6 singletons, the 15 pairs and the first 9 triples.
+    # 2^30 assignments x 6 terms is past the scan-work cap, but the term
+    # columns have rank 6, so the scan is 2^6 x 6.  With rank 6 = terms,
+    # every sign pattern is reachable and the bound is 6.
+    labels = sorted(set_labels("mermin_star", 13))
+    subsets = [c for size in (1, 2, 3) for c in itertools.combinations(range(6), size)][:30]
+    signs = (1, -1, 1, 1, -1, -1)
+    spec = {
+        "id": "rank6", "set_id": "mermin_star", "n": 13, "bound": None,
+        "terms": [{"sign": sign, "factors": [lab for lab, sub in zip(labels, subsets) if t in sub]}
+                  for t, sign in enumerate(signs)],
+    }
+    assert len(labels) == 30 and (1 << 30) * 6 > MAX_SCAN_WORK
+    path = tmp_path / "rank6.json"
+    path.write_text(json.dumps(spec))
+    rc, report, err, _ = run_capped(["bound", "--inequality", str(path)], 1.0)
+    assert rc == 0, err
+    result = report["results"]
+    assert (result["classical_bound"], result["evaluations"]) == (6, 1 << 30)
+    assert sorted(result["witness"]) == labels
+    assert evaluate_assignment(expr_from_json(spec), result["witness"]) == 6
 
 
 @pytest.mark.parametrize("argv", [

@@ -220,40 +220,6 @@ def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
-DEEP = "[" * 100000 + "]" * 100000
-
-
-@pytest.mark.parametrize("argv,text", [
-    (("bound", "--inequality"), DEEP),
-    (("quantum", "--inequality", "chsh8", "--state"),
-     '{"kind": "ket", "dim": 4, "amplitudes": ' + DEEP + "}"),
-    (("specialize", "--inequality", "ineq4", "--subs"), DEEP),
-], ids=["inequality", "ket_amplitudes", "subs"])
-def test_deeply_nested_json_files_exit_2(capsys, tmp_path, argv, text):
-    # Too deep for the JSON parser's recursion: bad input, not a traceback.
-    path = tmp_path / "input.json"
-    path.write_text(text)
-    rc, out, err = run_cli(capsys, *argv, str(path))
-    assert (rc, out) == (2, "")
-    assert json.loads(err)["error"] == {
-        "type": "ValueError", "message": f"{path} nests its JSON too deeply"}
-
-
-@pytest.mark.parametrize("raw,message", [
-    (b'{"id":', "is not valid JSON: Expecting value: line 1 column 7 (char 6)"),
-    (b"\xff{}", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
-                "invalid start byte"),
-], ids=["syntax", "not_utf8"])
-def test_json_files_that_do_not_parse_exit_2_naming_the_path(capsys, tmp_path, raw, message):
-    path = tmp_path / "input.json"
-    path.write_bytes(raw)
-    for argv in (("bound", "--inequality"), ("quantum", "--inequality", "chsh8", "--state"),
-                 ("specialize", "--inequality", "ineq4", "--subs")):
-        rc, out, err = run_cli(capsys, *argv, str(path))
-        assert (rc, out) == (2, "")
-        assert json.loads(err)["error"] == {"type": "ValueError", "message": f"{path} {message}"}
-
-
 def field_names(cls) -> list[str]:
     return [f.name for f in dataclasses.fields(cls)]
 

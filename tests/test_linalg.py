@@ -101,11 +101,11 @@ def test_expand_needs_a_square_power_of_two_matrix(matrix):
 
 def test_max_entry_matches_dense():
     e = combine([(1, pauli("XZ")), (-0.5, pauli("XI")), (0.25j, pauli("YY")), (3, pauli("II"))])
-    assert max_entry(e, 4) == np.abs(dense(e, 4)).max()
+    assert max_entry(e) == np.abs(dense(e, 4)).max()
     # Terms sharing an x-mask add before the magnitude: |1 +- i| = sqrt(2).
     e = combine([(1, pauli("XI")), (1j, pauli("XZ"))])
-    assert max_entry(e, 4) == np.abs(dense(e, 4)).max() == np.abs(1 + 1j)
-    assert max_entry(combine([]), 8) == 0.0
+    assert max_entry(e) == np.abs(dense(e, 4)).max() == np.abs(1 + 1j)
+    assert max_entry(combine([])) == 0.0
 
 
 _WEIGHTS = st.sampled_from([1, -1, 0.5, -0.25, 1j, -0.5j])

@@ -1,5 +1,6 @@
 """The exact, numpy-free layer: Bell expansions against the dense oracle,
-the GF(2) elimination, and an expression's own label check."""
+the GF(2) elimination, the residual against its j-loop oracle, and an
+expression's own label check."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ctxkit.gf2 import eliminate
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
 from ctxkit.linalg import dense
 from ctxkit.observables import _bell, build_set
+from ctxkit.pauli import Expansion, combine, max_entry, split_identity
 from ctxkit.solver import classical_bound
 
 
@@ -53,6 +55,48 @@ def test_eliminate_keeps_a_basis_and_writes_the_rest_in_it(vectors):
     for i, parts in dependent.items():
         assert set(parts) <= set(kept) and all(k < i for k in parts)
         assert _span(vectors, parts) == vectors[i]
+
+
+def max_entry_by_index(e, dim) -> float:
+    """The oracle for ``max_entry``: every entry of each x-group, the sum
+    of c (-1)^|z & j| over its terms in term order, for each j in
+    range(dim)."""
+    groups = {}
+    for x, z, c in e:
+        groups.setdefault(x, []).append((z, c))
+    best = 0.0
+    for terms in groups.values():
+        for j in range(dim):
+            entry = 0j
+            for z, c in terms:
+                entry += -c if (z & j).bit_count() & 1 else c
+            best = max(best, abs(entry))
+    return best
+
+
+@pytest.mark.parametrize("id_,n", [(id_, n) for id_ in CATALOG_IDS
+                                   for n in (range(3, 14, 2) if id_ in STAR_IDS else (None,))])
+def test_residual_equals_the_index_loop(id_, n):
+    # The same sums in the same order, so the same float, not just a
+    # close one.
+    expr = catalog_get(id_, n)
+    obs = build_set(expr.set_id, expr.n)
+    _, rest = split_identity(_bell(obs, expr))
+    assert repr(max_entry(rest)) == repr(max_entry_by_index(rest, obs.dim))
+
+
+_TERMS = st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+    st.integers(0, 1), st.integers(0, 2**n - 1),
+    st.sampled_from([1, -1, 0.5, -3, 1j, -0.5j, 2 + 1j, 0.125 - 0.375j])), max_size=12)))
+
+
+@given(_TERMS)
+def test_max_entry_equals_the_index_loop(case):
+    # Up to 12 terms on up to 4 qubits in at most two x-groups, so a
+    # group's z-masks are often zero or sums of others.
+    n, terms = case
+    e = combine((c, Expansion([(x, z, 1 + 0j)])) for x, z, c in terms)
+    assert repr(max_entry(e)) == repr(max_entry_by_index(e, 2**n))
 
 
 def test_an_expression_checks_its_labels_when_it_is_built():

@@ -165,8 +165,8 @@ def test_importing_the_cli_leaves_hashlib_unloaded():
 # Modules every command loads: argument parsing and _resolve_inequality.
 CLI_MODULES = {"ctxkit", "ctxkit.cli", "ctxkit.exceptions", "ctxkit.inequalities",
                "ctxkit.families"}
-SET_MODULES = {"ctxkit.observables", "ctxkit.pauli"}
-EXACT_MODULES = {"ctxkit.bell", "ctxkit.gf2", "ctxkit.solver", *SET_MODULES}
+SET_MODULES = {"ctxkit.gf2", "ctxkit.observables", "ctxkit.pauli"}
+EXACT_MODULES = {"ctxkit.bell", "ctxkit.solver", *SET_MODULES}
 STATE_MODULES = {"ctxkit.runtime", "ctxkit.states", "ctxkit.linalg", *SET_MODULES}
 QUANTUM_MODULES = {"ctxkit.quantum", *STATE_MODULES}
 
@@ -180,8 +180,8 @@ QUANTUM_MODULES = {"ctxkit.quantum", *STATE_MODULES}
 # MB, and hashlib loads OpenSSL; only the commands that draw load them.
 LOADED = {
     "": (set(), False, False),
-    "bound --inequality ineq1": ({"ctxkit.solver"}, False, False),
-    "specialize --inequality ineq4 --subs SUBS": ({"ctxkit.solver"}, False, False),
+    "bound --inequality ineq1": ({"ctxkit.gf2", "ctxkit.solver"}, False, False),
+    "specialize --inequality ineq4 --subs SUBS": ({"ctxkit.gf2", "ctxkit.solver"}, False, False),
     "quantum --inequality cfrh6 --state singlet": (QUANTUM_MODULES, True, False),
     "maxval --inequality kcbs3": ({"ctxkit.linalg", *EXACT_MODULES}, True, False),
     "maxval --inequality mermin11 --n 7": (EXACT_MODULES, False, False),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -116,7 +117,7 @@ def test_label_cap():
     with pytest.raises(ResourceLimitError):
         classical_bound(catalog_get("ineq9", 15))  # past the star cap (34 labels)
     # The scan work is the only limit on a bound: 40 labels in one term
-    # merge to one variable, a scan of 2 x 1.
+    # have one independent term column (rank 1), a scan of 2 x 1.
     labels = [f"L{i:02d}" for i in range(40)]
     one = InequalityExpr(id="one", set_id="test", terms=(Term(1, tuple(labels)),), bound=None)
     result = classical_bound(one)
@@ -142,7 +143,8 @@ def test_scan_work_cap(monkeypatch):
                           terms=tuple(Term(1, (lab,)) for lab in labels), bound=None)
     with pytest.raises(ResourceLimitError, match="scan-work cap"):
         classical_bound(wide)
-    # 4 merged variables in 4 terms is 2^4 x 4 = 64 units of work.
+    # 4 independent term columns (rank 4) in 4 terms is 2^4 x 4 = 64
+    # units of work.
     four = InequalityExpr(id="four", set_id="test",
                           terms=tuple(Term(1, (lab,)) for lab in labels[:4]), bound=None)
     monkeypatch.setattr(solver, "MAX_SCAN_WORK", 64)
@@ -239,43 +241,79 @@ def test_kernel_ties_go_to_the_first_k(monkeypatch):
     assert solver.lex_first_max(4, one_and_thirteen) == (1, 1)
 
 
-def test_witness_is_lex_first_across_blocks():
-    # 17 labels span two scan blocks.  The maximizers are L0 = L1 = -1
-    # (first block) and L0 = L1 = +1 (second block); the witness must be
+def scan_of_rank(monkeypatch, expr, rank):
+    """The bound of ``expr``, after checking that its scan is over exactly
+    ``rank`` labels: a work cap of 2^rank x terms passes and one less
+    raises."""
+    work = (1 << rank) * len(expr.terms)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "MAX_SCAN_WORK", work - 1)
+        with pytest.raises(ResourceLimitError, match="scan-work cap"):
+            classical_bound(expr)
+        patch.setattr(solver, "MAX_SCAN_WORK", work)
+        return classical_bound(expr)
+
+
+@pytest.mark.parametrize("id_,n,rank", [
+    ("ineq1", None, 8), ("ineq4", None, 5), ("kcbs3", None, 4), ("cfrh6", None, 4),
+    ("nambu7", None, 5), ("chsh8", None, 3), ("ineq9", 3, 4), ("ineq9", 13, 4),
+    ("mermin11", 3, 3), ("mermin11", 13, 3),
+])
+def test_catalog_scans_its_rank(monkeypatch, id_, n, rank):
+    expr = catalog_get(id_, n)
+    assert scan_of_rank(monkeypatch, expr, rank) == classical_bound(expr)
+
+
+def test_witness_is_lex_first_across_blocks(monkeypatch):
+    # 18 labels.  L00 and L01 share the incidence {0}, so L00 is dropped
+    # and the basis, L01 to L17, has 17 labels: two scan blocks.  The
+    # maximizers are L00 = L01 = -1 and L00 = L01 = +1; the witness must be
     # the first in lexicographic order.
-    labels = [f"L{i:02d}" for i in range(17)]
+    labels = [f"L{i:02d}" for i in range(18)]
     terms = (Term(1, (labels[0], labels[1])),) + tuple(Term(1, (lab,)) for lab in labels[2:])
-    result = classical_bound(InequalityExpr(id="two-blocks", set_id="test", terms=terms, bound=None))
-    assert result.classical_bound == 16
+    expr = InequalityExpr(id="two-blocks", set_id="test", terms=terms, bound=None)
+    result = scan_of_rank(monkeypatch, expr, 17)
+    assert result.classical_bound == 17
     assert result.witness == {lab: (-1 if lab in labels[:2] else 1) for lab in labels}
 
 
-def test_merged_witness_past_the_first_block():
-    # 17 labels with 17 distinct term incidences, so nothing merges and
-    # the scan spans two blocks.  L00 = +1 puts every maximizer in the
-    # second block; the triangle L01 L02, L02 L03, L01 L03 is maximal at
-    # all -1 and at all +1, and the witness takes all -1.
-    labels = [f"L{i:02d}" for i in range(17)]
+def test_merged_witness_past_the_first_block(monkeypatch):
+    # 18 labels with 18 distinct term incidences.  The triangle L01 L02,
+    # L02 L03, L01 L03 is dependent (L01's column is the XOR of L02's and
+    # L03's), so L01 is dropped and the basis has 17 labels: two scan
+    # blocks.  L00 = +1 puts every maximizer in the second block; the
+    # triangle is maximal at all -1 and at all +1, and the witness takes
+    # all -1.
+    labels = [f"L{i:02d}" for i in range(18)]
     triangle = ((labels[1], labels[2]), (labels[2], labels[3]), (labels[1], labels[3]))
     terms = ((Term(1, (labels[0],)),) + tuple(Term(1, pair) for pair in triangle)
              + tuple(Term(1, (lab,)) for lab in labels[4:]))
     expr = InequalityExpr(id="second-block", set_id="test", terms=terms, bound=None)
-    result = classical_bound(expr)
-    assert result.classical_bound == 17
+    result = scan_of_rank(monkeypatch, expr, 17)
+    assert result.classical_bound == 18
     assert result.witness == {lab: (-1 if lab in labels[1:4] else 1) for lab in labels}
-    assert result.evaluations == 2**17
+    assert result.evaluations == 2**18
 
 
 @st.composite
 def repeated_incidence_exprs(draw):
     """Expressions whose labels come in groups sharing one term incidence,
-    with the groups' names interleaved in sorted order; a term no group
-    reaches has no factors."""
+    plus single labels whose incidence is the XOR of two or three groups'
+    and equal to no group's, so that their columns are dependent but not
+    repeated; the names are interleaved in sorted order, and a term no
+    label reaches has no factors."""
     term_count = draw(st.integers(1, 6))
     incidences = draw(st.lists(
         st.frozensets(st.integers(0, term_count - 1)), min_size=1, max_size=5))
     sizes = draw(st.lists(st.integers(1, 3), min_size=len(incidences),
                           max_size=len(incidences)))
+    picks = st.sets(st.integers(0, len(incidences) - 1), min_size=min(2, len(incidences)),
+                    max_size=3)
+    for picked in draw(st.lists(picks, min_size=1, max_size=2)):
+        xor = functools.reduce(frozenset.symmetric_difference, (incidences[i] for i in picked))
+        if xor not in incidences:
+            incidences.append(xor)
+            sizes.append(1)
     names = iter(draw(st.permutations([f"L{i}" for i in range(sum(sizes))])))
     placed = [(next(names), inc) for inc, size in zip(incidences, sizes) for _ in range(size)]
     terms = tuple(
