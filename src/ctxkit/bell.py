@@ -18,9 +18,10 @@ reports which one ran:
   generators g_i, which reach every +-1 pattern together, and each P_k
   is s_k times a product of them, s_k = +-1 read off the exact product.
   The maximum is then c plus the largest sum w_k s_k prod(g_i) over all
-  +-1 patterns, found on the bound solver's kernel
-  (``solver.parity_max``) with one parity indicator per unit of |w_k|,
-  within the scan's ``MAX_SCAN_WORK``;
+  +-1 patterns: the noncontextual bound (``solver.classical_bound``) of
+  the expression with |w_k| terms sgn(w_k s_k) prod(g_i) over the
+  generator labels g0, g1, ...  Past the solver's one scan cap the
+  expression falls to the dense route;
 * ``dense``: the largest eigenvalue of the dense B by ``eigvalsh``, up to
   ``linalg.MAX_DENSE_DIM`` (ResourceLimitError past it, before any array
   is built).  This is the only route, and the only code in the module,
@@ -32,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
+from .exceptions import ResourceLimitError
 from .gf2 import eliminate
-from .inequalities import InequalityExpr
+from .inequalities import InequalityExpr, Term
 from .observables import ObservableSet, _bell
 from .pauli import IDENTITY, Expansion, commute, max_entry, multiply, split_identity
-from .solver import MAX_SCAN_WORK, parity_max
+from .solver import classical_bound
 
 
 @dataclass(frozen=True)
@@ -71,25 +73,23 @@ def _hermitian(x: int, z: int) -> Expansion:
     return Expansion(((x, z, 1j ** ((x & z).bit_count() % 4)),))
 
 
-def _rewrite(strings: list[Expansion], kept: list[int], dependent: dict[int, list[int]]):
-    """Each string as (s, positions): s times the product of the basis
-    strings at those positions of ``kept``, with s = +-1 from the exact
-    product."""
-    position = {k: p for p, k in enumerate(kept)}
+def _rewrite(strings: list[Expansion], kept: list[int], coords: list[int]):
+    """Each string as (s, generators): s times the product of the basis
+    strings at its coordinates, named g0, g1, ... by their positions in
+    ``kept``, with s = +-1 from the exact product."""
     out = []
-    for k, string in enumerate(strings):
-        if k in position:
-            out.append((1, [position[k]]))
-            continue
-        product = reduce(multiply, (strings[g] for g in dependent[k]), IDENTITY)
+    for string, coord in zip(strings, coords):
+        positions = [p for p in range(len(kept)) if coord >> p & 1]
+        product = reduce(multiply, (strings[kept[p]] for p in positions), IDENTITY)
         ((_, _, s),) = multiply(product, string)  # s * 1, as string^2 = 1
-        out.append((int(s.real), [position[g] for g in dependent[k]]))
+        out.append((int(s.real), tuple(f"g{p}" for p in positions)))
     return out
 
 
-def _commuting_max(rest: Expansion) -> float | None:
+def _commuting_max(rest: Expansion) -> int | None:
     """max over states of ``rest`` when its terms are integer multiples
-    of pairwise-commuting Hermitian Pauli strings, else None."""
+    of pairwise-commuting Hermitian Pauli strings, within the bound
+    solver's scan cap, else None."""
     strings, weights = [], []
     for x, z, c in rest:
         string = _hermitian(x, z)
@@ -99,16 +99,17 @@ def _commuting_max(rest: Expansion) -> float | None:
         strings.append(string)
         weights.append(int(w.real))
     shift = max(z.bit_length() for _, z, _ in rest)
-    kept, dependent = eliminate([x << shift | z for x, z, _ in rest])
+    kept, coords = eliminate([x << shift | z for x, z, _ in rest])
     if not all(commute(x, z, rest[g][0], rest[g][1]) for x, z, _ in rest for g in kept):
         return None
-    parities = []
-    for w, (s, positions) in zip(weights, _rewrite(strings, kept, dependent)):
-        parities += [(positions, w * s > 0)] * abs(w)
-    if (1 << len(kept)) * len(parities) > MAX_SCAN_WORK:
+    terms = []
+    for w, (s, generators) in zip(weights, _rewrite(strings, kept, coords)):
+        terms += [Term(1 if w * s > 0 else -1, generators)] * abs(w)
+    try:
+        bound = classical_bound(InequalityExpr("commuting", "generators", tuple(terms), None))
+    except ResourceLimitError:
         return None
-    best, _ = parity_max(len(kept), parities)
-    return 2 * best - len(parities)
+    return bound.classical_bound
 
 
 def max_quantum_value(obs: ObservableSet, expr: InequalityExpr) -> QuantumMaximum:

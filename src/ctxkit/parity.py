@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .families import incidence
 from .observables import ObservableSet, context_product
-from .solver import decode, label_masks, lex_first_max, mask_bits
+from .solver import decode, label_bits, lex_first_max
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def ks_colorable(obs: ObservableSet) -> ColorabilityResult:
     if short := [ctx for ctx in obs.contexts if len(ctx) != obs.dim]:
         raise ValueError(f"{obs.set_id}: context {short[0]} is not a basis of {obs.dim} labels")
     labels = sorted(obs.labels)
-    contexts = [mask_bits(mask) for mask in label_masks(labels, obs.contexts)]
+    contexts = label_bits(labels, obs.contexts)
 
     def indicators(columns, ones):
         # A bit of ``twice`` is set once its assignment has met two 1s,

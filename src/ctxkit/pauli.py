@@ -116,18 +116,16 @@ def max_entry(e: Expansion) -> float:
     basis of the group's z-masks (``gf2.eliminate``), and every pattern of
     those r parities occurs at some j, so each group's entries are its sums
     over the 2^r patterns: a term's parity is that of the pattern's bits at
-    the basis masks that XOR to its own."""
+    its coordinates, the basis masks that XOR to its own."""
     groups: dict[int, list[tuple[int, complex]]] = {}
     for x, z, c in e:
         groups.setdefault(x, []).append((z, c))
     best = 0.0
     for terms in groups.values():
-        kept, dependent = eliminate([z for z, _ in terms])
-        at = {i: b for b, i in enumerate(kept)}
-        combos = [sum(1 << at[k] for k in dependent.get(i, [i])) for i in range(len(terms))]
+        kept, coords = eliminate([z for z, _ in terms])
         for pattern in range(1 << len(kept)):
             entry = 0j
-            for combo, (_, c) in zip(combos, terms):
-                entry += -c if (pattern & combo).bit_count() & 1 else c
+            for coord, (_, c) in zip(coords, terms):
+                entry += -c if (pattern & coord).bit_count() & 1 else c
             best = max(best, abs(entry))
     return best

@@ -4,14 +4,16 @@ the one enumeration kernel behind them.
 Every distinct label in the expression becomes one +-1 variable; the
 maximum of sum(sign * product of values) over all 2^m assignments is the
 noncontextual bound.  ``parity.ks_colorable`` runs the same kernel with
-0/1 values and a different indicator.
+0/1 values and a different indicator, and ``bell.max_quantum_value``
+takes its commuting route's maximum as ``classical_bound`` over its
+generator labels, so this module's ``MAX_SCAN_WORK`` caps every scan.
 
 Canonical enumeration order: with labels sorted, assignment k (an integer
 in [0, 2^m)) gives label j its upper value (+1, or 1 for a coloring) when
 bit (m-1-j) of k is set and its lower value (-1, or 0) otherwise.
 Ascending k is then exactly lexicographic order over assignment tuples,
 and ``lex_first_max`` reports the first maximizer in that order.
-``label_masks`` and ``decode`` are the only places that convention is
+``label_bits`` and ``decode`` are the only places that convention is
 written.
 
 The kernel is bit-sliced on Python ints (Biham, FSE 1997): a block of
@@ -58,12 +60,13 @@ class BoundResult:
     evaluations: int
 
 
-def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> list[int]:
-    """Bitmask of each group of (sorted) labels under the canonical
-    convention.  Raises ValueError when a group is not distinct labels
-    (``label_group``), and ResourceLimitError, before any mask is built,
-    when the scan's work, 2^labels assignments x max(1, groups), is more
-    than ``MAX_SCAN_WORK``."""
+def label_bits(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> list[list[int]]:
+    """Bit positions of each group's labels, in group order, under the
+    canonical convention for the (sorted) labels.  Raises ValueError when
+    a group is not distinct labels (``label_group``), and
+    ResourceLimitError, before any position is read, when the scan's
+    work, 2^labels assignments x max(1, groups), is more than
+    ``MAX_SCAN_WORK``."""
     groups = [label_group(g, "group") for g in groups]
     m, scored = len(labels), max(1, len(groups))
     if (1 << m) * scored > MAX_SCAN_WORK:
@@ -72,12 +75,7 @@ def label_masks(labels: Sequence[str], groups: Iterable[Iterable[str]]) -> list[
             f"{MAX_SCAN_WORK} (2^{MAX_SCAN_WORK.bit_length() - 1})"
         )
     bit = {label: m - 1 - j for j, label in enumerate(labels)}
-    return [sum(1 << bit[f] for f in g) for g in groups]
-
-
-def mask_bits(mask: int) -> list[int]:
-    """Positions of the set bits of a mask, ascending."""
-    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+    return [[bit[f] for f in g] for g in groups]
 
 
 def decode(k: int, labels: Sequence[str], values: tuple[int, int]) -> dict[str, int]:
@@ -142,21 +140,6 @@ def lex_first_max(
     return best, best_k
 
 
-def parity_max(m: int, parities: Sequence[tuple[Sequence[int], bool]]) -> tuple[int, int]:
-    """``lex_first_max`` over parity indicators: (bits, complement) holds
-    at k when the XOR of k's bits at positions ``bits`` is 1, or 0 when
-    ``complement``."""
-
-    def indicators(columns: Sequence[int], ones: int) -> Iterable[int]:
-        for bits, complement in parities:
-            column = ones if complement else 0
-            for p in bits:
-                column ^= columns[p]
-            yield column
-
-    return lex_first_max(m, indicators)
-
-
 def classical_bound(expr: InequalityExpr) -> BoundResult:
     """Exact maximum of the expression over all +-1 label assignments.
 
@@ -181,12 +164,20 @@ def classical_bound(expr: InequalityExpr) -> BoundResult:
     columns = [sum(1 << r for r, row in enumerate(basis) if row >> j & 1) for j in bit.values()]
     kept = {labels[~i] for i in eliminate(columns[::-1])[0]}
     scanned = sorted(kept)
-    masks = label_masks(scanned, ([f for f in t.factors if f in kept] for t in expr.terms))
+    groups = label_bits(scanned, ([f for f in t.factors if f in kept] for t in expr.terms))
     parities = [
-        (mask_bits(mask), t.sign * (-1 if len(t.factors) & 1 else 1) == 1)
-        for mask, t in zip(masks, expr.terms)
+        (bits, t.sign * (-1 if len(t.factors) & 1 else 1) == 1)
+        for bits, t in zip(groups, expr.terms)
     ]
-    best, best_k = parity_max(len(scanned), parities)
+
+    def indicators(bit_columns, ones):
+        for bits, complement in parities:
+            column = ones if complement else 0
+            for p in bits:
+                column ^= bit_columns[p]
+            yield column
+
+    best, best_k = lex_first_max(len(scanned), indicators)
     return BoundResult(
         classical_bound=2 * best - len(expr.terms),
         witness=dict.fromkeys(labels, -1) | decode(best_k, scanned, (-1, 1)),

@@ -10,7 +10,9 @@ single spaces) to a row:
 - ``exit``: the exit code;
 - ``stdout``: the exact stdout;
 - ``stderr_contains`` (optional, written by hand): substrings of the JSON
-  error that a failing row prints on stderr;
+  error that a failing row prints on stderr (an argument error's type and
+  message prefix only: argparse words the rest, such as an invalid
+  choice's list, by Python version);
 - ``csv`` (optional): the exact text of the row's ``--csv`` file after
   the run, recorded for every row that passes ``--csv``.
 

@@ -277,24 +277,6 @@ def test_numeric_error_exits_1(capsys, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("simulate", "--inequality", "ineq1", "--state", "singlet", "--shots", "abc", "--seed", "1"),
-     "argument --shots: invalid int value: 'abc'"),
-    (("bound", "--n", "3"), "the following arguments are required: --inequality"),
-    (("bound", "--inequality", "chsh8", "--bogus"), "unrecognized arguments: --bogus"),
-    (("bound", "--inequality", "chsh8", "extra"), "unrecognized arguments: extra"),
-    ((), "the following arguments are required: command"),
-    (("nosuch",), "argument command: invalid choice: 'nosuch'"),
-])
-def test_argument_errors_print_the_json_error(capsys, argv, message):
-    rc, _, err = run_cli(capsys, *argv)
-    assert rc == 2
-    error = json.loads(err)["error"]
-    assert error["type"] == "ArgumentError"
-    # An invalid choice also lists the choices, worded by the Python version.
-    assert error["message"].startswith(message)
-
-
 def test_os_error_message_names_the_error_and_the_path(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "bound", "--inequality", str(tmp_path))
     assert rc == 2

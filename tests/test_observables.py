@@ -31,7 +31,7 @@ from ctxkit.observables import (
 from ctxkit.quantum import evaluate_inequality
 from ctxkit.runtime import substream
 from ctxkit.simulate import estimate_term, run_protocol, sequential_measure
-from ctxkit.solver import label_masks
+from ctxkit.solver import label_bits
 from ctxkit.states import singlet
 
 
@@ -194,7 +194,7 @@ REPEAT = ("a", "b", "a")
 @pytest.mark.parametrize("what, refuse", [
     ("term", lambda: Term(1, REPEAT)),
     ("t: context", lambda: ObservableSet(set_id="t", dim=4, observables=AB, contexts=(REPEAT,))),
-    ("group", lambda: label_masks(["a", "b"], [("a", "b"), REPEAT])),
+    ("group", lambda: label_bits(["a", "b"], [("a", "b"), REPEAT])),
     ("context", lambda: context_product(
         ObservableSet(set_id="t", dim=4, observables=AB, contexts=(("a", "b"),)), REPEAT)),
 ], ids=["term", "context", "scan group", "context_product"])

@@ -45,16 +45,23 @@ def _span(vectors, indices) -> int:
 
 @given(st.lists(st.integers(0, 63), max_size=12))
 def test_eliminate_keeps_a_basis_and_writes_the_rest_in_it(vectors):
-    kept, dependent = eliminate(vectors)
-    assert sorted(kept + list(dependent)) == list(range(len(vectors)))
+    kept, coords = eliminate(vectors)
+    assert kept == sorted(set(kept)) and len(coords) == len(vectors)
     # Each kept vector is independent of those kept before it: the kept
     # ones span 2^rank distinct sums.
     sums = {_span(vectors, [k for j, k in enumerate(kept) if mask >> j & 1])
             for mask in range(1 << len(kept))}
     assert len(sums) == 1 << len(kept)
-    for i, parts in dependent.items():
-        assert set(parts) <= set(kept) and all(k < i for k in parts)
-        assert _span(vectors, parts) == vectors[i]
+    # Each vector is the XOR of the kept vectors at its coordinates' bits:
+    # a kept vector's own single bit, another's kept vectors before it
+    # (none for a zero vector).
+    for i, coord in enumerate(coords):
+        parts = [k for p, k in enumerate(kept) if coord >> p & 1]
+        assert coord < 1 << len(kept) and _span(vectors, parts) == vectors[i]
+        if i in kept:
+            assert coord == 1 << kept.index(i)
+        else:
+            assert all(k < i for k in parts)
 
 
 def max_entry_by_index(e, dim) -> float:

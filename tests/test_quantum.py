@@ -1,14 +1,18 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dense_oracle import expectation_term, ket_density, operator
-from ctxkit import bell, quantum, states
+from ctxkit import bell, quantum, solver, states
 from ctxkit.bell import QuantumMaximum, certify_state_independence, max_quantum_value
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
 from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
-from ctxkit.linalg import MAX_DENSE_DIM
+from ctxkit.linalg import MAX_DENSE_DIM, dense
 from ctxkit.observables import ObservableSet, build_set, compatible_expansions, context_product
-from ctxkit.pauli import pauli
+from ctxkit.pauli import IDENTITY, combine, multiply, pauli
 from ctxkit.quantum import MAX_STATES, bell_operator, evaluate_inequality, haar_sweep
 from ctxkit.simulate import MAX_SHOTS, run_protocol
 from ctxkit.states import haar_random, maximally_mixed, singlet, y_plus_pair, zero_product
@@ -220,6 +224,39 @@ def test_exact_routes_are_exact_at_any_star_size(n):
         assert (top.max_quantum_value, top.route) == (want, ROUTES[id_])
 
 
+def test_one_scan_cap_for_bound_and_maxval(monkeypatch):
+    # mermin11's commuting route is the bound of 4 terms over 3
+    # generators, a scan of 2^3 x 4 = 32: the solver's one cap governs
+    # it, and one below it the expression falls to the eigensolver.
+    expr = catalog_get("mermin11", 5)
+    obs = build_set(expr.set_id, expr.n)
+    monkeypatch.setattr(solver, "MAX_SCAN_WORK", 31)
+    top = max_quantum_value(obs, expr)
+    assert top.route == "dense" and abs(top.max_quantum_value - 4) <= 1e-12
+    monkeypatch.setattr(solver, "MAX_SCAN_WORK", 32)
+    assert max_quantum_value(obs, expr) == QuantumMaximum(4.0, "commuting")
+
+
+# The seven non-identity elements of the commuting group generated by
+# XXX, ZZI and IZZ, element k the product of the generators at the bits
+# of k: XXX ZZI = -YYX, so products carry Y and signs.
+GENERATORS = [pauli("XXX"), pauli("ZZI"), pauli("IZZ")]
+GROUP = {k: reduce(multiply, (g for b, g in enumerate(GENERATORS) if k >> b & 1), IDENTITY)
+         for k in range(1, 8)}
+
+
+@given(st.dictionaries(st.sampled_from(sorted(GROUP)),
+                       st.integers(-4, 4).filter(bool), min_size=1))
+@example({1: 2, 2: 2, 4: -1, 3: 1, 7: 1})  # repeated weights; 3 and 7 depend on 1, 2, 4
+def test_commuting_route_equals_the_eigensolver_on_a_pauli_group(weights):
+    # Any integer-weighted sum of group elements takes the commuting
+    # route, whose maximum is an integer and the dense eigensolver's.
+    rest = combine((w, GROUP[k]) for k, w in weights.items())
+    top = bell._commuting_max(rest)
+    assert isinstance(top, int)
+    assert abs(top - float(np.linalg.eigvalsh(dense(rest, 8))[-1])) <= 1e-12
+
+
 def test_a_wrong_sign_in_a_basis_rewrite_moves_the_maximum(monkeypatch):
     # mermin11's four strings have rank 3, so one of them is rewritten as
     # a product of the other three.  With that sign flipped, the route
@@ -230,8 +267,8 @@ def test_a_wrong_sign_in_a_basis_rewrite_moves_the_maximum(monkeypatch):
     rewrite = bell._rewrite
 
     def flipped(*args):
-        return [(-s if len(positions) > 1 else s, positions)
-                for s, positions in rewrite(*args)]
+        return [(-s if len(generators) > 1 else s, generators)
+                for s, generators in rewrite(*args)]
 
     monkeypatch.setattr(bell, "_rewrite", flipped)
     top = max_quantum_value(obs, expr)

@@ -123,11 +123,11 @@ def test_label_cap():
     result = classical_bound(one)
     assert (result.classical_bound, result.evaluations) == (1, 2**40)
     assert result.witness == dict.fromkeys(labels, -1)
-    # 70 labels in 70 groups are refused on the work alone, before a mask
-    # past 64 bits is built.
+    # 70 labels in 70 groups are refused on the work alone, before a bit
+    # position past 64 is read.
     wide = [f"L{i:02d}" for i in range(70)]
     with pytest.raises(ResourceLimitError, match="scan-work cap"):
-        solver.label_masks(wide, [(label,) for label in wide])
+        solver.label_bits(wide, [(label,) for label in wide])
     # A set whose labels are in no context still counts 2^labels.
     bare = ObservableSet(set_id="bare", dim=2, observables=dict.fromkeys(labels, pauli("Z")),
                          contexts=())
@@ -154,22 +154,22 @@ def test_scan_work_cap(monkeypatch):
         classical_bound(four)
 
 
-def test_label_masks_refuse_a_repeated_label(monkeypatch):
-    # A repeat would carry its bit into one that belongs to no label; the
-    # group is refused before any scan, even one past the caps.
-    assert solver.label_masks(["a", "b", "c"], [("a", "b"), ("c",)]) == [6, 1]
+def test_label_bits_refuse_a_repeated_label(monkeypatch):
+    # A repeat would count one label's column twice in a group; the group
+    # is refused before any scan, even one past the caps.
+    assert solver.label_bits(["a", "b", "c"], [("a", "b"), ("c",)]) == [[2, 1], [0]]
     with pytest.raises(ValueError, match=r"group \('a', 'a'\) repeats a label"):
-        solver.label_masks(["a", "b", "c"], [("a", "a")])
+        solver.label_bits(["a", "b", "c"], [("a", "a")])
     monkeypatch.setattr(solver, "MAX_SCAN_WORK", 1)
     with pytest.raises(ValueError, match="repeats a label"):
-        solver.label_masks(["a", "b", "c"], iter([("b", "c"), ("c", "a", "c")]))
+        solver.label_bits(["a", "b", "c"], iter([("b", "c"), ("c", "a", "c")]))
 
 
-def test_label_masks_refuse_a_string_group():
-    # "ab" would be read as the group (a, b), mask 3.
-    assert solver.label_masks(["a", "b"], [["a", "b"]]) == [3]
+def test_label_bits_refuse_a_string_group():
+    # "ab" would be read as the group (a, b), bits [1, 0].
+    assert solver.label_bits(["a", "b"], [["a", "b"]]) == [[1, 0]]
     with pytest.raises(ValueError, match="sequence of str"):
-        solver.label_masks(["a", "b"], ["ab"])
+        solver.label_bits(["a", "b"], ["ab"])
 
 
 def random_formula(rng, m, depth=3):

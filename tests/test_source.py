@@ -1,7 +1,8 @@
 """Source hygiene the test suite can check without a linter: every
 import of the package, at module level or at the top of a function, is
-used where it is bound, and the package's star import binds exactly its
-``__all__``."""
+used where it is bound, every module-level function and class is read
+somewhere in the package or exported, and the package's star import
+binds exactly its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,50 @@ def test_scan_finds_unused_imports():
     assert unused_imports(used_in_f) == ["os", "osp"]
     elsewhere = used_in_f.replace("import json\n", "pass\n") + "def g():\n    import json\n"
     assert unused_imports(elsewhere) == ["json", "os", "osp"]
+
+
+def unread_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Module-level functions and classes, dunders aside, as
+    "module.name", whose name no module of ``sources`` reads (an AST
+    ``Name`` it loads, an ``Attribute`` or an import) and that are not in
+    ``exported``."""
+    defined, read = [], set(exported)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(d for d in defined if d.partition(".")[2] not in read)
+
+
+def test_scan_finds_unread_definitions():
+    sources = {
+        "a": ("def called(): pass\n"
+              "def imported(): pass\n"
+              "def attribute(): pass\n"
+              "def stored(): pass\n"
+              "class Exported: pass\n"
+              "class Unread:\n"
+              "    def method(self): pass\n"
+              "def __getattr__(name): pass\n"),
+        "b": ("from .a import imported\n"
+              "import a\n"
+              "stored = called()\n"
+              "a.attribute\n"),
+    }
+    assert unread_definitions(sources, ["Exported"]) == ["a.Unread", "a.stored"]
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_definitions(sources, ctxkit.__all__) == []
 
 
 def test_every_package_module_is_scanned():
