@@ -131,7 +131,8 @@ def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...],
     ``PERES_MERMIN_WORDS`` or the star's Pauli words), and its contexts.
 
     An unknown id raises UnknownLabelError; only the star takes n
-    (ValueError otherwise), odd and >= 3 (ValueError) and at most
+    (ValueError otherwise), an integer (an int or a numpy integer, never
+    a bool, float or str), odd and >= 3 (ValueError) and at most
     ``MERMIN_STAR_MAX_QUBITS`` (ResourceLimitError).
     """
     if set_id in ("ks18", "peres_mermin"):
@@ -142,7 +143,7 @@ def _family(set_id: str, n: int | None) -> tuple[Mapping, tuple[tuple[str, ...],
         return PERES_MERMIN_WORDS, PERES_MERMIN_CONTEXTS
     if set_id != "mermin_star":
         raise UnknownLabelError(f"unknown set_id {set_id!r}, not one of {', '.join(FAMILY_IDS)}")
-    if n is None or n < 3 or n % 2 == 0:
+    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 3 or n % 2 == 0:
         raise ValueError(f"star family is defined with n (odd) >= 3, got n={n}")
     if n > MERMIN_STAR_MAX_QUBITS:
         raise ResourceLimitError(

@@ -35,9 +35,11 @@ so does, checked after the shot cap, an expression on another set
 (ValueError, ``run_protocol`` only) and a term or context that is not
 jointly measurable (IncompatibleContextError), both from the one gate
 ``observables.term_expansions`` or ``compatible_expansions``, and a
-seed outside [0, 2^64) (ValueError, ``runtime``'s coordinate rule),
-checked after those, even when no term draws.  The state is certified
-last, even for an expression with no terms.
+seed outside [0, 2^64) (ValueError, ``runtime``'s coordinate rule;
+``estimate_term`` checks its ``term_index`` with it), checked after
+those, even when no term draws.  The state is certified last, once per
+call, even for an expression with no terms: ``run_protocol`` hands its
+one factor to every term.
 """
 
 from __future__ import annotations
@@ -187,19 +189,27 @@ def estimate_term(
     shots: int,
     seed: int,
     term_index: int = 0,
+    *,
+    _certified: tuple[np.ndarray, list] | None = None,
 ) -> TermEstimate:
     """Estimate sign * <product of outcomes> from ``shots`` preparations.
 
     Shot s draws from substream (seed, lane 1, term_index, s).  Returns
     the estimate and its ``stderr``, the sample standard deviation over
     shots divided by sqrt(shots); the result does not repeat ``shots``.
-    The shot count, the term's compatibility and the seed are checked
-    before the state is certified.
+    The shot count, the term's compatibility, and the seed and
+    ``term_index`` together (``runtime``'s coordinate rule) are checked
+    before the state is certified, also for a term with no factors.
+    ``run_protocol`` passes ``_certified``, the state's factor K and the
+    term's expansions after running those checks and the certification
+    once for all terms; a caller leaves it out.
     """
-    _check_shots(shots)
-    expansions = compatible_expansions(obs, term.factors)
-    _checked(seed)
-    k = factor(state, obs.dim)
+    if _certified is None:
+        _check_shots(shots)
+        expansions = compatible_expansions(obs, term.factors)
+        _checked(seed, PROTOCOL_LANE, term_index)
+        _certified = factor(state, obs.dim), expansions
+    k, expansions = _certified
     if term.factors:
         outcomes = _shot_outcomes(k, expansions, shots, seed, PROTOCOL_LANE, term_index)
         values = term.sign * outcomes.prod(axis=1).astype(float)
@@ -224,19 +234,19 @@ def run_protocol(
     are the ``simulate`` command's results in order, with the command's
     ``--state`` echoed after ``inequality``.  ``lhs_stderr`` is the
     root-sum-square of the terms' ``stderr`` (independent subensembles).
-    After the shot cap, ``term_expansions`` checks that the expression is
-    on ``obs`` and every term jointly measurable, before any term's work;
-    the seed is checked next, and then the state is certified: by each
-    term, or here when the expression has no terms.
+    Every check runs once, before any term's work: the shot cap, then
+    ``term_expansions`` (the expression is on ``obs`` and every term
+    jointly measurable), then the seed.  The state is certified last,
+    once for all terms (also when there are none), and each term's
+    ``estimate_term`` reads that one factor and its own expansions.
     """
     _check_shots(shots_per_term)
-    term_expansions(obs, expr)
+    expansions = term_expansions(obs, expr)
     _checked(seed)
-    if not expr.terms:
-        factor(state, obs.dim)
+    k = factor(state, obs.dim)
     estimates = [
-        estimate_term(state, obs, term, shots_per_term, seed, term_index=t)
-        for t, term in enumerate(expr.terms)
+        estimate_term(state, obs, term, shots_per_term, seed, t, _certified=(k, term_exps))
+        for t, (term, term_exps) in enumerate(zip(expr.terms, expansions))
     ]
     lhs = float(sum(e.estimate for e in estimates))
     lhs_err = float(np.sqrt(sum(e.stderr**2 for e in estimates)))

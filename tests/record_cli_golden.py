@@ -116,6 +116,21 @@ INPUTS = {
     # dense eigensolver can take this expression's maximum.
     "xz-n13.json": {"id": "xz", "set_id": "mermin_star", "n": 13, "bound": None,
                     "terms": [{"sign": 1, "factors": ["B1"]}, {"sign": 1, "factors": ["C1"]}]},
+    # A term that is not an object, an unknown key and an id that is not
+    # a string; a state file that is not one JSON object, a haar seed that
+    # is not an integer, an amplitude that is not a number, and a declared
+    # dim past the set's.
+    "term-not-object.json": {"id": "x", "set_id": "peres_mermin",
+                             "terms": [[1, ["P14", "P16"]]]},
+    "chsh8-typo-key.json": {**expr_to_json(catalog_get("chsh8")), "typo_bound": 2},
+    "chsh8-int-id.json": {**expr_to_json(catalog_get("chsh8")), "id": 5},
+    "state-list.json": [{}],
+    "state-bools.json": [True, False, False, False],
+    "state-str.json": "singlet",
+    "haar-float-seed.json": {"kind": "haar", "dim": 4, "seed": 1.9},
+    "ket-str-amplitude.json": {"kind": "ket", "dim": 4,
+                               "amplitudes": [[1, "a"], [0, 0], [0, 0], [0, 0]]},
+    "haar-huge-dim.json": {"kind": "haar", "dim": 10**6, "seed": 1},
     # Raw bytes, written as they are: JSON too deep for the parser's
     # recursion, a syntax error, and a file that is not UTF-8.
     "deep.json": b"[" * 100000 + b"]" * 100000,

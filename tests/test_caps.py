@@ -56,7 +56,9 @@ def run_capped(argv, budget_s: float):
     # A Haar ket takes both branches of a measurement: the walk at d = 8192.
     (("simulate", *STAR13, "--state", "HAAR_FILE", "--shots", "200", "--seed", "1"), 10,
      "lhs_estimate", 5.0),
-], ids=["quantum", "sweep", "simulate", "simulate_haar"])
+    (("certify", *STAR13), 5, "quantum_constant", 5.0),
+    (("maxval", "--inequality", "mermin11", "--n", "13"), 5, "max_quantum_value", 4.0),
+], ids=["quantum", "sweep", "simulate", "simulate_haar", "certify", "maxval"])
 def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
     haar_file = tmp_path / "haar.json"
     haar_file.write_text(json.dumps({"kind": "haar", "dim": 8192, "seed": 3}))
@@ -121,7 +123,10 @@ def test_bound_scans_the_rank_not_the_labels(tmp_path):
     # before the state's eigendecomposition.
     ("simulate", "--inequality", "ineq9", "--n", "11", "--state", "maximally_mixed",
      "--shots", "1000001", "--seed", "1"),
-], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes", "scan_work", "dense_shots"])
+    ("certify", "--inequality", "ineq9", "--n", "15"),
+    ("maxval", "--inequality", "mermin11", "--n", "15"),
+], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes", "scan_work", "dense_shots",
+        "certify", "maxval"])
 def test_past_a_cap_exits_3_at_once(argv, tmp_path):
     files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json",
              "WIDE_FILE": tmp_path / "wide.json"}

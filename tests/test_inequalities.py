@@ -20,6 +20,7 @@ from ctxkit.inequalities import (
     load_expr,
     specialize,
 )
+from ctxkit.observables import build_set
 from ctxkit.solver import classical_bound
 
 # expr_to_json of every catalog entry, star family at n = 3 and 5, keyed
@@ -157,6 +158,20 @@ def test_star_size_is_checked_before_any_label_is_built():
     # An expression on the star checks its n when it is built.
     with pytest.raises(ResourceLimitError):
         InequalityExpr(id="x", set_id="mermin_star", terms=(), bound=None, n=15)
+
+
+@pytest.mark.parametrize("build, family, n", [
+    (catalog_get, "ineq9", 5.0),
+    (build_set, "mermin_star", 7.5),
+    (catalog_get, "ineq9", "5"),
+    (catalog_get, "ineq9", True),
+], ids=["float", "fraction", "str", "bool"])
+def test_a_star_n_that_is_not_an_integer_is_refused(build, family, n):
+    # A float or str n would otherwise reach "Z" * n or "5" < 3, a TypeError.
+    with pytest.raises(ValueError, match=f"^star family is defined with n \\(odd\\) >= 3, "
+                                         f"got n={n}$"):
+        build(family, n)
+    assert build(family, np.int64(5)) == build(family, 5)
 
 
 def test_labels_sorted():

@@ -258,6 +258,21 @@ def test_a_bad_seed_is_refused_before_any_work(pm_obs, ks18_obs, work_calls, see
     assert work_calls == {"factor": 0, "substream": 0}
 
 
+@pytest.mark.parametrize("term_index, message", [
+    (-1, "^index must fit in an unsigned 64-bit integer, got -1$"),
+    (2.5, "^index must be an integer, got 2.5$"),
+    (True, "^index must be an integer, got True$"),
+    (2**64, f"^index must fit in an unsigned 64-bit integer, got {2**64}$"),
+], ids=["negative", "float", "bool", "past 2^64"])
+def test_a_bad_term_index_is_refused_before_any_work(pm_obs, work_calls, term_index, message):
+    # Checked with the seed, before the state is certified, also for a
+    # term with no factors, which opens no substream.
+    for term in (Term(1, ()), Term(1, ("P14", "P15"))):
+        with pytest.raises(ValueError, match=message):
+            estimate_term(singlet(), pm_obs, term, 2, 1, term_index)
+    assert work_calls == {"factor": 0, "substream": 0}
+
+
 
 def test_an_expression_with_no_terms_checks_the_seed_then_the_state(pm_obs):
     # No term is left to check them once specialize substitutes every label.
@@ -323,6 +338,21 @@ def test_run_protocol_report(pm_obs):
     rss = np.sqrt(sum(t.stderr**2 for t in report.terms))
     assert report.lhs_stderr == pytest.approx(float(rss))
     assert report.lhs_stderr > 0  # the pair terms fluctuate here
+
+
+def test_run_protocol_certifies_the_state_once(ks18_obs, work_calls):
+    # One eigendecomposition for all nine terms, and each term's estimate
+    # is the public estimate_term's, which certifies the state itself.
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    expr = catalog_get("ineq1")
+    report = run_protocol(rho, ks18_obs, expr, 50, seed=3)
+    assert work_calls == {"factor": 1, "substream": 9 * 50}
+    assert report.terms == tuple(
+        estimate_term(rho, ks18_obs, term, 50, 3, t) for t, term in enumerate(expr.terms)
+    )
 
 
 def test_run_protocol_repeatable(pm_obs):
