@@ -194,6 +194,21 @@ def test_inequality_from_file(capsys, tmp_path):
     assert report["results"]["classical_bound"] == 2
 
 
+# The other malformed-file cases are cli_golden.json rows; this one keeps its
+# id from when they shared this table. Only the star family takes n.
+@pytest.mark.parametrize("argv,raw", [
+    pytest.param(("bound", "--inequality"), {**expr_to_json(catalog_get("chsh8")), "n": 3},
+                 id="argv9-raw9"),
+])
+def test_malformed_json_files_exit_2(capsys, tmp_path, argv, raw):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(raw))
+    rc, out, err = run_cli(capsys, *argv, str(path))
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def field_names(cls) -> list[str]:
     return [f.name for f in dataclasses.fields(cls)]
 
