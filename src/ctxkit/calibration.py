@@ -25,7 +25,7 @@ from .inequalities import InequalityExpr, Term, catalog_get
 from .linalg import row_norms
 from .observables import ObservableSet, build_set
 from .quantum import bell_operator
-from .runtime import ASCENT_LANE, _checked, substream
+from .runtime import ASCENT_LANE, _checked, draws
 from .states import paper_kcbs_product
 
 TARGET, SLACK = 3.6, 0.05  # the reference-state value the relabeling sweep looks for
@@ -130,13 +130,6 @@ def _top_eigvecs(m: np.ndarray, current: np.ndarray) -> np.ndarray:
     return np.where((radius < 1e-14)[:, None], current, vec)
 
 
-def _draw_start(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One ascent's unnormalized starting factors (a, b)."""
-    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return a, b
-
-
 def _product_values(tensors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nikjl,ni,nk,nj,nl->n", tensors, a.conj(), b.conj(), a, b).real
 
@@ -188,8 +181,10 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
     relabeling (compared against ``TARGET`` +- ``SLACK``), and the best
     product-state value found by ``ASCENT_STARTS`` seeded ascents on each
     distinct pentagon image (compared against the noncontextual bound 3).
-    A seed outside [0, 2^64) raises ValueError (``runtime``'s coordinate
-    rule) before any work.
+    Start s on pentagon p is the ``draws`` row (seed, lane 3, p, s) of 8
+    normals: its unnormalized factors are a = row[0:2] + 1j * row[2:4]
+    and b = row[4:6] + 1j * row[6:8].  A seed outside [0, 2^64) raises
+    ValueError (``runtime``'s coordinate rule) before any work.
     """
     _checked(seed)
     obs = build_set("ks18")
@@ -211,12 +206,9 @@ def kcbs_calibration(seed: int = 0) -> CalibrationReport:
         paper_values.append(pentagons[key][2])
 
     images = list(pentagons.values())
-    starts = [
-        _draw_start(substream(seed, ASCENT_LANE, index=pent_idx, subindex=start))
-        for pent_idx in range(len(images))
-        for start in range(ASCENT_STARTS)
-    ]
-    a, b = (np.array(factors) for factors in zip(*starts))
+    starts = draws(seed, ASCENT_LANE, range(len(images)), range(ASCENT_STARTS), 8)
+    a = starts[:, 0:2] + 1j * starts[:, 2:4]
+    b = starts[:, 4:6] + 1j * starts[:, 6:8]
     bells = np.array([bell for _, bell, _ in images]).reshape(-1, 2, 2, 2, 2)
     values, a, b = _ascend(np.repeat(bells, ASCENT_STARTS, axis=0), a, b)
     best = int(np.argmax(values))  # the first best, in (pentagon, start) order

@@ -25,6 +25,7 @@ file, here and in ``states`` and the CLI, is read by ``read_json``.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import stat
 from dataclasses import dataclass, replace
@@ -64,9 +65,10 @@ class Term:
 class InequalityExpr:
     """A signed sum of terms on one set.  When ``set_id`` is a family id
     (``families.FAMILY_IDS``), construction checks that n suits the
-    family (ValueError, or ResourceLimitError past the star's cap) and
-    that every label is in its universe (UnknownLabelError naming the
-    label and the set); any other ``set_id`` names a caller's own set."""
+    family (ValueError, or ResourceLimitError past the star's cap), keeps
+    a numpy integer n as a plain int, and checks that every label is in
+    its universe (UnknownLabelError naming the label and the set); any
+    other ``set_id`` names a caller's own set."""
 
     id: str
     set_id: str
@@ -77,6 +79,7 @@ class InequalityExpr:
     def __post_init__(self) -> None:
         if self.set_id in FAMILY_IDS:
             universe = set(set_labels(self.set_id, self.n))
+            object.__setattr__(self, "n", None if self.n is None else operator.index(self.n))
             if unknown := [f for f in self.labels if f not in universe]:
                 raise UnknownLabelError(
                     f"unknown label {unknown[0]!r}, not in set {family_name(self.set_id, self.n)}"

@@ -62,8 +62,8 @@ def haar_sweep(
 ) -> np.ndarray:
     """Expression values over ``count`` seeded Haar-random pure states.
 
-    State i comes from substream (seed, lane 0, i), so the result is
-    independent of evaluation order.  States are evaluated in blocks of
+    State i comes from the ``runtime.draws`` row (seed, lane 0, i, 0), so
+    the result is independent of evaluation order.  States are evaluated in blocks of
     ``SWEEP_BLOCK_ENTRIES // d`` kets (at least one): each block is drawn
     as one array (``haar_kets``), certified row by row (``as_kets``) and
     multiplied by the Bell expansion in one ``apply`` to its transpose,

@@ -7,13 +7,20 @@ is::
 
     Generator(Philox(key=(seed, lane), counter=(0, subindex, index, 0)))
 
-Lane assignments, named below (changing them is a breaking change):
+Every draw goes through ``draws``: one row per (index, subindex), the
+head of that substream, standard normals or uniforms in [0, 1) as its
+lane says.  Lane assignments, named below (changing them is a breaking
+change):
 
-* 0, ``STATE_LANE``: state sampling (index = position in a sweep),
-* 1, ``PROTOCOL_LANE``: protocol estimation (index = term, subindex = shot),
-* 2, ``MARGINAL_LANE``: marginal-consistency checks (index = 64-bit digest
-  of the measured context's labels, subindex = shot),
-* 3, ``ASCENT_LANE``: the calibration's product-state ascent starts.
+* 0, ``STATE_LANE``: Haar states (index = position in a sweep,
+  subindex 0; one row of 2d normals per state),
+* 1, ``PROTOCOL_LANE``: protocol estimation (index = term, subindex =
+  shot; one row of uniforms per shot, one per measurement),
+* 2, ``MARGINAL_LANE``: marginal-consistency checks (index =
+  ``context_index`` of the measured context, subindex = shot; uniforms
+  as on lane 1),
+* 3, ``ASCENT_LANE``: the calibration's product-state ascents (index =
+  pentagon, subindex = start; one row of 8 normals per start).
 
 Each Philox gets its key directly, through a seed sequence whose state is
 that key, so building a stream draws no OS entropy (``Philox(key=...)``
@@ -21,9 +28,9 @@ would seed a ``SeedSequence`` from the OS and then discard it).  The
 adapter class is made on the first ``substream`` call, so ``numpy.random``
 loads only then and a process that never draws does not import it.
 
-A simulation makes one ``substream`` call per shot, and only the counter
-changes from shot to shot.  So four plain ``int`` coordinates are checked
-in one expression (other values get the per-coordinate checks), and the
+A simulation opens one substream per shot, and only the counter changes
+from shot to shot.  So four plain ``int`` coordinates are checked in one
+expression (other values get the per-coordinate checks), and the
 read-only ``[seed, lane]`` key and its seed sequence are built once per
 (seed, lane) and reused by every stream they key, from a small bounded
 cache.
@@ -63,6 +70,31 @@ def substream(seed: int, lane: int, index: int = 0, subindex: int = 0) -> np.ran
     return np.random.Generator(np.random.Philox(_lane_key(seed, lane), counter=counter))
 
 
+def draws(seed: int, lane: int, indices, subindices, width: int) -> np.ndarray:
+    """A (len(indices) * len(subindices), width) array: one row per
+    (index, subindex), index-major, each the first ``width`` draws of
+    ``substream(seed, lane, index, subindex)``, standard normals on
+    ``STATE_LANE`` and ``ASCENT_LANE`` and uniforms in [0, 1) on the
+    others."""
+    out = np.empty((len(indices) * len(subindices), width))
+    draw = "standard_normal" if lane in (STATE_LANE, ASCENT_LANE) else "random"
+    rows = iter(out)
+    for index in indices:
+        for subindex in subindices:
+            getattr(substream(seed, lane, index, subindex), draw)(out=next(rows))
+    return out
+
+
+def context_index(labels: tuple[str, ...]) -> int:
+    """A context's index on ``MARGINAL_LANE``: the 64-bit blake2b digest
+    of its labels."""
+    # Imported here: only marginal checks hash, and hashlib loads OpenSSL.
+    import hashlib
+
+    digest = hashlib.blake2b("\x1f".join(labels).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 def _checked(*coordinates) -> list[int]:
     """The coordinates as plain ints; floats, bools, strings and values
     outside [0, 2**64) raise ValueError."""
@@ -86,7 +118,7 @@ def _lane_key(seed: int, lane: int):
     read-only because every stream of that pair shares it."""
     key = np.array([seed, lane], dtype=np.uint64)
     key.flags.writeable = False
-    return _key_seed(key)
+    return _key_seed_class()(key)
 
 
 @functools.cache
@@ -104,12 +136,8 @@ def _key_seed_class() -> type:
             return self.key
 
         def __reduce__(self):
-            # Pickle cannot name a local class; rebuild through the module.
-            return _key_seed, (self.key,)
+            # Pickle cannot name a local class; rebuild through the cache.
+            return _lane_key, tuple(map(int, self.key))
 
     return KeySeed
-
-
-def _key_seed(key: np.ndarray):
-    return _key_seed_class()(key)
 

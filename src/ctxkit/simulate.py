@@ -8,11 +8,11 @@ matrices alike.  Outcome sampling compares one uniform draw per
 measurement against the +1 branch probability.
 
 Randomness is organized so results do not depend on evaluation order:
-shot ``s`` of term ``t`` consumes exactly the draws of substream
-(seed, lane 1, t, s), and a marginal-consistency check of a context uses
-(seed, lane 2, digest(context labels), s), so measuring the same context
-twice reproduces the same runs while distinct contexts get independent
-ensembles.
+shot ``s`` of term ``t`` reads one row of uniforms, one per measurement,
+from ``runtime.draws`` at (seed, lane 1, t, s), and a marginal-consistency
+check of a context reads them at (seed, lane 2, ``runtime.context_index``
+of its labels, s), so measuring the same context twice reproduces the
+same runs while distinct contexts get independent ensembles.
 
 Every measurement runs one Lüders walk: shots that have seen the same
 outcomes share a post-measurement factor, so the branch tree is walked
@@ -53,7 +53,7 @@ from .families import label_tuple
 from .inequalities import InequalityExpr, Term
 from .linalg import STRUCT_TOL, apply, factor, tables
 from .observables import ObservableSet, compatible_expansions, term_expansions
-from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, _integer, substream
+from .runtime import MARGINAL_LANE, PROTOCOL_LANE, _checked, _integer, context_index, draws
 
 _P_FLOOR = 1e-12
 MAX_SHOTS = 10**6
@@ -154,32 +154,24 @@ def sequential_measure(
     return MeasurementRecord(tuple(zip(labels, outcomes[0].tolist())), post_state)
 
 
-def _check_shots(shots: int) -> None:
-    _integer("shots", shots)
+def _check_shots(shots: int) -> int:
+    """``shots`` as a plain int, at least 2 (ValueError) and at most
+    ``MAX_SHOTS`` (ResourceLimitError)."""
+    shots = _integer("shots", shots)
     if shots < 2:
         raise ValueError(f"need at least 2 shots, got {shots}")
     if shots > MAX_SHOTS:
         raise ResourceLimitError(f"{shots} shots exceeds the cap of {MAX_SHOTS}")
+    return shots
 
 
 def _shot_outcomes(
     k: np.ndarray, expansions, shots: int, seed: int, lane: int, index: int
 ) -> np.ndarray:
     """Outcomes of ``shots`` runs measuring the expansions in order on
-    K K^dagger; shot s draws from substream (seed, lane, index, s)."""
-    uniforms = np.empty((shots, len(expansions)))
-    for s in range(shots):
-        substream(seed, lane, index, s).random(out=uniforms[s])
+    K K^dagger; shot s reads the ``draws`` row (seed, lane, index, s)."""
+    uniforms = draws(seed, lane, (index,), range(shots), len(expansions))
     return _walk(k, expansions, uniforms)[0]
-
-
-def _context_stream_index(labels: tuple[str, ...]) -> int:
-    """Stable 64-bit index for a context's substream, from its label list."""
-    # Imported here: only marginal checks hash, and hashlib loads OpenSSL.
-    import hashlib
-
-    digest = hashlib.blake2b("\x1f".join(labels).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def estimate_term(
@@ -194,7 +186,7 @@ def estimate_term(
 ) -> TermEstimate:
     """Estimate sign * <product of outcomes> from ``shots`` preparations.
 
-    Shot s draws from substream (seed, lane 1, term_index, s).  Returns
+    Shot s reads the ``draws`` row (seed, lane 1, term_index, s).  Returns
     the estimate and its ``stderr``, the sample standard deviation over
     shots divided by sqrt(shots); the result does not repeat ``shots``.
     The shot count, the term's compatibility, and the seed and
@@ -205,9 +197,9 @@ def estimate_term(
     once for all terms; a caller leaves it out.
     """
     if _certified is None:
-        _check_shots(shots)
+        shots = _check_shots(shots)
         expansions = compatible_expansions(obs, term.factors)
-        _checked(seed, PROTOCOL_LANE, term_index)
+        seed, _, term_index = _checked(seed, PROTOCOL_LANE, term_index)
         _certified = factor(state, obs.dim), expansions
     k, expansions = _certified
     if term.factors:
@@ -229,20 +221,22 @@ def run_protocol(
 ) -> EstimateReport:
     """Estimate every term on an independent subensemble and sum.
 
-    Term t uses substreams (seed, lane 1, t, shot), so the full report is
-    a pure function of (state, expr, shots_per_term, seed).  Its fields
-    are the ``simulate`` command's results in order, with the command's
-    ``--state`` echoed after ``inequality``.  ``lhs_stderr`` is the
-    root-sum-square of the terms' ``stderr`` (independent subensembles).
+    Term t reads the ``draws`` rows (seed, lane 1, t, shot), so the full
+    report is a pure function of (state, expr, shots_per_term, seed).
+    Its fields are the ``simulate`` command's results in order, with the
+    command's ``--state`` echoed after ``inequality``; the seed and shot
+    count are plain ints, also for numpy integer arguments.
+    ``lhs_stderr`` is the root-sum-square of the terms' ``stderr``
+    (independent subensembles).
     Every check runs once, before any term's work: the shot cap, then
     ``term_expansions`` (the expression is on ``obs`` and every term
     jointly measurable), then the seed.  The state is certified last,
     once for all terms (also when there are none), and each term's
     ``estimate_term`` reads that one factor and its own expansions.
     """
-    _check_shots(shots_per_term)
+    shots_per_term = _check_shots(shots_per_term)
     expansions = term_expansions(obs, expr)
-    _checked(seed)
+    (seed,) = _checked(seed)
     k = factor(state, obs.dim)
     estimates = [
         estimate_term(state, obs, term, shots_per_term, seed, t, _certified=(k, term_exps))
@@ -271,17 +265,18 @@ def marginal_consistency(
     """Compare one observable's outcome frequency across two contexts.
 
     Both contexts are measured in full, ``shots`` times each; a context's
-    shots draw from substreams (seed, lane 2, digest(context), shot), so
-    passing the same context twice reproduces identical frequencies while
-    distinct contexts are measured on independent ensembles.  The report
-    holds the +1 frequency of ``label`` in each context and a
-    two-proportion z statistic; quantum mechanics predicts equal
-    marginals, so |z| stays at noise level.  Before the state is
+    shots read the ``draws`` rows (seed, lane 2, ``context_index(context)``,
+    shot), so passing the same context twice reproduces identical
+    frequencies while distinct contexts are measured on independent
+    ensembles.  The report holds ``shots`` as a plain int, the +1
+    frequency of ``label`` in each context and a two-proportion z
+    statistic; quantum mechanics predicts equal marginals, so |z| stays
+    at noise level.  Before the state is
     certified, both contexts are checked: exactly two, each holding
     ``label`` and jointly measurable (ValueError otherwise), and then the
     seed.
     """
-    _check_shots(shots)
+    shots = _check_shots(shots)
     contexts = [label_tuple(c) for c in contexts]
     if len(contexts) != 2:
         raise ValueError(f"marginal consistency takes exactly two contexts, got {len(contexts)}")
@@ -289,12 +284,11 @@ def marginal_consistency(
         if label not in ctx:
             raise ValueError(f"label {label} is not in context {ctx}")
     expansions = [compatible_expansions(obs, ctx) for ctx in contexts]
-    _checked(seed)
+    (seed,) = _checked(seed)
     k = factor(state, obs.dim)
     freqs = []
     for ctx, exps in zip(contexts, expansions):
-        index = _context_stream_index(ctx)
-        outcomes = _shot_outcomes(k, exps, shots, seed, MARGINAL_LANE, index)
+        outcomes = _shot_outcomes(k, exps, shots, seed, MARGINAL_LANE, context_index(ctx))
         freqs.append(float(np.mean(outcomes[:, ctx.index(label)] == 1)))
     f1, f2 = freqs
     pooled = (f1 + f2) / 2.0

@@ -9,13 +9,17 @@ density matrix (Hermitian, unit trace, positive semidefinite) once per
 computation that uses it.  The named states, ``NAMED_STATES``, are the
 names of one table, ``_NAMED``, which also builds them.
 
-Haar-random states are normalized complex-Gaussian vectors drawn from
-substream (seed, lane 0, index), so a sweep's i-th state is the same no
-matter how the sweep is chunked.  ``haar_kets`` draws a block of them
-as the rows of one array and ``haar_random`` is its one-row case; each
-state is one ``standard_normal(2 * d)`` draw split into real and
-imaginary parts, the same numbers as two successive
-``standard_normal(d)`` draws.
+Haar-random states are normalized complex-Gaussian vectors, state i of
+a sweep from the ``runtime.draws`` row (seed, lane 0, i, 0), so a
+sweep's i-th state is the same no matter how the sweep is chunked.
+``haar_kets`` draws a block of them as the rows of one array and
+``haar_random`` is its one-row case; each state is one row of 2d
+standard normals split into real and imaginary parts, the same numbers
+as two successive ``standard_normal(d)`` draws.
+
+Every dimension or qubit count a builder takes is an integer, an int or
+a numpy integer (ValueError for a float, bool or string, never coerced),
+checked before anything is built.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .inequalities import check_keys, parse_int, read_json
 from .linalg import as_ket, check_dense, checked_state, row_norms
-from .runtime import STATE_LANE, substream
+from .runtime import STATE_LANE, _integer, draws
 
 
 def singlet() -> np.ndarray:
@@ -40,7 +44,7 @@ def singlet() -> np.ndarray:
 
 
 def ghz(n: int) -> np.ndarray:
-    if n < 1:
+    if (n := _integer("n", n)) < 1:
         raise ValueError(f"ghz needs at least one qubit, got n={n}")
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
@@ -53,7 +57,7 @@ def y_plus_pair() -> np.ndarray:
 
 
 def zero_product(n: int = 2) -> np.ndarray:
-    psi = np.zeros(2**n, dtype=complex)
+    psi = np.zeros(2 ** _integer("n", n), dtype=complex)
     psi[0] = 1.0
     return as_ket(psi)
 
@@ -65,7 +69,7 @@ def paper_kcbs_product() -> np.ndarray:
 
 
 def maximally_mixed(d: int) -> np.ndarray:
-    if d < 1:
+    if (d := _integer("dim", d)) < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     check_dense(d, "maximally mixed state")
     return np.eye(d, dtype=complex) / d
@@ -74,17 +78,13 @@ def maximally_mixed(d: int) -> np.ndarray:
 def haar_kets(d: int, seed: int, indices) -> np.ndarray:
     """The Haar-random pure states at ``indices`` of a sweep, as the rows
     of a (len(indices), d) array: state i is the normalized complex
-    Gaussian vector re + 1j * im, with re and im the two halves of one
-    ``standard_normal(2 * d)`` draw from substream (seed, lane 0, i).
+    Gaussian vector re + 1j * im, with re and im the two halves of the
+    2d standard normals of the ``draws`` row (seed, lane 0, i, 0).
     """
-    if d < 1:
+    if (d := _integer("dim", d)) < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    draws = np.empty((len(indices), 2 * d))
-    for row, index in zip(draws, indices):
-        substream(seed, STATE_LANE, index).standard_normal(out=row)
-    kets = np.empty((len(draws), d), dtype=complex)
-    kets.real = draws[:, :d]
-    kets.imag = draws[:, d:]
+    normals = draws(seed, STATE_LANE, indices, (0,), 2 * d)
+    kets = normals[:, :d] + 1j * normals[:, d:]
     kets /= row_norms(kets)[:, None]
     return kets
 
@@ -107,7 +107,7 @@ def _target(dim: int | None, name: str) -> int:
 
 
 def _qubits_for(dim: int | None, name: str) -> int:
-    n = int(_target(dim, name)).bit_length() - 1
+    n = _target(dim, name).bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"named state {name!r} needs a power-of-two dimension, got {dim}")
     return n
@@ -212,10 +212,12 @@ def make_state(spec, dim: int | None = None) -> np.ndarray:
     ``spec`` may be a named-state string, a dict in the JSON form
     ({"kind": "named"|"ket"|"dm"|"haar", ...}), or an array, which
     passes ``linalg.checked_state``.  When ``dim`` is given the result
-    must match it.  A density matrix is built here, not certified: its
-    Hermiticity, trace and positivity are certified by ``linalg.factor``,
-    which every consumer runs once.
+    must match it; it is an integer (ValueError otherwise), checked
+    before anything is built.  A density matrix is built here, not
+    certified: its Hermiticity, trace and positivity are certified by
+    ``linalg.factor``, which every consumer runs once.
     """
+    dim = None if dim is None else _integer("dim", dim)
     if isinstance(spec, str):
         state = _named_state(spec, dim)
     elif isinstance(spec, Mapping):

@@ -13,7 +13,7 @@ from ctxkit.inequalities import catalog_get
 from ctxkit.pauli import pauli
 from ctxkit.observables import ObservableSet
 from ctxkit.quantum import bell_operator, evaluate_inequality
-from ctxkit.runtime import substream
+from ctxkit.runtime import ASCENT_LANE, draws
 from ctxkit.solver import classical_bound
 from ctxkit.states import paper_kcbs_product
 
@@ -99,10 +99,16 @@ def test_relabel_expr(ks18_obs):
         assert classical_bound(relabel_expr(expr, m)).classical_bound == 3
 
 
+def draw_start(seed, pentagon, start):
+    """One ascent's unnormalized starting factors (a, b), from its draws row."""
+    row = draws(seed, ASCENT_LANE, (pentagon,), (start,), 8)[0]
+    return row[0:2] + 1j * row[2:4], row[4:6] + 1j * row[6:8]
+
+
 def test_product_state_ascent_properties(ks18_obs):
     # One product-state ascent, run alone as a one-row _ascend.
     bell = bell_operator(ks18_obs, catalog_get("kcbs3"))
-    a0, b0 = calibration._draw_start(substream(0, 3, index=0, subindex=0))
+    a0, b0 = draw_start(0, 0, 0)
     values, a, b = calibration._ascend(bell.reshape(1, 2, 2, 2, 2), a0[None], b0[None])
     value, a, b = values[0], a[0], b[0]
 
@@ -254,13 +260,13 @@ def test_each_batch_row_is_a_lone_ascent(ks18_obs):
     starts = calibration.ASCENT_STARTS
     rows = [(p, s) for p in range(len(bells)) for s in range(starts)]
     a, b = (np.array(f) for f in zip(*(
-        calibration._draw_start(substream(2, 3, index=p, subindex=s)) for p, s in rows
+        draw_start(2, p, s) for p, s in rows
     )))
     tensors = np.repeat(np.array(bells).reshape(-1, 2, 2, 2, 2), starts, axis=0)
     values, a, b = calibration._ascend(tensors, a, b)
     assert len(values) == 216
     for r, (p, s) in enumerate(rows):
-        a0, b0 = calibration._draw_start(substream(2, 3, index=p, subindex=s))
+        a0, b0 = draw_start(2, p, s)
         value, lone_a, lone_b = calibration._ascend(
             bells[p].reshape(1, 2, 2, 2, 2), a0[None], b0[None])
         assert value[0] == values[r]

@@ -1,9 +1,11 @@
 """Cap matrix: each row is one CLI process under a 1 GiB address-space
 limit and a wall budget.  Rows inside the caps run at the star's largest
-size, n = 13, or for a bound at the scan-work cap or with more labels
-than the cap allows but a small rank, and must exit 0; rows just past a
-cap must exit 3 at once, before anything large is built, and an input
-that is not a regular file must exit 2 at once."""
+size, n = 13, on the 18-ray set for the commands that take no n, or for
+a bound at the scan-work cap or with more labels than the cap allows but
+a small rank, and must exit 0; rows just past a cap, among them every
+command that takes n at n = 15, must exit 3 at once, before anything
+large is built, and an input that is not a regular file must exit 2 at
+once."""
 
 import itertools
 import json
@@ -58,11 +60,16 @@ def run_capped(argv, budget_s: float):
      "lhs_estimate", 5.0),
     (("certify", *STAR13), 5, "quantum_constant", 5.0),
     (("maxval", "--inequality", "mermin11", "--n", "13"), 5, "max_quantum_value", 4.0),
-], ids=["quantum", "sweep", "simulate", "simulate_haar", "certify", "maxval"])
+    (("specialize", *STAR13, "--subs", "SUBS_FILE"), 5, "classical_bound", 3),
+    (("colorability",), 5, "satisfiable", False),
+    (("calibrate", "--seed", "0"), 5, "pentagon_count", 36),
+], ids=["quantum", "sweep", "simulate", "simulate_haar", "certify", "maxval", "specialize",
+        "colorability", "calibrate"])
 def test_largest_star_runs_within_a_gib(argv, budget_s, key, want, tmp_path):
-    haar_file = tmp_path / "haar.json"
-    haar_file.write_text(json.dumps({"kind": "haar", "dim": 8192, "seed": 3}))
-    argv = [str(haar_file) if a == "HAAR_FILE" else a for a in argv]
+    files = {"HAAR_FILE": tmp_path / "haar.json", "SUBS_FILE": tmp_path / "subs.json"}
+    files["HAAR_FILE"].write_text(json.dumps({"kind": "haar", "dim": 8192, "seed": 3}))
+    files["SUBS_FILE"].write_text(json.dumps({"ACAL1": 1}))
+    argv = [str(files.get(a, a)) for a in argv]
     rc, report, err, _ = run_capped(argv, budget_s)
     assert rc == 0, err
     assert abs(report["results"][key] - want) <= 1e-9
@@ -125,11 +132,18 @@ def test_bound_scans_the_rank_not_the_labels(tmp_path):
      "--shots", "1000001", "--seed", "1"),
     ("certify", "--inequality", "ineq9", "--n", "15"),
     ("maxval", "--inequality", "mermin11", "--n", "15"),
+    ("bound", "--inequality", "ineq9", "--n", "15"),
+    ("quantum", "--inequality", "ineq9", "--n", "15", "--state", "ghz"),
+    ("sweep", "--inequality", "ineq9", "--n", "15", "--states", "2", "--seed", "1"),
+    ("simulate", "--inequality", "ineq9", "--n", "15", "--state", "ghz", "--shots", "2",
+     "--seed", "1"),
+    ("specialize", "--inequality", "ineq9", "--n", "15", "--subs", "SUBS_FILE"),
 ], ids=["maximally_mixed", "dm_file", "sweep_states", "input_bytes", "scan_work", "dense_shots",
-        "certify", "maxval"])
+        "certify", "maxval", "bound", "quantum", "sweep", "simulate", "specialize"])
 def test_past_a_cap_exits_3_at_once(argv, tmp_path):
     files = {"DM_FILE": tmp_path / "dm.json", "BIG_FILE": tmp_path / "big.json",
-             "WIDE_FILE": tmp_path / "wide.json"}
+             "WIDE_FILE": tmp_path / "wide.json", "SUBS_FILE": tmp_path / "subs.json"}
+    files["SUBS_FILE"].write_text(json.dumps({"ACAL1": 1}))
     files["DM_FILE"].write_text(json.dumps({"kind": "dm", "dim": 8192, "entries": [[1.0, 0.0]]}))
     # The n = 13 star's 30 labels in 30 one-label terms: 2^30
     # assignments x 30 terms is past the scan-work cap.

@@ -174,6 +174,17 @@ def test_a_star_n_that_is_not_an_integer_is_refused(build, family, n):
     assert build(family, np.int64(5)) == build(family, 5)
 
 
+def test_a_numpy_integer_n_is_kept_as_a_plain_int():
+    # np.int64 is not JSON serializable; the expression stores an int.
+    for id in ("ineq9", "mermin11"):
+        expr, plain = catalog_get(id, np.int64(5)), catalog_get(id, 5)
+        assert type(expr.n) is int
+        assert json.dumps(expr_to_json(expr)) == json.dumps(expr_to_json(plain))
+        special = specialize(expr, {"ACAL1": -1})[0]
+        assert json.dumps(expr_to_json(special)) == json.dumps(
+            expr_to_json(specialize(plain, {"ACAL1": -1})[0]))
+
+
 def test_labels_sorted():
     expr = catalog_get("chsh8")
     assert expr.labels == ("P14", "P16", "P24", "P26")

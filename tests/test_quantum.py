@@ -6,13 +6,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dense_oracle import expectation_term, ket_density, operator
-from ctxkit import bell, quantum, solver, states
+from ctxkit import bell, quantum, runtime, solver
 from ctxkit.bell import QuantumMaximum, certify_state_independence, max_quantum_value
 from ctxkit.exceptions import IncompatibleContextError, ResourceLimitError
-from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get
+from ctxkit.inequalities import CATALOG_IDS, InequalityExpr, Term, catalog_get, expr_from_json
 from ctxkit.linalg import MAX_DENSE_DIM, dense
-from ctxkit.observables import ObservableSet, build_set, compatible_expansions, context_product
-from ctxkit.pauli import IDENTITY, combine, multiply, pauli
+from ctxkit.observables import (
+    ObservableSet,
+    _bell,
+    build_set,
+    compatible_expansions,
+    context_product,
+)
+from ctxkit.pauli import IDENTITY, combine, multiply, pauli, split_identity
 from ctxkit.quantum import MAX_STATES, bell_operator, evaluate_inequality, haar_sweep
 from ctxkit.simulate import MAX_SHOTS, run_protocol
 from ctxkit.states import haar_random, maximally_mixed, singlet, y_plus_pair, zero_product
@@ -257,6 +263,19 @@ def test_commuting_route_equals_the_eigensolver_on_a_pauli_group(weights):
     assert abs(top - float(np.linalg.eigvalsh(dense(rest, 8))[-1])) <= 1e-12
 
 
+def test_non_integer_weights_leave_the_commuting_route(ks18_obs):
+    # One ray: -1/2 I - 1/2 IZ + 1/2 ZI - 1/2 ZZ.  The strings commute, but
+    # their weights are +-1/2, so the maximum comes from the eigensolver.
+    expr = expr_from_json({"id": "ray", "set_id": "ks18",
+                           "terms": [{"sign": 1, "factors": ["A12"]}]})
+    rest = split_identity(_bell(ks18_obs, expr))[1]
+    assert {c for _, _, c in rest} == {0.5, -0.5}
+    assert bell._commuting_max(rest) is None
+    top = max_quantum_value(ks18_obs, expr)
+    assert top == QuantumMaximum(1.0, "dense")
+    assert top.max_quantum_value == float(np.linalg.eigvalsh(bell_operator(ks18_obs, expr))[-1])
+
+
 def test_a_wrong_sign_in_a_basis_rewrite_moves_the_maximum(monkeypatch):
     # mermin11's four strings have rank 3, so one of them is rewritten as
     # a product of the other three.  With that sign flipped, the route
@@ -327,8 +346,8 @@ def test_state_cap_comes_before_any_draw(monkeypatch, ks18_obs):
     def refuse(*args, **kwargs):
         raise AssertionError("the sweep drew a state past the cap")
 
-    # Every Haar draw goes through substream as states binds it.
-    monkeypatch.setattr(states, "substream", refuse)
+    # Every Haar draw opens its stream through runtime.substream.
+    monkeypatch.setattr(runtime, "substream", refuse)
     with pytest.raises(AssertionError, match="drew a state"):
         haar_sweep(ks18_obs, catalog_get("kcbs3"), 1, seed=9)  # the patch is on the draw path
     for count in (MAX_STATES + 1, 10**12):

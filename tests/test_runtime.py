@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ctxkit.runtime import substream
+from ctxkit.runtime import (
+    ASCENT_LANE,
+    MARGINAL_LANE,
+    PROTOCOL_LANE,
+    STATE_LANE,
+    _lane_key,
+    draws,
+    substream,
+)
 
 
 def test_substream_reproducible():
@@ -133,6 +141,25 @@ FROZEN_DRAWS = {
 @pytest.mark.parametrize("coords", FROZEN_DRAWS)
 def test_substream_draws_are_frozen(coords):
     assert substream(*coords).random(4).tolist() == FROZEN_DRAWS[coords]
+
+
+@pytest.mark.parametrize("lane, draw", [
+    (STATE_LANE, "standard_normal"),
+    (PROTOCOL_LANE, "random"),
+    (MARGINAL_LANE, "random"),
+    (ASCENT_LANE, "standard_normal"),
+])
+def test_draws_rows_are_the_heads_of_their_substreams(lane, draw):
+    indices, subindices = (5, 0, 2**64 - 1), range(4)
+    got = draws(7, lane, indices, subindices, 6)
+    want = [getattr(substream(7, lane, i, s), draw)(6) for i in indices for s in subindices]
+    assert got.shape == (12, 6)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_a_pickled_stream_rebuilds_its_cached_lane_key():
+    seed_seq = pickle.loads(pickle.dumps(substream(7, 2, 3, 9))).bit_generator.seed_seq
+    assert seed_seq is _lane_key(7, 2)
 
 
 def test_substream_draws_no_os_entropy(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dense_oracle import expand, ket_density, ray_operator, star_operators
-from ctxkit import linalg, quantum, simulate
+from ctxkit import linalg, quantum, runtime, simulate
 from ctxkit.exceptions import IncompatibleContextError, NumericError, ResourceLimitError
 from ctxkit.families import KS18_CONTEXTS, KS18_RAYS
 from ctxkit.inequalities import InequalityExpr, Term, catalog_get, specialize
@@ -199,14 +199,15 @@ def test_shot_cap_comes_before_any_draw(pm_obs, ks18_obs, monkeypatch):
 @pytest.fixture
 def work_calls(monkeypatch):
     """Counts of the simulator's first steps of work: certifying the state
-    (``factor``) and opening a shot's substream, as ``simulate`` calls them."""
+    (``factor``, as ``simulate`` calls it) and opening a shot's substream
+    (``runtime.substream``, which ``runtime.draws`` calls)."""
     calls = {"factor": 0, "substream": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(simulate, name), **kwargs):
+    for module, name in ((simulate, "factor"), (runtime, "substream")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -338,6 +339,20 @@ def test_run_protocol_report(pm_obs):
     rss = np.sqrt(sum(t.stderr**2 for t in report.terms))
     assert report.lhs_stderr == pytest.approx(float(rss))
     assert report.lhs_stderr > 0  # the pair terms fluctuate here
+
+
+def test_numpy_integer_arguments_are_reported_as_plain_ints(pm_obs, ks18_obs):
+    # A numpy scalar in a report is not JSON serializable.
+    rho, expr, contexts = maximally_mixed(4), catalog_get("cfrh6"), ks18_obs.contexts[:2]
+    reports = [
+        (run_protocol(rho, pm_obs, expr, np.int64(10), np.uint64(1)),
+         run_protocol(rho, pm_obs, expr, 10, 1)),
+        (marginal_consistency(rho, ks18_obs, "A12", contexts, np.int64(10), 1),
+         marginal_consistency(rho, ks18_obs, "A12", contexts, 10, 1)),
+    ]
+    for numpy_args, plain_args in reports:
+        assert json.dumps(dataclasses.asdict(numpy_args)) == json.dumps(
+            dataclasses.asdict(plain_args))
 
 
 def test_run_protocol_certifies_the_state_once(ks18_obs, work_calls):

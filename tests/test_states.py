@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -274,6 +275,29 @@ def test_state_builders_need_a_positive_dimension():
         for build in (lambda: haar_random(d, 1), lambda: maximally_mixed(d)):
             with pytest.raises(ValueError, match=f"^dimension must be positive, got {d}$"):
                 build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_state("ghz", dim=32.0), "dim must be an integer, got 32.0"),
+    (lambda: make_state("zero_product", dim=True), "dim must be an integer, got True"),
+    (lambda: make_state("maximally_mixed", dim=4.0), "dim must be an integer, got 4.0"),
+    (lambda: make_state([1.0, 0.0], dim="2"), "dim must be an integer, got '2'"),
+    (lambda: haar_random(4.0, 1), "dim must be an integer, got 4.0"),
+    (lambda: maximally_mixed(np.float64(2.0)), "dim must be an integer, got np.float64(2.0)"),
+    (lambda: ghz(3.0), "n must be an integer, got 3.0"),
+    (lambda: zero_product(True), "n must be an integer, got True"),
+], ids=["ghz", "zero_product", "maximally_mixed", "array", "haar", "numpy_float", "ghz_n",
+        "zero_product_n"])
+def test_a_dimension_is_an_integer_never_coerced(build, message):
+    # int() made 32.0 a 5-qubit GHZ ket and True a 1-dimensional state.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_dimensions_build_as_ints():
+    for name in ("ghz", "zero_product", "maximally_mixed"):
+        assert np.array_equal(make_state(name, dim=np.int64(4)), make_state(name, dim=4))
+    assert np.array_equal(haar_random(np.uint8(4), 1), haar_random(4, 1))
 
 
 def test_declared_dim_is_checked_before_building():
